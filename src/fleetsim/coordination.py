@@ -8,7 +8,7 @@ cluster elects one leader from its active members by priority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 Position = tuple[float, float]
@@ -33,12 +33,6 @@ class ClusterPartition:
             if overlap:
                 raise ValueError(f"robots {sorted(overlap)} appear in two clusters")
             seen.update(c.members)
-
-    def cluster_of(self, robot: int) -> Cluster:
-        for c in self.clusters:
-            if robot in c.members:
-                return c
-        raise KeyError(robot)
 
 
 def neighbor_sets(

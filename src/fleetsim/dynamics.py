@@ -36,9 +36,6 @@ class RobotState:
     def position(self) -> tuple[float, float]:
         return (self.x, self.y)
 
-    def heading_vector(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
 
 @dataclass(frozen=True)
 class Control:

@@ -13,7 +13,13 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import trace as tr
-from .coordination import ClusterPartition, elect_leaders, form_clusters, neighbor_sets
+from .coordination import (
+    Cluster,
+    ClusterPartition,
+    elect_leaders,
+    form_clusters,
+    neighbor_sets,
+)
 from .dynamics import (
     Control,
     HumanState,
@@ -34,12 +40,11 @@ from .navigation import (
 )
 from .planner import Path, PlanningError, lookahead_point, plan as plan_path
 from .safety import (
-    INFEASIBLE_FALLBACK,
-    ControllerParams,
     nominal_leader,
     nominal_stop,
     solve_cluster_qp,
     solve_single_qp,
+    stop_control,
 )
 from .scenario import Scenario
 from .tasking import Dispatcher
@@ -84,10 +89,6 @@ class _Robot:
         return (self.state.x, self.state.y)
 
 
-def _clip(value: float, limit: float) -> float:
-    return min(max(value, -limit), limit)
-
-
 def _plan_through(costmap, position, targets, cost_weight: float) -> Path:
     """Chain grid plans through the targets, pinning each target exactly.
 
@@ -109,11 +110,6 @@ def _plan_through(costmap, position, targets, cost_weight: float) -> Path:
         total += seg.total_cost
         at = target
     return Path(tuple(points), total)
-
-
-def _stop_control(state: RobotState, p: ControllerParams) -> Control:
-    nom = nominal_stop(state, p)
-    return Control(_clip(nom.a, p.a_max), 0.0)
 
 
 class _Engine:
@@ -154,6 +150,21 @@ class _Engine:
 
     def emit(self, record: dict) -> None:
         self.events.append(record)
+
+    def emit_state(self) -> None:
+        self.emit({
+            "type": tr.STATE, "t": self.now,
+            "robots": [
+                [rid, self.robots[rid].state.x, self.robots[rid].state.y,
+                 self.robots[rid].state.theta, self.robots[rid].state.v]
+                for rid in self.robot_ids
+            ],
+            "humans": [
+                [float(h.position[0]), float(h.position[1]),
+                 float(h.velocity[0]), float(h.velocity[1])]
+                for h in self.humans
+            ],
+        })
 
     def _fault(self, rt: _Robot, message: str) -> None:
         rt.fault = message
@@ -373,19 +384,7 @@ class _Engine:
         partition = form_clusters(neighbor_sets(positions, self.s.world.d_neighbor))
         active = {rid for rid in self.robot_ids if self._is_active(self.robots[rid])}
         partition = elect_leaders(partition, active)
-        self.emit({
-            "type": tr.STATE, "t": self.now,
-            "robots": [
-                [rid, self.robots[rid].state.x, self.robots[rid].state.y,
-                 self.robots[rid].state.theta, self.robots[rid].state.v]
-                for rid in self.robot_ids
-            ],
-            "humans": [
-                [float(h.position[0]), float(h.position[1]),
-                 float(h.velocity[0]), float(h.velocity[1])]
-                for h in self.humans
-            ],
-        })
+        self.emit_state()
         self.emit({
             "type": tr.CLUSTERS, "t": self.now,
             "clusters": [
@@ -411,7 +410,7 @@ class _Engine:
             if cluster.all_stop:
                 for m in members:
                     rt = self.robots[m]
-                    decided[m] = _stop_control(rt.state, rt.spec.params)
+                    decided[m] = stop_control(rt.state, rt.spec.params)
                 continue
             leader = cluster.leader
             params = self.robots[leader].spec.params
@@ -481,7 +480,16 @@ class _Engine:
                 hits = []
             human_obstacles.append(hits)
         for _ in range(n_sub):
-            robot_positions = [self.robots[rid].position() for rid in self.robot_ids]
+            # humans see the robot positions from the start of the substep
+            if self.humans:
+                robot_positions = [self.robots[rid].position() for rid in self.robot_ids]
+                self.humans = [
+                    step_human(
+                        h, robot_positions, self.humans[:i] + self.humans[i + 1:],
+                        human_obstacles[i], self.s.tick_dt, self.sf_params[i],
+                    )
+                    for i, h in enumerate(self.humans)
+                ]
             for rid in self.robot_ids:
                 rt = self.robots[rid]
                 try:
@@ -490,15 +498,6 @@ class _Engine:
                     )
                 except ValueError as exc:
                     self._fault(rt, f"dynamics: {exc}")
-            if self.humans:
-                updated = []
-                for i, h in enumerate(self.humans):
-                    others = self.humans[:i] + self.humans[i + 1:]
-                    updated.append(step_human(
-                        h, robot_positions, others, human_obstacles[i],
-                        self.s.tick_dt, self.sf_params[i],
-                    ))
-                self.humans = updated
 
     def phase_bookkeeping(self) -> None:
         for rid in self.robot_ids:
@@ -522,8 +521,6 @@ class _Engine:
                         "type": tr.ARRIVAL, "t": self.now, "robot": rid,
                         "waypoint": [target[0], target[1]],
                     })
-                    if self.dispatcher is not None:
-                        self.dispatcher.record_feedback(rid, target, self.now)
                     if label is not None and label[0] == ARRIVE:
                         rt.ref_location = label[1]
                         if self.dispatcher is not None:
@@ -641,19 +638,7 @@ class _Engine:
         sim_time = n_ticks * self.s.control_period
         if n_ticks > 0:
             self.now = sim_time
-            self.emit({
-                "type": tr.STATE, "t": self.now,
-                "robots": [
-                    [rid, self.robots[rid].state.x, self.robots[rid].state.y,
-                     self.robots[rid].state.theta, self.robots[rid].state.v]
-                    for rid in self.robot_ids
-                ],
-                "humans": [
-                    [float(h.position[0]), float(h.position[1]),
-                     float(h.velocity[0]), float(h.velocity[1])]
-                    for h in self.humans
-                ],
-            })
+            self.emit_state()
             end_record = {"type": tr.END, "t": self.now, "ticks": n_ticks}
             if self.include_timing:
                 end_record["wall_time"] = time.perf_counter() - wall_start
@@ -682,57 +667,39 @@ def measure_travel_time(
 ) -> float:
     """Simulated seconds for one robot to travel between two locations.
 
-    Runs the single-robot stack (roadway expansion, planning, nominal control,
-    CBF-QP, RK4) from location ``loc_a`` until arrival at ``loc_b``.
+    Runs the engine's own replan, control, integrate and bookkeeping phases
+    with one robot: ``robots[0]``'s params, heading 0 at ``loc_a``, no
+    humans and no room queues. The result is the number of ticks until the
+    robot arrives at ``loc_b``, times ``control_period``.
     """
     if loc_a not in scenario.locations or loc_b not in scenario.locations:
         missing = loc_a if loc_a not in scenario.locations else loc_b
         raise KeyError(f"unknown location {missing}")
     if loc_a == loc_b:
         return 0.0
-    spec = scenario.robots[0]
-    params = spec.params
-    world = scenario.world
     start = scenario.locations[loc_a]
-    state = RobotState(start[0], start[1], 0.0, 0.0)
-    wp_plan = expand_actions([loc_b], scenario.roadways, start, {}, spec.robot_id)
-    pending = list(wp_plan.pending)
-    path: Path | None = None
-    path_target = None
-    last_plan = -math.inf
+    spec = replace(scenario.robots[0], start=start, heading=0.0)
+    # no rooms: an idle robot inside a room would be routed out of it
+    solo = replace(
+        scenario, robots=[spec], humans=[], rooms={}, travel_graph=None, task_stream=[]
+    )
+    engine = _Engine(solo, include_timing=False)
+    rt = engine.robots[spec.robot_id]
+    rt.plan = expand_actions([loc_b], solo.roadways, start, {}, rt.rid)
+    # the partition elect_leaders gives a lone active robot
+    partition = ClusterPartition((Cluster((rt.rid,), rt.rid, (rt.rid,)),))
     now = 0.0
-    n_sub = round(scenario.control_period / scenario.tick_dt)
     while now <= timeout:
-        if not pending:
+        if not rt.plan.pending:
             return now
-        target = pending[0]
-        if path is None or path_target != target or now - last_plan >= scenario.replan_period - 1e-9:
-            try:
-                path = _plan_through(
-                    scenario.costmap, (state.x, state.y), pending[:2],
-                    world.cost_weight,
-                )
-            except PlanningError as exc:
-                raise PlanningError(
-                    f"pair ({loc_a}, {loc_b}) unreachable: {exc}"
-                ) from None
-            path_target = target
-            last_plan = now
-        waypoint = lookahead_point(path, (state.x, state.y), params.delta)
-        nominal = nominal_leader(state, waypoint, params)
-        hits = raycast(
-            scenario.grid, state.x, state.y, state.theta,
-            world.n_rays, world.max_range,
-        )
-        decision = solve_single_qp(state, nominal, hits, [], params, spec.robot_id)
-        control = decision.controls[spec.robot_id]
-        for _ in range(n_sub):
-            state = step_robot(state, control, scenario.tick_dt, params.v_max)
+        engine.now = now
+        engine.phase_replan()
+        engine.phase_controls(partition)
+        engine.phase_integrate()
+        engine.phase_bookkeeping()
+        if rt.fault:
+            raise PlanningError(f"pair ({loc_a}, {loc_b}) unreachable: {rt.fault}")
         now += scenario.control_period
-        if math.dist((state.x, state.y), pending[0]) <= params.d_arrive:
-            pending.pop(0)
-            path = None
-            path_target = None
     raise PlanningError(
         f"pair ({loc_a}, {loc_b}): no arrival within {timeout} simulated seconds"
     )

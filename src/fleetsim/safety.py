@@ -89,6 +89,11 @@ def nominal_stop(state: RobotState, p: ControllerParams) -> Control:
     return Control(a, 0.0)
 
 
+def stop_control(state: RobotState, p: ControllerParams) -> Control:
+    """The braking law clipped to the acceleration bound: all-stop and QP fallback."""
+    return Control(_clip(nominal_stop(state, p).a, p.a_max), 0.0)
+
+
 def nominal_leader(state: RobotState, waypoint: tuple[float, float], p: ControllerParams) -> Control:
     """Waypoint-seeking law for a cluster leader (or a lone robot).
 
@@ -283,10 +288,7 @@ def solve_cluster_qp(
         slack = [max(0.0, float(s)) for s in soft.x[2 * n:]]
         return ControlDecision(_unpack(members, soft.x, p), slack, FEASIBLE_WITH_SLACK)
 
-    stops = {
-        rid: Control(_clip(nominal_stop(states[rid], p).a, p.a_max), 0.0)
-        for rid in members
-    }
+    stops = {rid: stop_control(states[rid], p) for rid in members}
     return ControlDecision(stops, [], INFEASIBLE_FALLBACK)
 
 

@@ -118,16 +118,14 @@ class Leg:
 
 @dataclass(frozen=True)
 class Allocation:
-    sequences: dict[int, list[int]]  # robot -> visit order (location ids)
-    predicted_times: dict[int, list[float]]
-    legs: dict[int, list[Leg]] = field(default_factory=dict)
+    legs: dict[int, list[Leg]] = field(default_factory=dict)  # robot -> visit order
     unassigned: list[int] = field(default_factory=list)  # task indices
 
     def makespan(self, now: float) -> float:
         latest = now
-        for times in self.predicted_times.values():
-            if times:
-                latest = max(latest, times[-1])
+        for legs in self.legs.values():
+            if legs:
+                latest = max(latest, legs[-1].time)
         return latest
 
     def validate(self) -> None:
@@ -325,16 +323,12 @@ def solve_exact(
     if best[0] is None:
         return None
     assignment = best[0][2]
-    sequences: dict[int, list[int]] = {rid: [] for rid in robot_ids}
-    times: dict[int, list[float]] = {rid: [] for rid in robot_ids}
     legs: dict[int, list[Leg]] = {rid: [] for rid in robot_ids}
     for rid in robot_ids:
         sched = robot_schedule(rid, assignment.get(rid, frozenset()))
         if sched:
             legs[rid] = sched[1]
-            sequences[rid] = [leg.location for leg in sched[1]]
-            times[rid] = [leg.time for leg in sched[1]]
-    return Allocation(sequences, times, legs, [])
+    return Allocation(legs, [])
 
 
 def solve_greedy(
@@ -386,9 +380,7 @@ def solve_greedy(
         legs[best_rid].append(Leg(k, DROPOFF, task.end, best_done))
         state[best_rid] = (task.end, best_done)
 
-    sequences = {rid: [leg.location for leg in legs[rid]] for rid in robot_ids}
-    times = {rid: [leg.time for leg in legs[rid]] for rid in robot_ids}
-    return Allocation(sequences, times, legs, unassigned)
+    return Allocation(legs, unassigned)
 
 
 @dataclass
@@ -442,7 +434,6 @@ class Dispatcher:
         self.graph = graph
         self.records: dict[str, TaskRecord] = {}
         self.robot_legs: dict[int, list[DispatchLeg]] = {}
-        self.feedback: list[tuple[int, tuple[float, float], float]] = []
         self._counter = 0
 
     # -- engine-facing queries -------------------------------------------
@@ -466,10 +457,6 @@ class Dispatcher:
             "unassigned": unassigned,
             "in_flight": arrived - completed - missed - unassigned,
         }
-
-    def record_feedback(self, robot: int, waypoint: tuple[float, float], time: float) -> None:
-        """Arrival-time feedback: logged for reporting, never folded into g."""
-        self.feedback.append((robot, waypoint, time))
 
     # -- lifecycle transitions -------------------------------------------
 
@@ -594,9 +581,10 @@ def collect_travel_times(
 ) -> TravelTimeGraph:
     """Measure travel times by running a single robot between location pairs.
 
-    Each ordered pair is simulated with the full plan/control/integrate stack;
-    the pair weight aggregates the simulated durations over repetitions and
-    both directions ("max" by default, "mean" as the alternative).
+    Each ordered pair is simulated by ``measure_travel_time`` through the
+    engine's own tick phases; the pair weight aggregates the simulated
+    durations over repetitions and both directions ("max" by default, "mean"
+    as the alternative).
     """
     if aggregate not in ("max", "mean"):
         raise ValueError(f"unknown aggregate {aggregate!r}")

@@ -51,12 +51,6 @@ class TestFormClusters:
         with pytest.raises(ValueError, match="asymmetric"):
             form_clusters({0: {1}})
 
-    def test_cluster_of(self):
-        part = form_clusters({0: {1}, 1: {0}, 2: set()})
-        assert part.cluster_of(1).members == (0, 1)
-        with pytest.raises(KeyError):
-            part.cluster_of(9)
-
     def test_overlapping_partition_rejected(self):
         with pytest.raises(ValueError, match="two clusters"):
             ClusterPartition((Cluster((0, 1)), Cluster((1, 2))))

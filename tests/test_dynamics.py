@@ -39,8 +39,6 @@ class TestWrapAngle:
 def test_state_helpers():
     s = RobotState(1.0, 2.0, math.pi / 2, 0.3)
     assert s.position() == (1.0, 2.0)
-    hx, hy = s.heading_vector()
-    assert (hx, hy) == pytest.approx((0.0, 1.0), abs=1e-12)
 
 
 class TestStepRobot:

@@ -1,16 +1,19 @@
+import hashlib
+import importlib.util
 import json
 import math
 
 import pytest
 import yaml
 
+import fleetsim.engine as engine
 from fleetsim.engine import measure_travel_time, run
 from fleetsim.metrics import compute_metrics
 from fleetsim.planner import PlanningError
 from fleetsim.scenario import load_scenario
 from fleetsim.trace import dumps_record
 
-from _support import SCENARIOS
+from _support import ROOT, SCENARIOS
 
 SEALED_MAP = (
     "map 10 10 0.5 0 0\n"
@@ -263,3 +266,34 @@ class TestTravelTimeMeasurement:
     def test_unreachable_pair(self, sealed_scenario):
         with pytest.raises(PlanningError, match="unreachable"):
             measure_travel_time(sealed_scenario, 0, 1)
+
+
+# SHA-256 of each bundled scenario's serialized trace. The bytes depend on
+# libm and BLAS rounding; these were frozen on x86-64 Linux with Python
+# 3.11.7, numpy 2.4.6 and scipy 1.17.1. On another build a mismatch may be
+# rounding rather than a behaviour change.
+GOLDEN_DIGESTS = {
+    "smoke_result": "51dc5d8cc06958d5071b43ec8c28188551683508fe435c080bc2c2195d584d8b",
+    "corridors_result": "1fa2fdc2f236ee5b86834f485162a1efaa0283459fc422d08d9d32551e89c63e",
+    "rooms_result": "3c822e72def2f103b882705f620b5d9e5889d0b33e32b58c9bf611acea617306",
+    "depot_result": "8be66e15a820372ae16f3aa5645c02584855305362e488cffeb9f8a440b74deb",
+}
+
+
+@pytest.mark.parametrize("fixture", list(GOLDEN_DIGESTS))
+def test_golden_trace_digest(fixture, request):
+    _, result = request.getfixturevalue(fixture)
+    records = [result.trace.header, *result.trace.events]
+    text = "".join(dumps_record(r) + "\n" for r in records)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[fixture]
+
+
+def test_benchmark_span_names_resolve():
+    """The span tracer in perfbench/spans.py wraps these engine globals."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [attr for attr, _ in spans.ENGINE_NAMES if not hasattr(engine, attr)]
+    assert missing == []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fleetsim.scenario import load_scenario
 from fleetsim.tasking import (
     DROPOFF,
     EXACT_MAX_ROBOTS,
@@ -19,9 +20,14 @@ from fleetsim.tasking import (
     solve_greedy,
 )
 
-from _support import enumerate_best_makespan, straight_line_graph
+from _support import SCENARIOS, enumerate_best_makespan, straight_line_graph
 
 LINE = straight_line_graph({k: (float(k), 0.0) for k in range(5)})
+
+
+def visits(alloc: Allocation, rid: int) -> list[int]:
+    """The robot's visit order as location ids."""
+    return [leg.location for leg in alloc.legs[rid]]
 
 
 class TestDataTypes:
@@ -79,7 +85,7 @@ class TestTravelTimeGraph:
 
 class TestAllocationValidate:
     def test_split_task_rejected(self):
-        alloc = Allocation({}, {}, legs={
+        alloc = Allocation(legs={
             0: [Leg(0, PICKUP, 1, 1.0), Leg(0, DROPOFF, 2, 2.0)],
             1: [Leg(0, PICKUP, 1, 3.0), Leg(0, DROPOFF, 2, 4.0)],
         })
@@ -87,26 +93,26 @@ class TestAllocationValidate:
             alloc.validate()
 
     def test_pickup_without_dropoff_rejected(self):
-        alloc = Allocation({}, {}, legs={0: [Leg(0, PICKUP, 1, 1.0)]})
+        alloc = Allocation(legs={0: [Leg(0, PICKUP, 1, 1.0)]})
         with pytest.raises(ValueError, match="never dropped"):
             alloc.validate()
 
     def test_dropoff_before_pickup_rejected(self):
-        alloc = Allocation({}, {}, legs={
+        alloc = Allocation(legs={
             0: [Leg(0, DROPOFF, 2, 1.0), Leg(0, PICKUP, 1, 2.0)],
         })
         with pytest.raises(ValueError, match="before pickup"):
             alloc.validate()
 
     def test_assigned_and_unassigned_rejected(self):
-        alloc = Allocation({}, {}, legs={
+        alloc = Allocation(legs={
             0: [Leg(0, PICKUP, 1, 1.0), Leg(0, DROPOFF, 2, 2.0)],
         }, unassigned=[0])
         with pytest.raises(ValueError, match="both"):
             alloc.validate()
 
     def test_makespan(self):
-        alloc = Allocation({0: [1], 1: []}, {0: [4.5], 1: []})
+        alloc = Allocation(legs={0: [Leg(0, PICKUP, 1, 4.5)], 1: []})
         assert alloc.makespan(0.0) == 4.5
         assert alloc.makespan(9.0) == 9.0
 
@@ -114,21 +120,19 @@ class TestAllocationValidate:
 class TestSolveExact:
     def test_single_robot_single_task(self):
         alloc = solve_exact({0: 0}, [Task(2, 4, 100.0)], LINE, 0.0)
-        assert alloc.sequences[0] == [2, 4]
-        assert alloc.predicted_times[0] == [2.0, 4.0]
         assert alloc.legs[0] == [Leg(0, PICKUP, 2, 2.0), Leg(0, DROPOFF, 4, 4.0)]
         assert alloc.makespan(0.0) == 4.0
         alloc.validate()
 
     def test_offset_start_time(self):
         alloc = solve_exact({0: 0}, [Task(2, 4, 100.0)], LINE, 10.0)
-        assert alloc.predicted_times[0] == [12.0, 14.0]
+        assert [leg.time for leg in alloc.legs[0]] == [12.0, 14.0]
 
     def test_interleaves_pickups(self):
         # carrying both items at once: p1 p2 d1 d2 in one straight sweep
         tasks = [Task(1, 3, 100.0), Task(2, 4, 100.0)]
         alloc = solve_exact({0: 0}, tasks, LINE, 0.0)
-        assert alloc.sequences[0] == [1, 2, 3, 4]
+        assert visits(alloc, 0) == [1, 2, 3, 4]
         assert alloc.makespan(0.0) == 4.0
 
     def test_splits_tasks_across_robots(self):
@@ -138,8 +142,8 @@ class TestSolveExact:
         })
         tasks = [Task(1, 2, 100.0), Task(11, 12, 100.0)]
         alloc = solve_exact({0: 0, 1: 10}, tasks, g, 0.0)
-        assert alloc.sequences[0] == [1, 2]
-        assert alloc.sequences[1] == [11, 12]
+        assert visits(alloc, 0) == [1, 2]
+        assert visits(alloc, 1) == [11, 12]
 
     def test_deadline_infeasible_returns_none(self):
         assert solve_exact({0: 0}, [Task(2, 4, 3.0)], LINE, 0.0) is None
@@ -155,8 +159,8 @@ class TestSolveExact:
         assert solve_exact({0: 0}, tasks, g, 0.0) is None
         alloc = solve_exact({0: 0, 1: 2}, tasks, g, 0.0)
         assert alloc is not None
-        assert alloc.sequences[1] == [2, 4]
-        assert alloc.sequences[0] == [1, 3]
+        assert visits(alloc, 1) == [2, 4]
+        assert visits(alloc, 0) == [1, 3]
 
     def test_makespan_tie_is_deterministic(self):
         g = straight_line_graph({
@@ -165,8 +169,8 @@ class TestSolveExact:
         alloc = solve_exact({0: 0, 1: 10}, [Task(1, 2, 100.0)], g, 0.0)
         # both robots reach the task in the same time; the lex key on
         # per-robot visit sequences leaves the lower robot empty
-        assert alloc.sequences[0] == []
-        assert alloc.sequences[1] == [1, 2]
+        assert visits(alloc, 0) == []
+        assert visits(alloc, 1) == [1, 2]
 
     def test_pinned_task(self):
         g = straight_line_graph({
@@ -174,8 +178,8 @@ class TestSolveExact:
         })
         alloc = solve_exact({0: 0, 1: 10}, [Task(1, 2, 100.0)], g, 0.0,
                             pinned={0: 1})
-        assert alloc.sequences[1] == [1, 2]
-        assert alloc.sequences[0] == []
+        assert visits(alloc, 1) == [1, 2]
+        assert visits(alloc, 0) == []
 
     def test_pre_picked_skips_pickup(self):
         alloc = solve_exact({0: 0}, [Task(2, 4, 100.0)], LINE, 0.0,
@@ -247,8 +251,8 @@ class TestSolveGreedy:
 
     def test_soonest_finisher_wins(self):
         alloc = solve_greedy({0: 0, 1: 3}, [Task(3, 4, 100.0)], LINE, 0.0)
-        assert alloc.sequences[1] == [3, 4]
-        assert alloc.sequences[0] == []
+        assert visits(alloc, 1) == [3, 4]
+        assert visits(alloc, 0) == []
 
     def test_unassigned_when_no_deadline_fits(self):
         tasks = [Task(2, 4, 3.0), Task(1, 2, 100.0)]
@@ -342,11 +346,6 @@ class TestDispatcher:
         assert kinds.count("unassigned") == 8
         assert d.counts()["unassigned"] == 8
 
-    def test_record_feedback(self):
-        d = self.make()
-        d.record_feedback(0, (1.0, 2.0), 3.0)
-        assert d.feedback == [(0, (1.0, 2.0), 3.0)]
-
 
 class TestCollectTravelTimes:
     def test_rejects_bad_arguments(self):
@@ -354,3 +353,11 @@ class TestCollectTravelTimes:
             collect_travel_times(None, aggregate="median")
         with pytest.raises(ValueError, match="repetitions"):
             collect_travel_times(None, repetitions=0)
+
+    # rooms pins that the measurement ignores room queues
+    @pytest.mark.parametrize("name", ["smoke", "corridors", "rooms"])
+    def test_reproduces_bundled_table(self, name):
+        (scenario_file,) = SCENARIOS.glob(f"{name}_*.yaml")
+        graph = collect_travel_times(load_scenario(scenario_file))
+        expected = (SCENARIOS / "tables" / f"{name}_travel.txt").read_bytes()
+        assert graph.to_text().encode() == expected
