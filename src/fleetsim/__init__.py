@@ -2,7 +2,7 @@
 
 from .engine import RunResult, measure_travel_time, run
 from .metrics import MetricsReport, compute_metrics
-from .render import RenderStyle, render_trace
+from .render import render_trace
 from .scenario import Scenario, ScenarioError, load_scenario, load_task_stream
 from .tasking import (
     Allocation,
@@ -22,7 +22,6 @@ __all__ = [
     "Allocation",
     "Dispatcher",
     "MetricsReport",
-    "RenderStyle",
     "RunResult",
     "Scenario",
     "ScenarioError",

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from .engine import run as run_engine
 from .metrics import compute_metrics
-from .render import RenderStyle, render_trace
+from .render import render_trace
 from .scenario import ScenarioError, load_scenario
 from .tasking import collect_travel_times
 from .trace import TraceError, read_trace, write_trace
@@ -29,7 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help="scenario YAML file")
     p_run.add_argument("--out", required=True, help="trace file to write")
     p_run.add_argument("--tasks", help="task stream JSON overriding the scenario's")
-    p_run.add_argument("--seed", type=int, help="override the scenario seed")
     p_run.add_argument("--duration", type=float, help="override duration (seconds)")
     p_run.add_argument(
         "--timing", action="store_true",
@@ -50,10 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_collect.add_argument("scenario", help="scenario YAML file")
     p_collect.add_argument("--out", required=True, help="travel-time table to write")
-    p_collect.add_argument("--reps", type=int, default=1,
-                           help="repetitions per pair")
-    p_collect.add_argument("--agg", choices=("max", "mean"), default="max",
-                           help="aggregate across directions and repetitions")
 
     p_report = sub.add_parser("report", help="print metrics for a trace")
     p_report.add_argument("trace", help="trace file to summarize")
@@ -63,8 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = load_scenario(
-        args.scenario, tasks_path=args.tasks, seed=args.seed,
-        duration=args.duration,
+        args.scenario, tasks_path=args.tasks, duration=args.duration
     )
     result = run_engine(scenario, include_timing=args.timing)
     write_trace(args.out, result.trace)
@@ -78,15 +72,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    style = RenderStyle(meters_per_pixel=args.scale)
-    frames = render_trace(trace, args.out, every=args.every, style=style)
+    frames = render_trace(
+        trace, args.out, every=args.every, meters_per_pixel=args.scale
+    )
     sys.stdout.write(f"wrote {len(frames)} frames to {args.out}\n")
     return 0
 
 
 def _cmd_collect(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    graph = collect_travel_times(scenario, repetitions=args.reps, aggregate=args.agg)
+    graph = collect_travel_times(scenario)
     Path(args.out).write_text(graph.to_text())
     sys.stdout.write(
         f"measured {len(graph.locations)} locations, table written to {args.out}\n"

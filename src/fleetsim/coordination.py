@@ -2,14 +2,14 @@
 
 Robots within d_neighbor of each other are neighbors; clusters are the
 connected components of the neighbor graph (transitive closure), and each
-cluster elects one leader from its active members by priority.
+cluster elects its lowest-id active member as leader.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 Position = tuple[float, float]
 
@@ -101,25 +101,17 @@ def form_clusters(neighbors: dict[int, set[int]]) -> ClusterPartition:
     return ClusterPartition(clusters)
 
 
-def elect_leaders(
-    partition: ClusterPartition,
-    active_ids: set[int],
-    priority: Callable[[int], object] | None = None,
-) -> ClusterPartition:
+def elect_leaders(partition: ClusterPartition, active_ids: set[int]) -> ClusterPartition:
     """Pick each cluster's leader.
 
-    Leader = highest-priority active member (priority is a sort key, lowest
-    key wins; default ascending robot id). A cluster with no active member
-    gets its highest-priority member as leader and is marked all-stop.
+    Leader = lowest-id active member. A cluster with no active member gets
+    its lowest-id member as leader and is marked all-stop.
     """
-    key = priority if priority is not None else (lambda rid: rid)
     out = []
     for c in partition.clusters:
         active = tuple(sorted(m for m in c.members if m in active_ids))
         if active:
-            leader = min(active, key=key)
-            out.append(Cluster(c.members, leader, active, all_stop=False))
+            out.append(Cluster(c.members, active[0], active, all_stop=False))
         else:
-            leader = min(c.members, key=key)
-            out.append(Cluster(c.members, leader, (), all_stop=True))
+            out.append(Cluster(c.members, min(c.members), (), all_stop=True))
     return ClusterPartition(tuple(out))

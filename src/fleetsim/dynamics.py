@@ -33,9 +33,6 @@ class RobotState:
     theta: float
     v: float
 
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 @dataclass(frozen=True)
 class Control:

@@ -3,7 +3,7 @@
 Each control tick runs seven phases in a fixed order: task arrivals, queue
 transactions, replanning, cluster formation, control synthesis, physics
 integration, and arrival/deadline bookkeeping. All iteration is in robot-id
-(or leader-id) order, so a scenario plus seed fully determines the trace.
+(or leader-id) order, so the same scenario fully determines the trace.
 """
 
 from __future__ import annotations
@@ -697,6 +697,9 @@ def measure_travel_time(
         engine.phase_controls(partition)
         engine.phase_integrate()
         engine.phase_bookkeeping()
+        # nothing reads a measurement's records; drop them tick by tick
+        engine.events.clear()
+        engine.qp_samples.clear()
         if rt.fault:
             raise PlanningError(f"pair ({loc_a}, {loc_b}) unreachable: {rt.fault}")
         now += scenario.control_period

@@ -123,7 +123,8 @@ def compute_metrics(
     """Summarize a trace; see MetricsReport for what is reported.
 
     ``wall_time`` and ``qp_samples`` supply solver timing when the trace was
-    written without it (the determinism-preserving default).
+    written without it (the determinism-preserving default); timing the
+    trace holds takes precedence.
     """
     header = trace.header
     grid = load_map(header["map"]["text"])
@@ -139,7 +140,7 @@ def compute_metrics(
     deadlines: dict[str, float] = {}
     request_at: dict[tuple[int, int], float] = {}
     fallback_ticks: set[float] = set()
-    qp_rows: list[tuple[int, float]] = list(qp_samples or [])
+    qp_rows: list[tuple[int, float]] = []
     min_rr = math.inf
     min_obs = math.inf
     end_wall: float | None = None
@@ -197,7 +198,7 @@ def compute_metrics(
         report.fallback_fraction = len(fallback_ticks) / report.ticks
 
     by_size: dict[int, list[float]] = {}
-    for size, seconds in qp_rows:
+    for size, seconds in qp_rows or qp_samples or []:
         by_size.setdefault(size, []).append(seconds)
     report.qp_timing = {
         size: QPTimingStats(len(vals), sum(vals) / len(vals), max(vals))

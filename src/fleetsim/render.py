@@ -2,38 +2,26 @@
 
 Frames are sampled from a finished trace at a fixed interval; nothing here
 touches the simulation itself. Output is plain SVG text, one file per frame,
-deterministic for a given trace and style.
+deterministic for a given trace and scale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import trace as tr
 from .trace import Trace
 from .world import OccupancyGrid, load_map, raycast
 
-_PALETTE = (
+BACKGROUND = "#ffffff"
+WALL_COLOR = "#222222"
+HUMAN_COLOR = "#e6a23c"
+ROOM_COLOR = "#4a6fa5"
+ROBOT_COLORS = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#bcbd22",
 )
-
-
-@dataclass(frozen=True)
-class RenderStyle:
-    meters_per_pixel: float = 0.05
-    background: str = "#ffffff"
-    wall_color: str = "#222222"
-    human_color: str = "#e6a23c"
-    room_color: str = "#4a6fa5"
-    robot_colors: tuple[str, ...] = _PALETTE
-    show_paths: bool = True
-    show_rays: bool = True
-    show_cluster_links: bool = True
-    show_queues: bool = True
-    show_safety_radius: bool = True
 
 
 class _Camera:
@@ -111,8 +99,8 @@ class _Playback:
 
 
 def render_frame(playback: _Playback, grid: OccupancyGrid, t: float,
-                 style: RenderStyle) -> str:
-    cam = _Camera(grid, style.meters_per_pixel)
+                 meters_per_pixel: float) -> str:
+    cam = _Camera(grid, meters_per_pixel)
     header = playback.header
     params = header["params"]
     parts = [
@@ -120,7 +108,7 @@ def render_frame(playback: _Playback, grid: OccupancyGrid, t: float,
         'viewBox="0 0 %s %s">' % (
             _f(cam.width_px), _f(cam.height_px), _f(cam.width_px), _f(cam.height_px)
         ),
-        '<rect width="100%%" height="100%%" fill="%s"/>' % style.background,
+        '<rect width="100%%" height="100%%" fill="%s"/>' % BACKGROUND,
     ]
     res = grid.resolution
     cell_px = cam.scale(res)
@@ -132,65 +120,62 @@ def render_frame(playback: _Playback, grid: OccupancyGrid, t: float,
                 px, py = cam.to_px(x, y)
                 parts.append(
                     '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-                    % (_f(px), _f(py), _f(cell_px), _f(cell_px), style.wall_color)
+                    % (_f(px), _f(py), _f(cell_px), _f(cell_px), WALL_COLOR)
                 )
     for room in header["rooms"]:
         parts.append(
             '<polygon points="%s" fill="none" stroke="%s" stroke-width="1.5" '
             'stroke-dasharray="4 3"/>'
-            % (_poly_points(cam, room["polygon"]), style.room_color)
+            % (_poly_points(cam, room["polygon"]), ROOM_COLOR)
         )
-        if style.show_queues:
-            occupants = playback.queues.get(room["location"], {}).get("occupants", [])
-            for k, slot in enumerate(room["queue_slots"]):
-                px, py = cam.to_px(slot[0], slot[1])
-                s = cam.scale(0.3)
-                filled = k < len(occupants)
-                parts.append(
-                    '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" '
-                    'stroke="%s" stroke-width="1"/>'
-                    % (_f(px - s / 2), _f(py - s / 2), _f(s), _f(s),
-                       style.room_color if filled else "none", style.room_color)
-                )
-    if style.show_cluster_links:
-        for cluster in playback.clusters:
-            leader, members = cluster[0], cluster[1]
-            if leader is None or len(members) < 2:
-                continue
-            lx, ly = playback.robots[leader][:2]
-            lpx, lpy = cam.to_px(lx, ly)
-            for m in members:
-                if m == leader:
-                    continue
-                mx, my = playback.robots[m][:2]
-                mpx, mpy = cam.to_px(mx, my)
-                parts.append(
-                    '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#999999" '
-                    'stroke-width="1" stroke-dasharray="2 2"/>'
-                    % (_f(lpx), _f(lpy), _f(mpx), _f(mpy))
-                )
-    if style.show_paths:
-        for rid in sorted(playback.paths):
-            pts = playback.paths[rid]
-            if len(pts) < 2:
-                continue
-            color = style.robot_colors[rid % len(style.robot_colors)]
+        occupants = playback.queues.get(room["location"], {}).get("occupants", [])
+        for k, slot in enumerate(room["queue_slots"]):
+            px, py = cam.to_px(slot[0], slot[1])
+            s = cam.scale(0.3)
+            filled = k < len(occupants)
             parts.append(
-                '<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
-                'opacity="0.5"/>' % (_poly_points(cam, pts), color)
+                '<rect x="%s" y="%s" width="%s" height="%s" fill="%s" '
+                'stroke="%s" stroke-width="1"/>'
+                % (_f(px - s / 2), _f(py - s / 2), _f(s), _f(s),
+                   ROOM_COLOR if filled else "none", ROOM_COLOR)
             )
+    for cluster in playback.clusters:
+        leader, members = cluster[0], cluster[1]
+        if leader is None or len(members) < 2:
+            continue
+        lx, ly = playback.robots[leader][:2]
+        lpx, lpy = cam.to_px(lx, ly)
+        for m in members:
+            if m == leader:
+                continue
+            mx, my = playback.robots[m][:2]
+            mpx, mpy = cam.to_px(mx, my)
+            parts.append(
+                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="#999999" '
+                'stroke-width="1" stroke-dasharray="2 2"/>'
+                % (_f(lpx), _f(lpy), _f(mpx), _f(mpy))
+            )
+    for rid in sorted(playback.paths):
+        pts = playback.paths[rid]
+        if len(pts) < 2:
+            continue
+        color = ROBOT_COLORS[rid % len(ROBOT_COLORS)]
+        parts.append(
+            '<polyline points="%s" fill="none" stroke="%s" stroke-width="1" '
+            'opacity="0.5"/>' % (_poly_points(cam, pts), color)
+        )
     for hx, hy, _, _ in playback.humans:
         px, py = cam.to_px(hx, hy)
         parts.append(
             '<circle cx="%s" cy="%s" r="%s" fill="%s" opacity="0.9"/>'
-            % (_f(px), _f(py), _f(cam.scale(params["r_human"])), style.human_color)
+            % (_f(px), _f(py), _f(cam.scale(params["r_human"])), HUMAN_COLOR)
         )
     for spec in header["robots"]:
         rid = spec["id"]
         x, y, theta, _ = playback.robots[rid]
         px, py = cam.to_px(x, y)
-        color = style.robot_colors[rid % len(style.robot_colors)]
-        if style.show_rays and grid.in_bounds(x, y):
+        color = ROBOT_COLORS[rid % len(ROBOT_COLORS)]
+        if grid.in_bounds(x, y):
             hits = raycast(grid, x, y, theta, params["n_rays"], params["max_range"])
             for hit in hits.hit_points():
                 hpx, hpy = cam.to_px(hit[0], hit[1])
@@ -198,12 +183,11 @@ def render_frame(playback: _Playback, grid: OccupancyGrid, t: float,
                     '<circle cx="%s" cy="%s" r="1.5" fill="%s" opacity="0.6"/>'
                     % (_f(hpx), _f(hpy), color)
                 )
-        if style.show_safety_radius:
-            parts.append(
-                '<circle cx="%s" cy="%s" r="%s" fill="none" stroke="%s" '
-                'stroke-width="0.5" opacity="0.4"/>'
-                % (_f(px), _f(py), _f(cam.scale(spec["r_safe"] / 2.0)), color)
-            )
+        parts.append(
+            '<circle cx="%s" cy="%s" r="%s" fill="none" stroke="%s" '
+            'stroke-width="0.5" opacity="0.4"/>'
+            % (_f(px), _f(py), _f(cam.scale(spec["r_safe"] / 2.0)), color)
+        )
         fill = "#888888" if rid in playback.faults else color
         r_px = cam.scale(spec["r_robot"])
         parts.append(
@@ -231,7 +215,7 @@ def render_trace(
     trace: Trace,
     out_dir: str | Path,
     every: float = 1.0,
-    style: RenderStyle | None = None,
+    meters_per_pixel: float = 0.05,
 ) -> list[Path]:
     """Write one SVG frame per sample time; returns the files written.
 
@@ -240,7 +224,6 @@ def render_trace(
     """
     if every <= 0:
         raise ValueError("every must be positive")
-    style = style or RenderStyle()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = load_map(trace.header["map"]["text"])
@@ -251,7 +234,7 @@ def render_trace(
     for k in range(n_frames):
         t = k * every
         playback.advance_to(t)
-        svg = render_frame(playback, grid, t, style)
+        svg = render_frame(playback, grid, t, meters_per_pixel)
         path = out / f"frame_{k:05d}.svg"
         path.write_text(svg)
         written.append(path)

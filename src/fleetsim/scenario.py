@@ -124,15 +124,39 @@ def _position(value, context: str) -> Position:
     return (float(value[0]), float(value[1]))
 
 
+def _number(value, context: str, kind=float):
+    """``kind(value)``, or a ScenarioError naming ``context``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{context}: expected a number, got {value!r}") from None
+
+
+def _list(value, context: str) -> list:
+    """A list section; absent or empty reads as no entries."""
+    if not value:
+        return []
+    if not isinstance(value, list):
+        raise ScenarioError(f"{context}: expected a list, got {value!r}")
+    return value
+
+
+def _mapping(value, context: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected a mapping, got {value!r}")
+    return value
+
+
 def _params_from(mapping: dict | None, base: ControllerParams, context: str) -> ControllerParams:
     if not mapping:
         return base
+    _mapping(mapping, context)
     fields = set(ControllerParams.__dataclass_fields__)
     unknown = set(mapping) - fields
     if unknown:
         raise ScenarioError(f"{context}: unknown controller parameters {sorted(unknown)}")
     values = {name: getattr(base, name) for name in fields}
-    values.update({k: float(v) for k, v in mapping.items()})
+    values.update({k: _number(v, f"{context}.{k}") for k, v in mapping.items()})
     try:
         return ControllerParams(**values)
     except ValueError as exc:
@@ -163,14 +187,14 @@ def load_task_stream(text: str) -> list[TaskRequest]:
                 raise ScenarioError(f"{tctx}: expected an object")
             try:
                 tasks.append(Task(
-                    start=int(_require(t, "start", tctx)),
-                    end=int(_require(t, "end", tctx)),
-                    deadline=float(_require(t, "deadline", tctx)),
+                    start=_number(_require(t, "start", tctx), f"{tctx}: start", int),
+                    end=_number(_require(t, "end", tctx), f"{tctx}: end", int),
+                    deadline=_number(_require(t, "deadline", tctx), f"{tctx}: deadline"),
                 ))
             except ValueError as exc:
                 raise ScenarioError(f"{tctx}: {exc}") from None
         try:
-            requests.append(TaskRequest(float(arrival), tuple(tasks)))
+            requests.append(TaskRequest(_number(arrival, f"{ctx}: arrival"), tuple(tasks)))
         except ValueError as exc:
             raise ScenarioError(f"{ctx}: {exc}") from None
     order = [r.arrival for r in requests]
@@ -182,12 +206,11 @@ def load_task_stream(text: str) -> list[TaskRequest]:
 def load_scenario(
     path: str | FsPath,
     tasks_path: str | FsPath | None = None,
-    seed: int | None = None,
     duration: float | None = None,
 ) -> Scenario:
     """Load and validate a scenario plus its referenced files.
 
-    ``tasks_path``, ``seed`` and ``duration`` override the scenario's own
+    ``tasks_path`` and ``duration`` override the scenario's own
     entries (command-line precedence). I/O failures propagate as OSError;
     everything about content raises ScenarioError.
     """
@@ -208,13 +231,9 @@ def load_scenario(
     except ValueError as exc:
         raise ScenarioError(f"map {map_rel}: {exc}") from None
 
-    world_raw = doc.get("params", {}) or {}
-    if not isinstance(world_raw, dict):
-        raise ScenarioError("params: must be a mapping")
+    world_raw = _mapping(doc.get("params") or {}, "params")
     try:
-        world = WorldParams(**{
-            k: v for k, v in (world_raw.get("world") or {}).items()
-        })
+        world = WorldParams(**_mapping(world_raw.get("world") or {}, "params.world"))
     except TypeError as exc:
         raise ScenarioError(f"params.world: {exc}") from None
     base_controller = _params_from(
@@ -230,8 +249,7 @@ def load_scenario(
     robots = []
     for idx, (name, spec) in enumerate(agents_raw.items()):
         ctx = f"agents.{name}"
-        if not isinstance(spec, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping")
+        _mapping(spec, ctx)
         start = _position(_require(spec, "start", ctx), f"{ctx}.start")
         if not grid.in_bounds(*start):
             raise ScenarioError(f"{ctx}: start {start} is outside the map")
@@ -243,34 +261,37 @@ def load_scenario(
             robot_id=idx,
             name=str(name),
             start=start,
-            heading=float(spec.get("heading", 0.0)),
+            heading=_number(spec.get("heading", 0.0), f"{ctx}.heading"),
             params=params,
         ))
 
     humans = []
-    for k, entry in enumerate(doc.get("humans", []) or []):
+    for k, entry in enumerate(_list(doc.get("humans"), "humans")):
         ctx = f"humans[{k}]"
+        _mapping(entry, ctx)
         start = _position(_require(entry, "start", ctx), f"{ctx}.start")
         wps = tuple(
             _position(w, f"{ctx}.waypoints[{i}]")
-            for i, w in enumerate(entry.get("waypoints", []) or [])
+            for i, w in enumerate(_list(entry.get("waypoints"), f"{ctx}.waypoints"))
         )
-        humans.append(HumanSpec(start, wps, float(entry.get("v_desired", 1.0))))
+        v_desired = _number(entry.get("v_desired", 1.0), f"{ctx}.v_desired")
+        humans.append(HumanSpec(start, wps, v_desired))
 
     locations: dict[int, Position] = {}
-    for k, entry in enumerate(doc.get("locations", []) or []):
+    for k, entry in enumerate(_list(doc.get("locations"), "locations")):
         locations[k] = _position(entry, f"locations[{k}]")
 
     routes: dict[tuple[int, int], list[Position]] = {}
-    for k, entry in enumerate(doc.get("roadways", []) or []):
+    for k, entry in enumerate(_list(doc.get("roadways"), "roadways")):
         ctx = f"roadways[{k}]"
-        if not isinstance(entry, dict):
-            raise ScenarioError(f"{ctx}: expected a mapping")
-        a = int(_require(entry, "from", ctx))
-        b = int(_require(entry, "to", ctx))
+        _mapping(entry, ctx)
+        a = _number(_require(entry, "from", ctx), f"{ctx}.from", int)
+        b = _number(_require(entry, "to", ctx), f"{ctx}.to", int)
         wps = [
             _position(w, f"{ctx}.waypoints[{i}]")
-            for i, w in enumerate(_require(entry, "waypoints", ctx))
+            for i, w in enumerate(
+                _list(_require(entry, "waypoints", ctx), f"{ctx}.waypoints")
+            )
         ]
         if a not in locations or b not in locations:
             raise ScenarioError(f"{ctx}: references unknown location {a if a not in locations else b}")
@@ -282,20 +303,23 @@ def load_scenario(
         raise ScenarioError(f"roadways: {exc}") from None
 
     rooms: dict[int, RoomSpec] = {}
-    for k, entry in enumerate(doc.get("rooms", []) or []):
+    for k, entry in enumerate(_list(doc.get("rooms"), "rooms")):
         ctx = f"rooms[{k}]"
-        loc = int(_require(entry, "location", ctx))
+        _mapping(entry, ctx)
+        loc = _number(_require(entry, "location", ctx), f"{ctx}.location", int)
         if loc not in locations:
             raise ScenarioError(f"{ctx}: unknown location {loc}")
         polygon = tuple(
             _position(p, f"{ctx}.polygon[{i}]")
-            for i, p in enumerate(_require(entry, "polygon", ctx))
+            for i, p in enumerate(_list(_require(entry, "polygon", ctx), f"{ctx}.polygon"))
         )
         if len(polygon) < 3:
             raise ScenarioError(f"{ctx}: polygon needs at least 3 vertices")
         slots = tuple(
             _position(s, f"{ctx}.queue_slots[{i}]")
-            for i, s in enumerate(_require(entry, "queue_slots", ctx))
+            for i, s in enumerate(
+                _list(_require(entry, "queue_slots", ctx), f"{ctx}.queue_slots")
+            )
         )
         if not slots:
             raise ScenarioError(f"{ctx}: queue_slots must not be empty")
@@ -331,9 +355,9 @@ def load_scenario(
     if task_stream and graph is None:
         raise ScenarioError("scenario has tasks but no travel_times graph")
 
-    tick_dt = float(doc.get("tick_dt", 0.01))
-    control_period = float(doc.get("control_period", 0.05))
-    replan_period = float(doc.get("replan_period", 1.0))
+    tick_dt = _number(doc.get("tick_dt", 0.01), "tick_dt")
+    control_period = _number(doc.get("control_period", 0.05), "control_period")
+    replan_period = _number(doc.get("replan_period", 1.0), "replan_period")
     if tick_dt <= 0 or control_period <= 0 or replan_period <= 0:
         raise ScenarioError("tick_dt, control_period and replan_period must be positive")
     ratio = control_period / tick_dt
@@ -341,10 +365,12 @@ def load_scenario(
         raise ScenarioError(
             f"control_period {control_period} must be an integer multiple of tick_dt {tick_dt}"
         )
-    run_duration = float(duration if duration is not None else doc.get("duration", 60.0))
+    run_duration = _number(
+        duration if duration is not None else doc.get("duration", 60.0), "duration"
+    )
     if run_duration < 0:
         raise ScenarioError("duration must be >= 0")
-    run_seed = int(seed if seed is not None else doc.get("seed", 0))
+    seed = _number(doc.get("seed", 0), "seed", int)
 
     digest = hashlib.sha256(
         (text + "\x00" + map_text + "\x00" + tasks_text).encode()
@@ -366,6 +392,6 @@ def load_scenario(
         control_period=control_period,
         replan_period=replan_period,
         duration=run_duration,
-        seed=run_seed,
+        seed=seed,
         digest=digest,
     )

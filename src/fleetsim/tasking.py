@@ -416,7 +416,6 @@ class DispatchLeg:
 class DispatchResult:
     changed_robots: set[int]
     events: list[dict]
-    allocation: Allocation | None
 
 
 class Dispatcher:
@@ -487,22 +486,21 @@ class Dispatcher:
 
     def dispatch(
         self,
-        incoming: TaskRequest | None,
+        incoming: TaskRequest,
         robots: dict[int, int],
         now: float,
     ) -> DispatchResult:
         events: list[dict] = []
-        if incoming is not None:
-            for task in incoming.tasks:
-                tid = f"t{self._counter}"
-                self._counter += 1
-                self.records[tid] = TaskRecord(tid, task, incoming.arrival)
-                events.append({
-                    "event": "arrival", "task": tid, "robot": None,
-                    "start": task.start, "end": task.end, "deadline": task.deadline,
-                })
-        if incoming is None or not incoming.tasks:
-            return DispatchResult(set(), events, None)
+        for task in incoming.tasks:
+            tid = f"t{self._counter}"
+            self._counter += 1
+            self.records[tid] = TaskRecord(tid, task, incoming.arrival)
+            events.append({
+                "event": "arrival", "task": tid, "robot": None,
+                "start": task.start, "end": task.end, "deadline": task.deadline,
+            })
+        if not incoming.tasks:
+            return DispatchResult(set(), events)
 
         # build the solver's task list: everything not yet dropped or rejected
         open_ids = [
@@ -571,25 +569,16 @@ class Dispatcher:
                 rec.unassigned = True
                 events.append({"event": "unassigned", "task": rec.task_id, "robot": None})
         self.robot_legs = new_legs
-        return DispatchResult(changed, events, allocation)
+        return DispatchResult(changed, events)
 
 
-def collect_travel_times(
-    scenario,
-    repetitions: int = 1,
-    aggregate: str = "max",
-) -> TravelTimeGraph:
+def collect_travel_times(scenario) -> TravelTimeGraph:
     """Measure travel times by running a single robot between location pairs.
 
     Each ordered pair is simulated by ``measure_travel_time`` through the
-    engine's own tick phases; the pair weight aggregates the simulated
-    durations over repetitions and both directions ("max" by default, "mean"
-    as the alternative).
+    engine's own tick phases; the pair weight is the larger of the two
+    directions, the conservative choice for hard deadlines.
     """
-    if aggregate not in ("max", "mean"):
-        raise ValueError(f"unknown aggregate {aggregate!r}")
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
     from .engine import measure_travel_time  # deferred: engine imports tasking
 
     loc_ids = tuple(sorted(scenario.locations))
@@ -597,15 +586,6 @@ def collect_travel_times(
     directed = np.zeros((n, n))
     for a in range(n):
         for b in range(n):
-            if a == b:
-                continue
-            runs = [
-                measure_travel_time(scenario, loc_ids[a], loc_ids[b])
-                for _ in range(repetitions)
-            ]
-            directed[a, b] = max(runs) if aggregate == "max" else sum(runs) / len(runs)
-    if aggregate == "max":
-        weights = np.maximum(directed, directed.T)
-    else:
-        weights = 0.5 * (directed + directed.T)
-    return TravelTimeGraph(loc_ids, weights)
+            if a != b:
+                directed[a, b] = measure_travel_time(scenario, loc_ids[a], loc_ids[b])
+    return TravelTimeGraph(loc_ids, np.maximum(directed, directed.T))

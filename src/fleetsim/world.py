@@ -89,18 +89,6 @@ class Costmap:
     grid: OccupancyGrid
     cost: np.ndarray = field(repr=False)  # uint8, shape (height, width)
 
-    @property
-    def width(self) -> int:
-        return self.grid.width
-
-    @property
-    def height(self) -> int:
-        return self.grid.height
-
-    @property
-    def resolution(self) -> float:
-        return self.grid.resolution
-
     def cost_at(self, ix: int, iy: int) -> int:
         return int(self.cost[iy, ix])
 

@@ -7,7 +7,7 @@ import pytest
 from fleetsim.engine import run
 from fleetsim.scenario import load_scenario
 
-from _support import SCENARIOS
+from _support import SCENARIOS, busy_fleet_scenario
 
 
 def _run_bundled(name: str):
@@ -33,3 +33,9 @@ def depot_result():
 @pytest.fixture(scope="session")
 def rooms_result():
     return _run_bundled("rooms_four_robot.yaml")
+
+
+@pytest.fixture(scope="session")
+def busy6_result():
+    scenario = busy_fleet_scenario(6)
+    return scenario, run(scenario)

@@ -80,16 +80,19 @@ def test_qp_solve_time_scaling():
     assert 0.5 <= ratio <= 2.0
 
 
-def test_headless_realtime_factor():
+def test_headless_realtime_factor(busy6_result):
     """A busy 6-robot fleet simulates faster than realtime, monotone in size."""
-    factors = {}
-    for n in (2, 4, 6):
+    # the n=6 run is the session fixture whose trace digest
+    # test_engine.test_golden_trace_digest pins
+    scenario, result = busy6_result
+    assert scenario.duration == 120.0
+    assert scenario.grid.width == 60 and scenario.grid.height == 60
+    assert len(scenario.robots) == 6
+    assert len(scenario.task_stream[0].tasks) == 6
+    factors = {6: result.realtime_factor}
+    for n in (2, 4):
         scenario = busy_fleet_scenario(n)
         assert scenario.duration == 120.0
-        if n == 6:
-            assert scenario.grid.width == 60 and scenario.grid.height == 60
-            assert len(scenario.robots) == 6
-            assert len(scenario.task_stream[0].tasks) == 6
         factors[n] = run(scenario).realtime_factor
     assert factors[6] >= 1.0
     assert factors[2] >= factors[4] >= factors[6]

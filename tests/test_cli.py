@@ -1,14 +1,30 @@
+import argparse
 import json
+import re
 
 import pytest
+import yaml
 
-from fleetsim.cli import main
+from fleetsim.cli import _build_parser, main
 from fleetsim.tasking import TravelTimeGraph
 from fleetsim.trace import read_trace
 
-from _support import SCENARIOS
+from _support import ROOT, SCENARIOS
 
 SMOKE = str(SCENARIOS / "smoke_two_robot.yaml")
+
+# key path -> edit of the smoke scenario that makes that key malformed
+MALFORMED = {
+    "humans[0]": lambda d: d.update(humans=[5]),
+    "rooms[0]": lambda d: d.update(rooms=[7]),
+    "locations": lambda d: d.update(locations=5),
+    "duration": lambda d: d.update(duration=[1]),
+    "agents.a.heading": lambda d: d["agents"]["a"].update(heading="abc"),
+    "tick_dt": lambda d: d.update(tick_dt="abc"),
+    "roadways[0].from": lambda d: d.update(roadways=[
+        {"from": "x", "to": 1, "waypoints": [[1.5, 1.5], [6.5, 6.5]]},
+    ]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +79,29 @@ class TestRun:
                      "--timing"]) == 0
         qp_events = [e for e in read_trace(out).events if e["type"] == "qp"]
         assert qp_events and all("duration" in e for e in qp_events)
+
+    def test_timing_counts_each_solve_once(self, tmp_path, capsys):
+        def solve_counts(text):
+            return [line for line in text.splitlines()
+                    if line.startswith("qp_solves_cluster_")]
+
+        out = tmp_path / "timed.trace"
+        assert main(["run", SMOKE, "--out", str(out), "--duration", "2",
+                     "--timing"]) == 0
+        run_counts = solve_counts(capsys.readouterr().out)
+        assert main(["report", str(out)]) == 0
+        assert run_counts and run_counts == solve_counts(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("where", list(MALFORMED))
+    def test_malformed_content_names_the_key(self, tmp_path, capsys, where):
+        doc = yaml.safe_load((SCENARIOS / "smoke_two_robot.yaml").read_text())
+        for key in ("map", "travel_times", "tasks"):
+            doc[key] = str(SCENARIOS / doc[key])
+        MALFORMED[where](doc)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(bad), "--out", str(tmp_path / "t")]) == 2
+        assert f"error: {where}:" in capsys.readouterr().err
 
 
 class TestRender:
@@ -129,17 +168,28 @@ class TestCollectTravelTimes:
         assert graph.time(0, 1) > 0
         assert graph.time(0, 1) == graph.time(1, 0)
 
-    def test_bad_repetitions(self, tmp_path, capsys):
-        code = main(["collect-travel-times", SMOKE,
-                     "--out", str(tmp_path / "t"), "--reps", "0"])
-        assert code == 2
-
-    def test_unknown_aggregate_rejected_by_parser(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["collect-travel-times", SMOKE, "--out", str(tmp_path / "t"),
-                  "--agg", "median"])
-
 
 def test_subcommand_required():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_readme_documents_every_flag():
+    """The README's command-line section names exactly the parser's flags."""
+    section = (ROOT / "README.md").read_text().split("## Command-line interface")[1]
+    section = section.split("\n## ")[0]
+    documented: dict[str, set[str]] = {}
+    for line in section.splitlines():
+        command = re.match(r"`fleetsim ([a-z-]+)", line)
+        if command:
+            flags = documented.setdefault(command.group(1), set())
+        if documented:
+            flags.update(re.findall(r"--[a-z][a-z-]*", line))
+    (subparsers,) = [a for a in _build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings
+               if opt.startswith("--") and opt != "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert documented == parsed

@@ -85,12 +85,6 @@ class TestElectLeaders:
         c = out.clusters[0]
         assert c.all_stop and c.leader == 0 and c.active_members == ()
 
-    def test_priority_key_overrides_id_order(self):
-        part = form_clusters({0: {1, 2}, 1: {0, 2}, 2: {0, 1}})
-        out = elect_leaders(part, active_ids={0, 1, 2},
-                            priority=lambda rid: -rid)
-        assert out.clusters[0].leader == 2
-
     def test_inactive_members_never_lead_active_cluster(self):
         part = form_clusters({0: {1}, 1: {0}})
         out = elect_leaders(part, active_ids={1})

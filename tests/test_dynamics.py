@@ -36,11 +36,6 @@ class TestWrapAngle:
         )
 
 
-def test_state_helpers():
-    s = RobotState(1.0, 2.0, math.pi / 2, 0.3)
-    assert s.position() == (1.0, 2.0)
-
-
 class TestStepRobot:
     def test_rejects_bad_dt(self):
         s = RobotState(0, 0, 0, 0)

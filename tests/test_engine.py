@@ -268,7 +268,8 @@ class TestTravelTimeMeasurement:
             measure_travel_time(sealed_scenario, 0, 1)
 
 
-# SHA-256 of each bundled scenario's serialized trace. The bytes depend on
+# SHA-256 of the serialized trace of each bundled scenario and of the
+# six-robot busy fleet (_support.busy_fleet_scenario). The bytes depend on
 # libm and BLAS rounding; these were frozen on x86-64 Linux with Python
 # 3.11.7, numpy 2.4.6 and scipy 1.17.1. On another build a mismatch may be
 # rounding rather than a behaviour change.
@@ -277,6 +278,7 @@ GOLDEN_DIGESTS = {
     "corridors_result": "1fa2fdc2f236ee5b86834f485162a1efaa0283459fc422d08d9d32551e89c63e",
     "rooms_result": "3c822e72def2f103b882705f620b5d9e5889d0b33e32b58c9bf611acea617306",
     "depot_result": "8be66e15a820372ae16f3aa5645c02584855305362e488cffeb9f8a440b74deb",
+    "busy6_result": "9ac10b048af9eb1bc0d7e898a00d745273abec6f2432a1258646b0d163ec39d3",
 }
 
 

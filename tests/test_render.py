@@ -1,6 +1,6 @@
 import pytest
 
-from fleetsim.render import RenderStyle, render_trace
+from fleetsim.render import HUMAN_COLOR, ROOM_COLOR, render_trace
 from fleetsim.trace import Trace
 
 MAP_TEXT = (
@@ -80,9 +80,8 @@ class TestFrameSampling:
 
 
 class TestFrameContent:
-    def render_frames(self, tmp_path, **style_kwargs):
-        style = RenderStyle(**style_kwargs) if style_kwargs else None
-        files = render_trace(make_trace(), tmp_path, every=1.0, style=style)
+    def render_frames(self, tmp_path, **kwargs):
+        files = render_trace(make_trace(), tmp_path, every=1.0, **kwargs)
         return [f.read_text() for f in files]
 
     def test_svg_envelope(self, tmp_path):
@@ -129,27 +128,17 @@ class TestFrameContent:
 
     def test_filled_slot_after_queue_event(self, tmp_path):
         frames = self.render_frames(tmp_path)
-        room_fill = f'fill="{RenderStyle().room_color}"'
+        room_fill = f'fill="{ROOM_COLOR}"'
         assert room_fill not in frames[0]
         assert room_fill in frames[1]
 
     def test_human_circle(self, tmp_path):
         frame = self.render_frames(tmp_path)[0]
-        assert f'fill="{RenderStyle().human_color}"' in frame
+        assert f'fill="{HUMAN_COLOR}"' in frame
 
     def test_ray_hits_drawn(self, tmp_path):
         frame = self.render_frames(tmp_path)[0]
         assert 'r="1.5"' in frame
-
-    def test_style_toggles(self, tmp_path):
-        frames = self.render_frames(
-            tmp_path, show_paths=False, show_rays=False,
-            show_cluster_links=False, show_queues=False,
-            show_safety_radius=False,
-        )
-        assert "<polyline" not in frames[1]
-        assert 'r="1.5"' not in frames[0]
-        assert 'stroke-dasharray="2 2"' not in frames[1]
 
     def test_meters_per_pixel_scales_canvas(self, tmp_path):
         frame = self.render_frames(tmp_path, meters_per_pixel=0.1)[0]

@@ -98,6 +98,9 @@ class TestTaskStream:
         ('[{"arrival": 0, "tasks": [5]}]', "task request 0, task 0: expected an object"),
         ('[{"arrival": 0, "tasks": [{"start": 1, "end": 2}]}]',
          "missing required key 'deadline'"),
+        ('[{"arrival": [0], "tasks": []}]', "task request 0: arrival"),
+        ('[{"arrival": 0, "tasks": [{"start": [1], "end": 2, "deadline": 9}]}]',
+         "task request 0, task 0: start"),
         ('[{"arrival": 0, "tasks": [{"start": 1, "end": 1, "deadline": 9}]}]',
          "task request 0, task 0"),
         ('[{"arrival": 10, "tasks": [{"start": 0, "end": 1, "deadline": 5}]}]',
@@ -336,10 +339,10 @@ class TestLoadScenario:
             [{"arrival": 1.0, "tasks": [{"start": 1, "end": 0, "deadline": 30.0}]}]
         ))
         path = write_scenario(tmp_path, base_doc())
-        sc = load_scenario(path, tasks_path=alt, seed=42, duration=9.0)
+        sc = load_scenario(path, tasks_path=alt, duration=9.0)
         assert len(sc.task_stream) == 1
         assert sc.task_stream[0].arrival == 1.0
-        assert sc.seed == 42 and sc.duration == 9.0
+        assert sc.duration == 9.0
         assert sc.digest != load_scenario(path).digest
 
 

@@ -316,10 +316,9 @@ class TestDispatcher:
         d.check_deadlines(6.0)
         # a new batch re-solves; the missed task stays scheduled with its
         # deadline lifted rather than being dropped
-        res = d.dispatch(TaskRequest(6.0, (Task(1, 2, 100.0),)), {0: 0}, 6.0)
+        d.dispatch(TaskRequest(6.0, (Task(1, 2, 100.0),)), {0: 0}, 6.0)
         scheduled = {leg.task_id for leg in d.robot_legs[0]}
         assert scheduled == {"t0", "t1"}
-        assert res.allocation is not None
 
     def test_picked_task_stays_on_robot(self):
         d = self.make()
@@ -330,12 +329,6 @@ class TestDispatcher:
         assert d.records["t0"].robot == robot
         legs = d.robot_legs[robot]
         assert legs[0] == type(legs[0])("t0", DROPOFF, 4)
-
-    def test_dispatch_without_incoming(self):
-        d = self.make()
-        res = d.dispatch(None, {0: 0}, 1.0)
-        assert res.events == [] and res.changed_robots == set()
-        assert res.allocation is None
 
     def test_unassigned_event(self):
         d = self.make()
@@ -348,12 +341,6 @@ class TestDispatcher:
 
 
 class TestCollectTravelTimes:
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError, match="aggregate"):
-            collect_travel_times(None, aggregate="median")
-        with pytest.raises(ValueError, match="repetitions"):
-            collect_travel_times(None, repetitions=0)
-
     # rooms pins that the measurement ignores room queues
     @pytest.mark.parametrize("name", ["smoke", "corridors", "rooms"])
     def test_reproduces_bundled_table(self, name):
