@@ -134,10 +134,12 @@ class _Engine:
             )
             for h in scenario.humans
         ]
+        controller = scenario.robots[0].params
         self.sf_params = [
             SocialForceParams(
                 v_desired=h.v_desired,
-                r_robot=scenario.robots[0].params.r_robot,
+                r_robot=controller.r_robot,
+                r_human=controller.r_human,
             )
             for h in scenario.humans
         ]
@@ -191,7 +193,7 @@ class _Engine:
         return None
 
     def _waiting_in_queue(self, rt: _Robot) -> bool:
-        if not rt.plan.pending or not rt.plan.labels:
+        if not rt.plan.pending:
             return False
         label = rt.plan.labels[0]
         if label is None or label[0] != QUEUE_WAIT:
@@ -205,11 +207,10 @@ class _Engine:
 
     def _rebuild_plan(self, rid: int) -> None:
         rt = self.robots[rid]
-        if rt.fault or self.dispatcher is None:
+        if rt.fault:
             return
         actions = [leg.location for leg in self.dispatcher.robot_legs.get(rid, [])]
-        new_plan = expand_actions(actions, self.net, rt.position(), self.queues, rid)
-        rt.plan = replace(new_plan, arrivals=rt.plan.arrivals)
+        rt.plan = expand_actions(actions, self.net, rt.position(), self.queues, rid)
         rt.path = None
         rt.path_target = None
         if rt.queue_room is not None and self._room_engaged(rt, rt.queue_room):
@@ -218,6 +219,10 @@ class _Engine:
             if idx is not None:
                 rt.plan = on_queue_position(rt.plan, q, idx)
                 rt.queue_index = idx
+
+    def emit_tasks(self, events: list[dict]) -> None:
+        for ev in events:
+            self.emit({"type": tr.TASK, "t": self.now, **ev})
 
     # ------------------------------------------------------------------
     # tick phases
@@ -232,12 +237,9 @@ class _Engine:
             req = stream[stream_pos]
             stream_pos += 1
             locs = {rid: self.robots[rid].ref_location for rid in self.robot_ids}
-            result = self.dispatcher.dispatch(req, locs, self.now)
-            for ev in result.events:
-                record = {"type": tr.TASK, "t": self.now}
-                record.update(ev)
-                self.emit(record)
-            for rid in sorted(result.changed_robots):
+            changed, events = self.dispatcher.dispatch(req, locs, self.now)
+            self.emit_tasks(events)
+            for rid in sorted(changed):
                 self._rebuild_plan(rid)
         return stream_pos
 
@@ -255,7 +257,7 @@ class _Engine:
         the safety filter shoving it backwards into the room. Robots waiting
         in this queue stand on off-corridor slots and do not count.
         """
-        room_pos = self.s.locations[q.room_id]
+        room_pos = q.room_position
         clearance = max(
             self.s.world.release_distance,
             math.dist(room_pos, q.slots[-1]),
@@ -293,11 +295,7 @@ class _Engine:
             pos = rt.position()
             if rt.queue_room is not None:
                 q = self.queues[rt.queue_room]
-                idx = q.index_of(rid)
-                if idx is None:
-                    rt.queue_room = None
-                    rt.queue_index = None
-                elif not self._room_engaged(rt, rt.queue_room):
+                if not self._room_engaged(rt, rt.queue_room):
                     room = rt.queue_room
                     spec = self.s.rooms[room]
                     inside = point_in_polygon(pos, list(spec.polygon))
@@ -305,8 +303,7 @@ class _Engine:
                     reassigned = q.holder != rid
                     exhausted = (no_tasks and not inside) or reassigned
                     released = q.release(
-                        rid, pos, self.s.locations[room],
-                        self.s.world.release_distance,
+                        rid, pos, self.s.world.release_distance,
                         tasks_exhausted=exhausted,
                     )
                     if released:
@@ -327,7 +324,7 @@ class _Engine:
                 room = self._next_queue_room(rt)
                 if room is not None:
                     q = self.queues[room]
-                    room_pos = self.s.locations[room]
+                    room_pos = q.room_position
                     threshold = self.s.world.queue_request_factor * math.dist(
                         q.slots[-1], room_pos
                     )
@@ -405,8 +402,18 @@ class _Engine:
 
     def phase_controls(self, partition: ClusterPartition) -> None:
         decided: dict[int, Control] = {}
+        for rid in self.robot_ids:
+            rt = self.robots[rid]
+            if not self.s.grid.in_bounds(rt.state.x, rt.state.y):
+                # nothing can be sensed off the map: stop, outside the QP
+                decided[rid] = stop_control(rt.state, rt.spec.params)
+                if not rt.fault:
+                    self._fault(rt, f"sensing pose ({rt.state.x}, {rt.state.y}) "
+                                    "is outside the map bounds")
         for cluster in sorted(partition.clusters, key=lambda c: c.leader):
-            members = list(cluster.members)
+            members = [m for m in cluster.members if m not in decided]
+            if not members:
+                continue
             if cluster.all_stop:
                 for m in members:
                     rt = self.robots[m]
@@ -430,9 +437,10 @@ class _Engine:
             }
             t0 = time.perf_counter()
             if len(members) == 1:
+                only = members[0]
                 decision = solve_single_qp(
-                    states[leader], nominals[leader], obstacle_points[leader],
-                    self.humans, params, robot_id=leader,
+                    states[only], nominals[only], obstacle_points[only],
+                    self.humans, params, robot_id=only,
                 )
             else:
                 decision = solve_cluster_qp(
@@ -509,12 +517,7 @@ class _Engine:
                 label = rt.plan.labels[0]
                 is_wait = label is not None and label[0] == QUEUE_WAIT
                 if not is_wait and math.dist(rt.position(), target) <= rt.spec.params.d_arrive:
-                    rt.plan = record_arrival(rt.plan, target, self.now)
-                    rt.plan = replace(
-                        rt.plan,
-                        pending=rt.plan.pending[1:],
-                        labels=rt.plan.labels[1:],
-                    )
+                    rt.plan = record_arrival(rt.plan)
                     rt.path = None
                     rt.path_target = None
                     self.emit({
@@ -524,22 +527,15 @@ class _Engine:
                     if label is not None and label[0] == ARRIVE:
                         rt.ref_location = label[1]
                         if self.dispatcher is not None:
-                            leg = self.dispatcher.current_leg(rid)
-                            if leg is not None and leg.location == label[1]:
-                                _, evs = self.dispatcher.complete_leg(rid, self.now)
-                                for ev in evs:
-                                    record = {"type": tr.TASK, "t": self.now}
-                                    record.update(ev)
-                                    self.emit(record)
+                            self.emit_tasks(
+                                self.dispatcher.complete_leg(rid, label[1], self.now)
+                            )
             if not rt.plan.pending and (
                 self.dispatcher is None or not self.dispatcher.has_tasks(rid)
             ):
                 self._route_out_of_rooms(rt)
         if self.dispatcher is not None:
-            for ev in self.dispatcher.check_deadlines(self.now):
-                record = {"type": tr.TASK, "t": self.now}
-                record.update(ev)
-                self.emit(record)
+            self.emit_tasks(self.dispatcher.check_deadlines(self.now))
 
     def _route_out_of_rooms(self, rt: _Robot) -> None:
         """An idle robot standing inside a room walks out past the queue line."""

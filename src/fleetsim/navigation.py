@@ -75,7 +75,7 @@ class RoomQueue:
 
     room_id: int
     slots: list[Position]
-    room_position: Position | None = None
+    room_position: Position
     occupants: list[int] = field(default_factory=list)
     holder: int | None = None
 
@@ -105,7 +105,6 @@ class RoomQueue:
         self,
         robot: int,
         robot_position: Position,
-        room_position: Position,
         release_distance: float,
         tasks_exhausted: bool = False,
     ) -> bool:
@@ -114,7 +113,7 @@ class RoomQueue:
         A released holder promotes the front occupant immediately. Returns
         True when a release happened.
         """
-        far = math.dist(robot_position, room_position) > release_distance
+        far = math.dist(robot_position, self.room_position) > release_distance
         if not (far or tasks_exhausted):
             return False
         if robot == self.holder:
@@ -147,7 +146,7 @@ def point_in_polygon(point: Position, polygon: list[Position]) -> bool:
 
 @dataclass
 class WaypointPlan:
-    """A robot's remaining waypoints plus its arrival history.
+    """A robot's remaining waypoints.
 
     ``labels`` parallels ``pending``: None marks a plain travel waypoint,
     (ARRIVE, loc) marks completion of travel to a location, (QUEUE_WAIT, loc)
@@ -156,7 +155,6 @@ class WaypointPlan:
 
     robot_id: int
     pending: list[Position] = field(default_factory=list)
-    arrivals: list[tuple[Position, float]] = field(default_factory=list)
     labels: list[Label] = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -212,7 +210,7 @@ def expand_actions(
         if q.slots:
             pending[i] = q.slots[-1]
             labels[i] = (QUEUE_WAIT, label[1])
-    return WaypointPlan(robot_id, pending, [], labels)
+    return WaypointPlan(robot_id, pending, labels)
 
 
 def on_queue_position(plan: WaypointPlan, q: RoomQueue, index: int) -> WaypointPlan:
@@ -230,8 +228,6 @@ def on_queue_position(plan: WaypointPlan, q: RoomQueue, index: int) -> WaypointP
     for i, label in enumerate(labels):
         if label == (QUEUE_WAIT, q.room_id):
             if index == 0 and q.holder == plan.robot_id:
-                if q.room_position is None:
-                    raise ValueError(f"room {q.room_id} has no position")
                 pending[i] = q.room_position
                 labels[i] = (ARRIVE, q.room_id)
             else:
@@ -240,12 +236,6 @@ def on_queue_position(plan: WaypointPlan, q: RoomQueue, index: int) -> WaypointP
     return replace(plan, pending=pending, labels=labels)
 
 
-def record_arrival(plan: WaypointPlan, waypoint: Position, time: float) -> WaypointPlan:
-    """Append one (waypoint, time) arrival record.
-
-    Arrival timestamps are strictly increasing; a second record at the same
-    time (same tick) is dropped.
-    """
-    if plan.arrivals and time <= plan.arrivals[-1][1]:
-        return plan
-    return replace(plan, arrivals=plan.arrivals + [(waypoint, time)])
+def record_arrival(plan: WaypointPlan) -> WaypointPlan:
+    """Drop the reached first waypoint and its label."""
+    return replace(plan, pending=plan.pending[1:], labels=plan.labels[1:])

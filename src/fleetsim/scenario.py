@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
 
 import yaml
@@ -125,11 +125,20 @@ def _position(value, context: str) -> Position:
 
 
 def _number(value, context: str, kind=float):
-    """``kind(value)``, or a ScenarioError naming ``context``."""
+    """``kind(value)``, or a ScenarioError naming ``context``.
+
+    Booleans and non-finite values are not numbers here, and an integer must
+    be integral: 0.7 is not location 0.
+    """
+    integral = kind is not int or not isinstance(value, float) or value.is_integer()
     try:
-        return kind(value)
+        number = kind(value) if integral and not isinstance(value, bool) else math.nan
     except (TypeError, ValueError):
-        raise ScenarioError(f"{context}: expected a number, got {value!r}") from None
+        number = math.nan
+    if not math.isfinite(number):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ScenarioError(f"{context}: expected {expected}, got {value!r}")
+    return number
 
 
 def _list(value, context: str) -> list:
@@ -147,20 +156,30 @@ def _mapping(value, context: str) -> dict:
     return value
 
 
-def _params_from(mapping: dict | None, base: ControllerParams, context: str) -> ControllerParams:
+def _params_from(mapping: dict | None, base, context: str):
+    """``base`` with the mapping's entries read as numbers of each field's type."""
     if not mapping:
         return base
     _mapping(mapping, context)
-    fields = set(ControllerParams.__dataclass_fields__)
-    unknown = set(mapping) - fields
+    unknown = set(mapping) - set(base.__dataclass_fields__)
     if unknown:
-        raise ScenarioError(f"{context}: unknown controller parameters {sorted(unknown)}")
-    values = {name: getattr(base, name) for name in fields}
-    values.update({k: _number(v, f"{context}.{k}") for k, v in mapping.items()})
+        section = "world" if isinstance(base, WorldParams) else "controller"
+        raise ScenarioError(f"{context}: unknown {section} parameters {sorted(unknown)}")
+    values = {
+        k: _number(v, f"{context}.{k}", type(getattr(base, k)))
+        for k, v in mapping.items()
+    }
     try:
-        return ControllerParams(**values)
+        return replace(base, **values)
     except ValueError as exc:
         raise ScenarioError(f"{context}: {exc}") from None
+
+
+def _file_text(base: FsPath, name, context: str) -> str:
+    """The text of a file named relative to the scenario directory."""
+    if not isinstance(name, str):
+        raise ScenarioError(f"{context}: expected a file name, got {name!r}")
+    return (base / name).read_text()
 
 
 def load_task_stream(text: str) -> list[TaskRequest]:
@@ -225,17 +244,14 @@ def load_scenario(
         raise ScenarioError(f"{path}: top level must be a mapping")
 
     map_rel = _require(doc, "map", str(path))
-    map_text = (base / map_rel).read_text()
+    map_text = _file_text(base, map_rel, "map")
     try:
         grid = load_map(map_text)
     except ValueError as exc:
         raise ScenarioError(f"map {map_rel}: {exc}") from None
 
     world_raw = _mapping(doc.get("params") or {}, "params")
-    try:
-        world = WorldParams(**_mapping(world_raw.get("world") or {}, "params.world"))
-    except TypeError as exc:
-        raise ScenarioError(f"params.world: {exc}") from None
+    world = _params_from(world_raw.get("world"), WorldParams(), "params.world")
     base_controller = _params_from(
         world_raw.get("controller"), ControllerParams(), "params.controller"
     )
@@ -328,7 +344,7 @@ def load_scenario(
     graph = None
     graph_rel = doc.get("travel_times")
     if graph_rel:
-        graph_text = (base / graph_rel).read_text()
+        graph_text = _file_text(base, graph_rel, "travel_times")
         try:
             graph = TravelTimeGraph.from_text(graph_text)
         except ValueError as exc:
@@ -343,7 +359,7 @@ def load_scenario(
     if tasks_path is not None:
         tasks_text = FsPath(tasks_path).read_text()
     elif doc.get("tasks"):
-        tasks_text = (base / doc["tasks"]).read_text()
+        tasks_text = _file_text(base, doc["tasks"], "tasks")
     task_stream = load_task_stream(tasks_text) if tasks_text.strip() else []
     for k, req in enumerate(task_stream):
         for j, task in enumerate(req.tasks):

@@ -180,17 +180,19 @@ def _best_schedule(
     best: list[tuple[float, list[Leg]] | None] = [None]
     visited: dict[tuple[int, frozenset, frozenset], float] = {}
 
-    def legs_from(loc: int, picked: frozenset, done: frozenset) -> list[tuple[int, str, int]]:
+    def legs_from(picked: frozenset, done: frozenset, seq: list[Leg]) -> list[tuple[int, str, int]]:
+        if not seq and forced_first is not None:
+            # the robot's in-progress leg stays its first
+            t, stage = forced_first
+            return [(tasks[t].start if stage == PICKUP else tasks[t].end, stage, t)]
         out = []
         for t in task_ids:
             if t in done:
                 continue
             if t in picked:
                 out.append((tasks[t].end, DROPOFF, t))
-            elif t not in pre_picked:
-                out.append((tasks[t].start, PICKUP, t))
             else:
-                out.append((tasks[t].end, DROPOFF, t))
+                out.append((tasks[t].start, PICKUP, t))
         out.sort()
         return out
 
@@ -206,7 +208,7 @@ def _best_schedule(
         if prev is not None and prev <= t_now:
             return
         visited[key] = t_now
-        for target, stage, t in legs_from(loc, picked, done):
+        for target, stage, t in legs_from(picked, done, seq):
             arrive = t_now + g.time(loc, target)
             if stage == DROPOFF and arrive > tasks[t].deadline:
                 continue
@@ -217,20 +219,7 @@ def _best_schedule(
                 dfs(target, arrive, picked - {t}, done | {t}, seq)
             seq.pop()
 
-    picked0 = frozenset(t for t in task_ids if t in pre_picked)
-    if forced_first is not None:
-        t, stage = forced_first
-        target = tasks[t].start if stage == PICKUP else tasks[t].end
-        arrive = now + g.time(start_loc, target)
-        if stage == DROPOFF and arrive > tasks[t].deadline:
-            return None
-        leg = Leg(t, stage, target, arrive)
-        if stage == PICKUP:
-            dfs(target, arrive, picked0 | {t}, frozenset(), [leg])
-        else:
-            dfs(target, arrive, picked0 - {t}, frozenset({t}), [leg])
-    else:
-        dfs(start_loc, now, picked0, frozenset(), [])
+    dfs(start_loc, now, frozenset(t for t in task_ids if t in pre_picked), frozenset(), [])
     return best[0]
 
 
@@ -389,7 +378,6 @@ class TaskRecord:
 
     task_id: str
     task: Task
-    arrival: float
     robot: int | None = None
     picked_at: float | None = None
     dropped_at: float | None = None
@@ -412,12 +400,6 @@ class DispatchLeg:
     location: int
 
 
-@dataclass(frozen=True)
-class DispatchResult:
-    changed_robots: set[int]
-    events: list[dict]
-
-
 class Dispatcher:
     """Owns task lifecycle state and re-solves the allocation on new batches.
 
@@ -437,10 +419,6 @@ class Dispatcher:
 
     # -- engine-facing queries -------------------------------------------
 
-    def current_leg(self, robot: int) -> DispatchLeg | None:
-        legs = self.robot_legs.get(robot)
-        return legs[0] if legs else None
-
     def has_tasks(self, robot: int) -> bool:
         return bool(self.robot_legs.get(robot))
 
@@ -459,9 +437,15 @@ class Dispatcher:
 
     # -- lifecycle transitions -------------------------------------------
 
-    def complete_leg(self, robot: int, now: float) -> tuple[DispatchLeg, list[dict]]:
-        """Pop the robot's front leg after it reached the leg's location."""
-        leg = self.robot_legs[robot].pop(0)
+    def complete_leg(self, robot: int, location: int, now: float) -> list[dict]:
+        """Pop the robot's front leg once it reached ``location``.
+
+        Returns the leg's events, or none when the front leg is elsewhere.
+        """
+        legs = self.robot_legs.get(robot)
+        if not legs or legs[0].location != location:
+            return []
+        leg = legs.pop(0)
         rec = self.records[leg.task_id]
         events: list[dict] = []
         if leg.stage == PICKUP:
@@ -472,7 +456,7 @@ class Dispatcher:
             events.append({"event": DROPOFF, "task": leg.task_id, "robot": robot})
             if not rec.missed:
                 events.append({"event": "completed", "task": leg.task_id, "robot": robot})
-        return leg, events
+        return events
 
     def check_deadlines(self, now: float) -> list[dict]:
         events = []
@@ -489,18 +473,19 @@ class Dispatcher:
         incoming: TaskRequest,
         robots: dict[int, int],
         now: float,
-    ) -> DispatchResult:
+    ) -> tuple[set[int], list[dict]]:
+        """Accept a batch and re-solve: (robots whose legs changed, events)."""
         events: list[dict] = []
         for task in incoming.tasks:
             tid = f"t{self._counter}"
             self._counter += 1
-            self.records[tid] = TaskRecord(tid, task, incoming.arrival)
+            self.records[tid] = TaskRecord(tid, task)
             events.append({
                 "event": "arrival", "task": tid, "robot": None,
                 "start": task.start, "end": task.end, "deadline": task.deadline,
             })
         if not incoming.tasks:
-            return DispatchResult(set(), events)
+            return set(), events
 
         # build the solver's task list: everything not yet dropped or rejected
         open_ids = [
@@ -569,7 +554,7 @@ class Dispatcher:
                 rec.unassigned = True
                 events.append({"event": "unassigned", "task": rec.task_id, "robot": None})
         self.robot_legs = new_legs
-        return DispatchResult(changed, events)
+        return changed, events
 
 
 def collect_travel_times(scenario) -> TravelTimeGraph:

@@ -176,7 +176,7 @@ def test_room_mutual_exclusion_and_fifo(rooms_result):
                 far = rng.random() < 0.7
                 position = (10.0, 0.0) if far else (0.1, 0.0)
                 exhausted = rng.random() < 0.3
-                released = queue.release(rid, position, (0.0, 0.0), 2.0,
+                released = queue.release(rid, position, 2.0,
                                          tasks_exhausted=exhausted)
                 if rid in members and (far or exhausted):
                     assert released

@@ -24,6 +24,13 @@ MALFORMED = {
     "roadways[0].from": lambda d: d.update(roadways=[
         {"from": "x", "to": 1, "waypoints": [[1.5, 1.5], [6.5, 6.5]]},
     ]),
+    "map": lambda d: d.update(map=5),
+    "travel_times": lambda d: d.update(travel_times=5),
+    "tasks": lambda d: d.update(tasks=5),
+    "params.world.max_range": lambda d: d.update(params={"world": {"max_range": "abc"}}),
+    "params.world.n_rays": lambda d: d.update(params={"world": {"n_rays": 2.5}}),
+    "replan_period": lambda d: d.update(replan_period=float("inf")),
+    "params.controller.r_safe": lambda d: d.update(params={"controller": {"r_safe": float("nan")}}),
 }
 
 

@@ -7,11 +7,17 @@ import pytest
 import yaml
 
 import fleetsim.engine as engine
+import fleetsim.safety as safety
+import fleetsim.scenario as scenario_module
+import fleetsim.tasking as tasking
+from fleetsim.cli import main
+from fleetsim.dynamics import RobotState
 from fleetsim.engine import measure_travel_time, run
 from fleetsim.metrics import compute_metrics
 from fleetsim.planner import PlanningError
+from fleetsim.safety import stop_control
 from fleetsim.scenario import load_scenario
-from fleetsim.trace import dumps_record
+from fleetsim.trace import dumps_record, read_trace
 
 from _support import ROOT, SCENARIOS
 
@@ -28,6 +34,20 @@ SEALED_MAP = (
     "#...#..#.#\n"
     "##########\n"
 )
+
+
+OPEN_MAP = "map 16 8 0.5 0 0\n" + "................\n" * 8
+
+
+def write_open_scenario(base, doc: dict, tasks: list | None = None):
+    """A scenario on the open 8 m x 4 m map, with a two-location table."""
+    (base / "m.map").write_text(OPEN_MAP)
+    (base / "tt.txt").write_text("0 1\n0 5\n5 0\n")
+    (base / "tasks.json").write_text(json.dumps(tasks or []))
+    doc = {"map": "m.map", "travel_times": "tt.txt", "tasks": "tasks.json", **doc}
+    path = base / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +187,57 @@ class TestFaults:
         first, last = states[0]["robots"][0], states[-1]["robots"][0]
         assert math.dist(first[1:3], last[1:3]) < 1e-6
 
+    def test_robot_pushed_off_map_faults_and_run_finishes(self, tmp_path):
+        # the pedestrian walks through the robot and shoves it across the
+        # map's left edge
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [0.4, 2.0]}},
+            "humans": [{"start": [3.0, 2.0], "waypoints": [[-6.0, 2.0]]}],
+            "locations": [[0.4, 2.0], [7.5, 2.0]],
+            "duration": 10,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        out = tmp_path / "run.trace"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        scenario, trace = load_scenario(path), read_trace(out)
+        faults = list(trace.of_type("fault"))
+        assert len(faults) == 1 and faults[0]["robot"] == 0
+        poses = {s["t"]: s["robots"][0] for s in trace.of_type("state")}
+        error = faults[0]["error"]
+        assert error.startswith("sensing pose (")
+        assert error.endswith(") is outside the map bounds")
+        pose = [float(v) for v in error[len("sensing pose ("):error.index(")")].split(", ")]
+        assert not scenario.grid.in_bounds(*pose)
+        assert poses[faults[0]["t"]][1:3] == pytest.approx(pose, abs=1e-8)
+        params = scenario.robots[0].params
+        for rec in trace.of_type("control"):
+            _, x, y, theta, v = poses[rec["t"]]
+            if not scenario.grid.in_bounds(x, y):
+                assert rec["t"] >= faults[0]["t"]
+                stop = stop_control(RobotState(x, y, theta, v), params)
+                assert rec["robots"][0][1:] == pytest.approx([stop.a, stop.omega], abs=1e-8)
+        assert trace.events[-1]["type"] == "end"
+
+
+def test_pedestrian_body_uses_controller_r_human(tmp_path):
+    """params.controller.r_human sizes the pedestrian in the social-force
+    model too, not only in the robots' keep-out."""
+    def human_end(r_human, sub):
+        base = tmp_path / sub
+        base.mkdir()
+        path = write_open_scenario(base, {
+            "agents": {"a": {"start": [4.0, 3.5]}},  # idle, never moves
+            "humans": [{"start": [1.0, 2.5], "waypoints": [[7.0, 2.5]]}],
+            "locations": [[0.5, 0.5], [7.5, 0.5]],
+            "params": {"controller": {"r_human": r_human}},
+            "duration": 4,
+        })
+        trace = run(load_scenario(path)).trace
+        states = list(trace.of_type("state"))
+        assert states[0]["robots"] == states[-1]["robots"]
+        return states[-1]["humans"][0]
+
+    assert human_end(0.35, "default") != human_end(0.6, "wide")
+
 
 class TestRoomCoordination:
     def test_grant_sequence(self, rooms_result):
@@ -291,11 +362,23 @@ def test_golden_trace_digest(fixture, request):
 
 
 def test_benchmark_span_names_resolve():
-    """The span tracer in perfbench/spans.py wraps these engine globals."""
+    """The span tracer in perfbench/spans.py wraps every name it patches and
+    puts each original back."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_spans", ROOT / "perfbench" / "spans.py"
     )
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    missing = [attr for attr, _ in spans.ENGINE_NAMES if not hasattr(engine, attr)]
-    assert missing == []
+    owners = (engine, safety, scenario_module, tasking, tasking.Dispatcher)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = spans.Tracer()
+    try:
+        tracer.install()  # AttributeError when a patched name is gone
+        for owner, attr, original in tracer._restore:
+            assert getattr(owner, attr).__wrapped__ is original
+    finally:
+        tracer.uninstall()
+    for owner, names in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == names.keys()
+        assert [k for k in names if now[k] is not names[k]] == []

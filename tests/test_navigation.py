@@ -101,10 +101,10 @@ class TestRoomQueue:
         assert q.request_slot(3) == 1
         assert q.occupants == [2, 3]
         # holder leaves: the front occupant is promoted immediately
-        assert q.release(1, (20.0, 0.0), q.room_position, 2.0)
+        assert q.release(1, (20.0, 0.0), 2.0)
         assert q.holder == 2
         assert q.occupants == [3]
-        assert q.release(2, (20.0, 0.0), q.room_position, 2.0)
+        assert q.release(2, (20.0, 0.0), 2.0)
         assert q.holder == 3
 
     def test_request_idempotent(self):
@@ -125,23 +125,23 @@ class TestRoomQueue:
     def test_release_requires_distance_or_exhaustion(self):
         q = self.make()
         q.request_slot(1)
-        assert not q.release(1, (5.5, -2.0), q.room_position, 2.0)
+        assert not q.release(1, (5.5, -2.0), 2.0)
         assert q.holder == 1
-        assert q.release(1, (5.5, -2.0), q.room_position, 2.0, tasks_exhausted=True)
+        assert q.release(1, (5.5, -2.0), 2.0, tasks_exhausted=True)
         assert q.holder is None
 
     def test_release_far_occupant(self):
         q = self.make()
         q.request_slot(1)
         q.request_slot(2)
-        assert q.release(2, (50.0, 0.0), q.room_position, 2.0)
+        assert q.release(2, (50.0, 0.0), 2.0)
         assert q.occupants == []
         assert q.holder == 1
 
     def test_release_non_member_warns(self, caplog):
         q = self.make()
         with caplog.at_level(logging.WARNING, logger="fleetsim.navigation"):
-            assert not q.release(9, (50.0, 0.0), q.room_position, 2.0)
+            assert not q.release(9, (50.0, 0.0), 2.0)
         assert "non-member" in caplog.text
 
     def test_index_of(self):
@@ -253,13 +253,6 @@ class TestOnQueuePosition:
         assert out.pending[1] == (0.0, 0.0)
         assert out.labels[1] == (ARRIVE, 3)
 
-    def test_holder_without_room_position_rejected(self):
-        plan, q = self.make_plan()
-        q.holder = 5
-        q.room_position = None
-        with pytest.raises(ValueError, match="no position"):
-            on_queue_position(plan, q, 0)
-
     def test_index_out_of_range(self):
         plan, q = self.make_plan()
         with pytest.raises(ValueError, match="out of range"):
@@ -278,15 +271,10 @@ class TestOnQueuePosition:
 
 
 class TestRecordArrival:
-    def test_appends_increasing_times(self):
-        plan = WaypointPlan(0, [])
-        plan = record_arrival(plan, (1.0, 0.0), 1.0)
-        plan = record_arrival(plan, (2.0, 0.0), 2.0)
-        assert plan.arrivals == [((1.0, 0.0), 1.0), ((2.0, 0.0), 2.0)]
-
-    def test_same_tick_duplicate_dropped(self):
-        plan = WaypointPlan(0, [])
-        plan = record_arrival(plan, (1.0, 0.0), 1.0)
-        plan = record_arrival(plan, (1.5, 0.0), 1.0)
-        plan = record_arrival(plan, (1.5, 0.0), 0.5)
-        assert plan.arrivals == [((1.0, 0.0), 1.0)]
+    def test_drops_reached_waypoint_and_label(self):
+        plan = WaypointPlan(4, [(1.0, 0.0), (2.0, 0.0)], labels=[None, (ARRIVE, 1)])
+        out = record_arrival(plan)
+        assert out.pending == [(2.0, 0.0)]
+        assert out.labels == [(ARRIVE, 1)]
+        assert out.robot_id == 4
+        assert plan.pending == [(1.0, 0.0), (2.0, 0.0)]  # input left as it was

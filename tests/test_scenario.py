@@ -101,6 +101,10 @@ class TestTaskStream:
         ('[{"arrival": [0], "tasks": []}]', "task request 0: arrival"),
         ('[{"arrival": 0, "tasks": [{"start": [1], "end": 2, "deadline": 9}]}]',
          "task request 0, task 0: start"),
+        ('[{"arrival": 0, "tasks": [{"start": 0.7, "end": 2, "deadline": 9}]}]',
+         "task request 0, task 0: start: expected an integer"),
+        ('[{"arrival": 0, "tasks": [{"start": true, "end": 2, "deadline": 9}]}]',
+         "task request 0, task 0: start: expected an integer"),
         ('[{"arrival": 0, "tasks": [{"start": 1, "end": 1, "deadline": 9}]}]',
          "task request 0, task 0"),
         ('[{"arrival": 10, "tasks": [{"start": 0, "end": 1, "deadline": 5}]}]',

@@ -200,6 +200,21 @@ class TestSolveExact:
         assert forced.legs[0][0] == Leg(1, PICKUP, 2, 2.0)
         assert forced.makespan(0.0) >= free.makespan(0.0)
 
+    def test_forced_first_dropoff_of_carried_task(self):
+        # robot at 0 carries task 0 (drop-off at 4); task 1 (1 -> 2) would
+        # come first on its own
+        tasks = [Task(2, 4, 3.0), Task(1, 2, 100.0)]
+        kwargs = dict(pinned={0: 0}, pre_picked=frozenset({0}),
+                      forced_first={0: (0, DROPOFF)})
+        assert solve_exact({0: 0}, tasks, LINE, 0.0, **kwargs) is None
+        tasks[0] = Task(2, 4, 100.0)
+        alloc = solve_exact({0: 0}, tasks, LINE, 0.0, **kwargs)
+        assert alloc.legs[0][0] == Leg(0, DROPOFF, 4, 4.0)
+        assert visits(alloc, 0) == [4, 1, 2]
+        free = solve_exact({0: 0}, tasks, LINE, 0.0, pinned={0: 0},
+                           pre_picked=frozenset({0}))
+        assert visits(free, 0) == [1, 2, 4]
+
     def test_size_caps(self):
         tasks = [Task(0, 1, 100.0)] * (EXACT_MAX_TASKS + 1)
         with pytest.raises(ValueError, match="too large"):
@@ -280,23 +295,22 @@ class TestDispatcher:
 
     def test_arrival_and_assignment_events(self):
         d = self.make()
-        res = d.dispatch(TaskRequest(0.0, (Task(2, 4, 100.0),)), {0: 0}, 0.0)
-        kinds = [e["event"] for e in res.events]
+        changed, events = d.dispatch(TaskRequest(0.0, (Task(2, 4, 100.0),)), {0: 0}, 0.0)
+        kinds = [e["event"] for e in events]
         assert kinds == ["arrival", "assigned"]
-        assert res.events[0]["task"] == "t0"
-        assert d.current_leg(0).stage == PICKUP
+        assert events[0]["task"] == "t0"
+        assert d.robot_legs[0][0].stage == PICKUP
         assert d.has_tasks(0)
-        assert res.changed_robots == {0}
+        assert changed == {0}
         assert d.counts()["in_flight"] == 1
 
     def test_complete_leg_lifecycle(self):
         d = self.make()
         d.dispatch(TaskRequest(0.0, (Task(2, 4, 100.0),)), {0: 0}, 0.0)
-        leg, events = d.complete_leg(0, 2.0)
-        assert leg.stage == PICKUP
-        assert [e["event"] for e in events] == ["pickup"]
-        leg, events = d.complete_leg(0, 4.0)
-        assert leg.stage == DROPOFF
+        assert d.complete_leg(0, 4, 1.0) == []  # the front leg is the pickup at 2
+        assert [e["event"] for e in d.complete_leg(0, 2, 2.0)] == ["pickup"]
+        assert d.records["t0"].picked_at == 2.0
+        events = d.complete_leg(0, 4, 4.0)
         assert [e["event"] for e in events] == ["dropoff", "completed"]
         assert d.counts()["completed"] == 1
         assert not d.has_tasks(0)
@@ -324,7 +338,7 @@ class TestDispatcher:
         d = self.make()
         d.dispatch(TaskRequest(0.0, (Task(2, 4, 100.0),)), {0: 0, 1: 4}, 0.0)
         robot = d.records["t0"].robot
-        d.complete_leg(robot, 2.0)  # picked up
+        d.complete_leg(robot, 2, 2.0)  # picked up
         d.dispatch(TaskRequest(2.0, (Task(1, 2, 100.0),)), {0: 2, 1: 4}, 2.0)
         assert d.records["t0"].robot == robot
         legs = d.robot_legs[robot]
@@ -333,8 +347,8 @@ class TestDispatcher:
     def test_unassigned_event(self):
         d = self.make()
         tasks = tuple(Task(1, 2, 4.05) for _ in range(9))  # over the exact cap
-        res = d.dispatch(TaskRequest(0.0, tasks), {0: 4}, 0.0)
-        kinds = [e["event"] for e in res.events]
+        _, events = d.dispatch(TaskRequest(0.0, tasks), {0: 4}, 0.0)
+        kinds = [e["event"] for e in events]
         # greedy fallback: one task fits the deadline, the rest are rejected
         assert kinds.count("unassigned") == 8
         assert d.counts()["unassigned"] == 8
