@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 Position = tuple[float, float]
 
@@ -52,30 +51,6 @@ def neighbor_sets(
     return sets
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[int]) -> None:
-        self.parent = {i: i for i in items}
-        self.rank = {i: 0 for i in self.parent}
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return
-        if self.rank[ri] < self.rank[rj]:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        if self.rank[ri] == self.rank[rj]:
-            self.rank[ri] += 1
-
-
 def form_clusters(neighbors: dict[int, set[int]]) -> ClusterPartition:
     """Partition robots into connected components of the neighbor graph.
 
@@ -87,18 +62,20 @@ def form_clusters(neighbors: dict[int, set[int]]) -> ClusterPartition:
         for j in bi:
             if j not in neighbors or i not in neighbors[j]:
                 raise ValueError(f"asymmetric neighbor sets: {i} -> {j}")
-    uf = _UnionFind(neighbors)
-    for i, bi in neighbors.items():
-        for j in bi:
-            uf.union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in neighbors:
-        groups.setdefault(uf.find(i), []).append(i)
-    clusters = tuple(
-        Cluster(members=tuple(sorted(g)))
-        for g in sorted(groups.values(), key=min)
-    )
-    return ClusterPartition(clusters)
+    clusters = []
+    seen: set[int] = set()
+    # a component is first reached from its smallest member
+    for root in sorted(neighbors):
+        if root in seen:
+            continue
+        component, frontier = {root}, [root]
+        while frontier:
+            reached = neighbors[frontier.pop()] - component
+            component |= reached
+            frontier.extend(reached)
+        seen |= component
+        clusters.append(Cluster(members=tuple(sorted(component))))
+    return ClusterPartition(tuple(clusters))
 
 
 def elect_leaders(partition: ClusterPartition, active_ids: set[int]) -> ClusterPartition:

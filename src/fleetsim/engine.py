@@ -212,7 +212,6 @@ class _Engine:
         actions = [leg.location for leg in self.dispatcher.robot_legs.get(rid, [])]
         rt.plan = expand_actions(actions, self.net, rt.position(), self.queues, rid)
         rt.path = None
-        rt.path_target = None
         if rt.queue_room is not None and self._room_engaged(rt, rt.queue_room):
             q = self.queues[rt.queue_room]
             idx = q.index_of(rid)
@@ -345,7 +344,6 @@ class _Engine:
             rt = self.robots[rid]
             if rt.fault or not rt.plan.pending:
                 rt.path = None
-                rt.path_target = None
                 continue
             if self._waiting_in_queue(rt):
                 continue
@@ -421,31 +419,38 @@ class _Engine:
                 continue
             leader = cluster.leader
             params = self.robots[leader].spec.params
-            states = {m: self.robots[m].state for m in members}
-            nominals = {}
+            states, nominals, obstacle_points = {}, {}, {}
             for m in members:
-                if m == leader:
-                    nominals[m] = self._leader_nominal(self.robots[m])
-                else:
-                    nominals[m] = nominal_stop(states[m], self.robots[m].spec.params)
-            obstacle_points = {
-                m: raycast(
-                    self.s.grid, states[m].x, states[m].y, states[m].theta,
+                rt = self.robots[m]
+                states[m] = st = rt.state
+                nominals[m] = (
+                    self._leader_nominal(rt) if m == leader
+                    else nominal_stop(st, rt.spec.params)
+                )
+                obstacle_points[m] = raycast(
+                    self.s.grid, st.x, st.y, st.theta,
                     self.s.world.n_rays, self.s.world.max_range,
                 )
-                for m in members
-            }
             t0 = time.perf_counter()
-            if len(members) == 1:
-                only = members[0]
-                decision = solve_single_qp(
-                    states[only], nominals[only], obstacle_points[only],
-                    self.humans, params, robot_id=only,
-                )
-            else:
-                decision = solve_cluster_qp(
-                    members, states, nominals, obstacle_points, self.humans, params
-                )
+            try:
+                if len(members) == 1:
+                    only = members[0]
+                    decision = solve_single_qp(
+                        states[only], nominals[only], obstacle_points[only],
+                        self.humans, params, robot_id=only,
+                    )
+                else:
+                    decision = solve_cluster_qp(
+                        members, states, nominals, obstacle_points, self.humans, params
+                    )
+            except ValueError as exc:
+                # a bad QP input stops its own cluster, not the run
+                for m in members:
+                    rt = self.robots[m]
+                    decided[m] = stop_control(rt.state, rt.spec.params)
+                    if not rt.fault:
+                        self._fault(rt, f"safety: {exc}")
+                continue
             elapsed = time.perf_counter() - t0
             self.qp_samples.append((len(members), elapsed))
             for m in members:
@@ -461,7 +466,7 @@ class _Engine:
             self.emit(record)
         for rid in self.robot_ids:
             rt = self.robots[rid]
-            rt.control = decided.get(rid, Control(0.0, 0.0))
+            rt.control = decided[rid]
         self.emit({
             "type": tr.CONTROL, "t": self.now,
             "robots": [
@@ -519,7 +524,6 @@ class _Engine:
                 if not is_wait and math.dist(rt.position(), target) <= rt.spec.params.d_arrive:
                     rt.plan = record_arrival(rt.plan)
                     rt.path = None
-                    rt.path_target = None
                     self.emit({
                         "type": tr.ARRIVAL, "t": self.now, "robot": rid,
                         "waypoint": [target[0], target[1]],
@@ -555,7 +559,6 @@ class _Engine:
             )
             rt.plan = replace(rt.plan, pending=[exit_point], labels=[None])
             rt.path = None
-            rt.path_target = None
             return
 
     # ------------------------------------------------------------------

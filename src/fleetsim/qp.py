@@ -84,14 +84,10 @@ def solve_qp(
 
     while iterations < max_iter:
         slack = A @ x - b
-        for k, idx in enumerate(active):
-            slack[idx] = 0.0  # active rows are satisfied by construction
-        p = -1
-        worst = -tol
-        for i in range(A.shape[0]):
-            if slack[i] < worst:
-                worst, p = slack[i], i
-        if p < 0:
+        slack[active] = 0.0  # active rows are satisfied by construction
+        # most violated row; argmin takes the first of equal minima
+        p = int(np.argmin(slack)) if len(slack) else -1
+        if p < 0 or slack[p] >= -tol:
             return result(OPTIMAL)
         n_p = A[p]
         lam_p = 0.0

@@ -126,22 +126,6 @@ class BarrierTerms:
     coef_j: tuple[float, float] | None = None
 
 
-def pair_barrier(s_i: RobotState, s_j: RobotState, r: float) -> BarrierTerms:
-    """Barrier terms for two unicycles keeping center distance at least r."""
-    e_i = np.array([math.cos(s_i.theta), math.sin(s_i.theta)])
-    e_j = np.array([math.cos(s_j.theta), math.sin(s_j.theta)])
-    n_i = np.array([-e_i[1], e_i[0]])
-    n_j = np.array([-e_j[1], e_j[0]])
-    dp = np.array([s_i.x - s_j.x, s_i.y - s_j.y])
-    dv = s_i.v * e_i - s_j.v * e_j
-    h = float(dp @ dp) - r * r
-    hdot = 2.0 * float(dp @ dv)
-    c0 = 2.0 * float(dv @ dv)
-    coef_i = (2.0 * float(dp @ e_i), 2.0 * s_i.v * float(dp @ n_i))
-    coef_j = (-2.0 * float(dp @ e_j), -2.0 * s_j.v * float(dp @ n_j))
-    return BarrierTerms(h, hdot, c0, coef_i, coef_j)
-
-
 def point_barrier(
     s_i: RobotState,
     point: tuple[float, float],
@@ -161,6 +145,17 @@ def point_barrier(
     return BarrierTerms(h, hdot, c0, coef_i)
 
 
+def pair_barrier(s_i: RobotState, s_j: RobotState, r: float) -> BarrierTerms:
+    """Barrier terms for two unicycles keeping center distance at least r:
+    the point barrier against s_j moving at its velocity, plus coef_j."""
+    e_j = np.array([math.cos(s_j.theta), math.sin(s_j.theta)])
+    n_j = np.array([-e_j[1], e_j[0]])
+    dp = np.array([s_i.x - s_j.x, s_i.y - s_j.y])
+    t = point_barrier(s_i, (s_j.x, s_j.y), s_j.v * e_j, r)
+    coef_j = (-2.0 * float(dp @ e_j), -2.0 * s_j.v * float(dp @ n_j))
+    return BarrierTerms(t.h, t.hdot, t.c0, t.coef_i, coef_j)
+
+
 def _assemble(
     members: list[int],
     states: dict[int, RobotState],
@@ -177,7 +172,7 @@ def _assemble(
     def add(terms: BarrierTerms, rid_i: int, rid_j: int | None = None) -> None:
         row = np.zeros(2 * n)
         row[slot[rid_i]: slot[rid_i] + 2] = terms.coef_i
-        if rid_j is not None and terms.coef_j is not None:
+        if rid_j is not None:
             row[slot[rid_j]: slot[rid_j] + 2] = terms.coef_j
         gain = p.alpha1 + p.alpha2
         rows.append(row)
@@ -188,11 +183,8 @@ def _assemble(
             i, j = members[a_idx], members[b_idx]
             add(pair_barrier(states[i], states[j], p.r_safe), i, j)
     for rid in members:
-        pts = obstacle_points.get(rid)
-        if pts is not None:
-            for pt in pts.points:
-                if pt is not None:
-                    add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
+        for pt in obstacle_points[rid].hit_points():
+            add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
     for rid in members:
         for hum in humans:
             pt = (float(hum.position[0]), float(hum.position[1]))
@@ -203,20 +195,13 @@ def _assemble(
     return np.zeros((0, 2 * n)), np.zeros(0)
 
 
-def _box_rows(n_vars: int, n_robots: int, p: ControllerParams) -> tuple[np.ndarray, np.ndarray]:
-    rows = []
-    rhs = []
-    for k in range(n_robots):
-        for var, limit in ((2 * k, p.a_max), (2 * k + 1, p.omega_max)):
-            up = np.zeros(n_vars)
-            up[var] = -1.0
-            rows.append(up)
-            rhs.append(-limit)
-            lo = np.zeros(n_vars)
-            lo[var] = 1.0
-            rows.append(lo)
-            rhs.append(-limit)
-    return np.vstack(rows), np.array(rhs)
+def _box_rows(n_vars: int, p: ControllerParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked (a, omega) variable: the upper bound row, then the lower."""
+    A = np.zeros((2 * n_vars, n_vars))
+    for var in range(n_vars):
+        A[2 * var, var] = -1.0
+        A[2 * var + 1, var] = 1.0
+    return A, -np.array([p.a_max, p.a_max, p.omega_max, p.omega_max] * (n_vars // 2))
 
 
 def _clip(value: float, limit: float) -> float:
@@ -254,7 +239,7 @@ def solve_cluster_qp(
 
     A_cbf, b_cbf = _assemble(members, states, obstacle_points, humans, p)
     m = A_cbf.shape[0]
-    A_box, b_box = _box_rows(2 * n, n, p)
+    A_box, b_box = _box_rows(2 * n, p)
 
     hard = solve_qp(
         np.eye(2 * n) * 2.0,
@@ -268,20 +253,16 @@ def solve_cluster_qp(
         )
 
     # soft problem: append one slack variable per CBF row
-    dim = 2 * n + m
     H = np.diag([2.0] * (2 * n) + [2.0 * p.slack_penalty] * m)
     g = np.concatenate([-2.0 * u_star, np.zeros(m)])
-    A_soft = np.zeros((m, dim))
-    A_soft[:, : 2 * n] = A_cbf
-    A_soft[:, 2 * n:] = np.eye(m)
-    A_nonneg = np.zeros((m, dim))
-    A_nonneg[:, 2 * n:] = np.eye(m)
-    A_box_soft = np.zeros((A_box.shape[0], dim))
-    A_box_soft[:, : 2 * n] = A_box
     soft = solve_qp(
         H,
         g,
-        np.vstack([A_soft, A_nonneg, A_box_soft]),
+        np.block([
+            [A_cbf, np.eye(m)],                       # CBF rows + slack
+            [np.zeros((m, 2 * n)), np.eye(m)],        # slack >= 0
+            [A_box, np.zeros((A_box.shape[0], m))],   # box bounds
+        ]),
         np.concatenate([b_cbf, np.zeros(m), b_box]),
     )
     if soft.status == OPTIMAL:

@@ -58,20 +58,21 @@ def test_qp_solve_time_scaling():
     # measured cluster solve reflects this solver, not library cold start
     solve_qp(2 * np.eye(2), np.zeros(2), np.eye(2), -np.ones(2))
 
-    first_call, steady_mean, steady_median = {}, {}, {}
-    for n in (1, 2, 3):
-        args = _qp_timing_scene(n)
-        durations = []
-        for _ in range(80):
+    scenes = {n: _qp_timing_scene(n) for n in (1, 2, 3)}
+    durations = {n: [] for n in scenes}
+    # round-robin, so a swing in host speed lands on every size alike
+    for _ in range(80):
+        for n, args in scenes.items():
             t0 = time.perf_counter()
             decision = solve_cluster_qp(*args)
-            durations.append(time.perf_counter() - t0)
-        assert decision.qp_status == FEASIBLE
-        first_call[n] = durations[0]
-        steady_mean[n] = statistics.fmean(durations[20:])
-        steady_median[n] = statistics.median(durations[20:])
+            durations[n].append(time.perf_counter() - t0)
+            assert decision.qp_status == FEASIBLE
 
-    for n in (1, 2, 3):
+    first_call, steady_mean, steady_median = {}, {}, {}
+    for n, times in durations.items():
+        first_call[n] = times[0]
+        steady_mean[n] = statistics.fmean(times[20:])
+        steady_median[n] = statistics.median(times[20:])
         assert steady_mean[n] < 0.05
         assert first_call[n] < 5 * steady_median[n]
     assert steady_median[1] < steady_median[2]

@@ -63,11 +63,26 @@ class TestFormClusters:
         rng = random.Random(seed)
         ids = sorted(members)
         positions = {i: (rng.uniform(0, 10), rng.uniform(0, 10)) for i in ids}
-        part = form_clusters(neighbor_sets(positions, 3.0))
+        sets = neighbor_sets(positions, 3.0)
+        part = form_clusters(sets)
         seen = [m for c in part.clusters for m in c.members]
         assert sorted(seen) == ids  # every robot in exactly one cluster
+        assert [c.members[0] for c in part.clusters] == sorted(
+            c.members[0] for c in part.clusters)
+        cluster_of = {m: k for k, c in enumerate(part.clusters) for m in c.members}
+        for i, bi in sets.items():
+            # no neighbor pair spans two clusters
+            assert all(cluster_of[j] == cluster_of[i] for j in bi)
         for c in part.clusters:
             assert c.members == tuple(sorted(c.members))
+            # connected: growing by neighbors from one member reaches them all
+            reached = {c.members[0]}
+            while True:
+                grown = reached.union(*(sets[m] for m in reached))
+                if grown == reached:
+                    break
+                reached = grown
+            assert reached == set(c.members)
 
 
 class TestElectLeaders:

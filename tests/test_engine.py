@@ -217,6 +217,25 @@ class TestFaults:
                 assert rec["robots"][0][1:] == pytest.approx([stop.a, stop.omega], abs=1e-8)
         assert trace.events[-1]["type"] == "end"
 
+    def test_bad_qp_input_faults_cluster_and_run_finishes(self, tmp_path):
+        # one cluster of two robots, one of them active; r_safe**2
+        # overflows, so the pair row's h is -inf and the solve raises
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [1.0, 2.0]}, "b": {"start": [2.5, 2.0]}},
+            "locations": [[1.0, 2.0], [7.0, 2.0]],
+            "params": {"controller": {"r_safe": 1.0e+200}},
+            "duration": 2,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        out = tmp_path / "run.trace"
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        trace = read_trace(out)
+        faults = list(trace.of_type("fault"))
+        assert sorted(f["robot"] for f in faults) == [0, 1]
+        assert {f["error"] for f in faults} == {"safety: non-finite constraints"}
+        assert {f["t"] for f in faults} == {0.0}
+        assert not list(trace.of_type("qp"))
+        assert trace.events[-1]["type"] == "end"
+
 
 def test_pedestrian_body_uses_controller_r_human(tmp_path):
     """params.controller.r_human sizes the pedestrian in the social-force

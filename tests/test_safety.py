@@ -194,6 +194,35 @@ class TestSolveClusterQP:
         assert min(dec.slack_used) >= 0.0
         assert abs(dec.controls[0].a) <= P.a_max
 
+    def test_contradictory_cluster_rows_fall_back_to_slack(self):
+        # two stopped robots 0.3 apart, each inside an obstacle keepout on
+        # its far side: the rows demand a_0 >= 1.18, a_1 <= -1.18 and
+        # a_1 - a_0 >= 2.06 at once
+        states = {0: RobotState(0.0, 0.0, 0.0, 0.0), 1: RobotState(0.3, 0.0, 0.0, 0.0)}
+        hits = {0: ObstaclePointSet(((-0.2, 0.0),)), 1: ObstaclePointSet(((0.5, 0.0),))}
+        noms = {0: Control(0.0, 0.0), 1: Control(0.0, 0.0)}
+        dec = solve_cluster_qp([0, 1], states, noms, hits, [], P)
+        assert dec.qp_status == FEASIBLE_WITH_SLACK
+        assert len(dec.slack_used) == 3
+        assert min(dec.slack_used) >= 0.0 and max(dec.slack_used) > 0.1
+        u0, u1 = dec.controls[0], dec.controls[1]
+        # rows in assembly order: the pair, then each member's obstacle hit
+        pair = pair_barrier(states[0], states[1], P.r_safe)
+        obs0 = point_barrier(states[0], (-0.2, 0.0), (0.0, 0.0), P.r_obstacle)
+        obs1 = point_barrier(states[1], (0.5, 0.0), (0.0, 0.0), P.r_obstacle)
+        values = (
+            pair.coef_i[0] * u0.a + pair.coef_i[1] * u0.omega
+            + pair.coef_j[0] * u1.a + pair.coef_j[1] * u1.omega,
+            obs0.coef_i[0] * u0.a + obs0.coef_i[1] * u0.omega,
+            obs1.coef_i[0] * u1.a + obs1.coef_i[1] * u1.omega,
+        )
+        gain = P.alpha1 + P.alpha2
+        for terms, value, slack in zip((pair, obs0, obs1), values, dec.slack_used):
+            rhs = -terms.c0 - gain * terms.hdot - P.alpha1 * P.alpha2 * terms.h
+            assert value + slack >= rhs - 1e-7
+        for u in (u0, u1):
+            assert abs(u.a) <= P.a_max and abs(u.omega) <= P.omega_max
+
     def test_solver_failure_falls_back_to_stops(self, monkeypatch):
         def always_infeasible(H, g, A=None, b=None, **kw):
             return QPResult(np.zeros(len(g)), INFEASIBLE, (), {}, 0, 0.0)
