@@ -8,12 +8,20 @@ functions returning new states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # longest RK4 substep; larger requested steps are split evenly
 MAX_SUBSTEP = 0.05
+
+# social-force model (Helbing & Molnar 1995)
+TAU = 0.5  # s, relaxation time toward the desired velocity
+REPULSE_STRENGTH = 2.0  # m/s^2, repulsion at body contact
+REPULSE_RANGE = 0.35  # m, e-folding distance of the repulsion
+FORCE_CAP = 10.0  # m/s^2, cap on each repulsion term
+WAYPOINT_TOLERANCE = 0.3  # m, distance that counts as reaching a waypoint
+MAX_SPEED_FACTOR = 1.3  # speed cap as a multiple of v_desired
 
 
 def wrap_angle(theta: float) -> float:
@@ -42,27 +50,24 @@ class Control:
     omega: float
 
 
-@dataclass
-class HumanState:
-    """Pedestrian with a cyclic waypoint list."""
+@dataclass(frozen=True)
+class HumanSpec:
+    """A pedestrian's start, cyclic waypoint route and desired speed."""
 
-    position: np.ndarray  # shape (2,)
-    velocity: np.ndarray  # shape (2,)
-    goal_waypoints: list[tuple[float, float]] = field(default_factory=list)
-    current_goal_index: int = 0
+    start: tuple[float, float]
+    waypoints: tuple[tuple[float, float], ...] = ()
+    v_desired: float = 1.0
 
 
 @dataclass(frozen=True)
-class SocialForceParams:
-    v_desired: float = 1.0
-    tau: float = 0.5
-    repulse_strength: float = 2.0
-    repulse_range: float = 0.35
-    force_cap: float = 10.0
-    r_human: float = 0.35
-    r_robot: float = 0.3
-    waypoint_tolerance: float = 0.3
-    max_speed_factor: float = 1.3
+class HumanState:
+    """Pedestrian position, velocity and index of its current waypoint."""
+
+    x: float
+    y: float
+    vx: float
+    vy: float
+    goal_index: int = 0
 
 
 def _unicycle_deriv(x: float, y: float, theta: float, v: float, a: float, omega: float):
@@ -112,66 +117,75 @@ def step_robot(
     return RobotState(x, y, wrap_angle(theta), v)
 
 
-def _repulsion(
-    delta: np.ndarray, radius_sum: float, params: SocialForceParams
-) -> np.ndarray:
-    """Exponential repulsion along delta (from the other body toward the human)."""
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist < 1e-12:
-        direction = np.array([1.0, 0.0])  # overlapping bodies: push along +x
-    else:
-        direction = delta / dist
-    magnitude = params.repulse_strength * math.exp(
-        (radius_sum - dist) / params.repulse_range
+def _repulsion(dx: float, dy: float, radius_sum: float) -> tuple[float, float]:
+    """Exponential repulsion along (dx, dy), from the other body toward the human."""
+    # np.hypot, not math.hypot: the two differ in the last bit on some inputs
+    dist = float(np.hypot(dx, dy))
+    magnitude = min(
+        REPULSE_STRENGTH * math.exp((radius_sum - dist) / REPULSE_RANGE), FORCE_CAP
     )
-    return min(magnitude, params.force_cap) * direction
+    if dist < 1e-12:
+        return magnitude, 0.0  # overlapping bodies: push along +x
+    return magnitude * (dx / dist), magnitude * (dy / dist)
 
 
 def step_human(
     human: HumanState,
+    spec: HumanSpec,
     robot_positions: list[tuple[float, float]],
     other_humans: list[HumanState],
     obstacle_points: list[tuple[float, float]],
     dt: float,
-    params: SocialForceParams = SocialForceParams(),
+    r_robot: float,
+    r_human: float,
 ) -> HumanState:
     """Advance one pedestrian by dt under the social-force model.
 
     Force terms: goal attraction (v_desired toward the current waypoint,
-    relaxation time tau) plus exponential repulsion from robots, other humans
-    and sensed obstacle points, each term capped at force_cap. Integration is
-    semi-implicit Euler with the speed capped at max_speed_factor * v_desired.
-    Reaching a waypoint (within waypoint_tolerance) cycles to the next one.
+    relaxation time TAU) plus exponential repulsion from robots, other humans
+    and sensed obstacle points, each repulsion capped at FORCE_CAP.
+    Integration is semi-implicit Euler with the speed capped at
+    MAX_SPEED_FACTOR * v_desired. Reaching a waypoint (within
+    WAYPOINT_TOLERANCE) cycles to the next one.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = np.asarray(human.position, dtype=float)
-    vel = np.asarray(human.velocity, dtype=float)
+    x, y, vx, vy = human.x, human.y, human.vx, human.vy
 
-    force = np.zeros(2)
-    if human.goal_waypoints:
-        goal = np.asarray(human.goal_waypoints[human.current_goal_index], dtype=float)
-        to_goal = goal - pos
-        dist = float(np.hypot(to_goal[0], to_goal[1]))
-        desired = params.v_desired * to_goal / dist if dist > 1e-12 else np.zeros(2)
-        force += (desired - vel) / params.tau
-    for rp in robot_positions:
-        force += _repulsion(pos - np.asarray(rp, float), params.r_human + params.r_robot, params)
-    for other in other_humans:
-        force += _repulsion(pos - np.asarray(other.position, float), 2.0 * params.r_human, params)
-    for op in obstacle_points:
-        force += _repulsion(pos - np.asarray(op, float), params.r_human, params)
+    fx = fy = 0.0  # summing onto +0.0 turns a -0.0 term into +0.0
+    if spec.waypoints:
+        gx, gy = spec.waypoints[human.goal_index]
+        tx, ty = gx - x, gy - y
+        dist = float(np.hypot(tx, ty))
+        if dist > 1e-12:
+            wx, wy = spec.v_desired * tx / dist, spec.v_desired * ty / dist
+        else:
+            wx = wy = 0.0
+        fx += (wx - vx) / TAU
+        fy += (wy - vy) / TAU
+    sources = (
+        [(rx, ry, r_human + r_robot) for rx, ry in robot_positions]
+        + [(o.x, o.y, 2.0 * r_human) for o in other_humans]
+        + [(ox, oy, r_human) for ox, oy in obstacle_points]
+    )
+    for sx, sy, radius_sum in sources:
+        px, py = _repulsion(x - sx, y - sy, radius_sum)
+        fx += px
+        fy += py
 
-    vel = vel + force * dt
-    speed = float(np.hypot(vel[0], vel[1]))
-    cap = params.max_speed_factor * params.v_desired
+    vx = vx + fx * dt
+    vy = vy + fy * dt
+    speed = float(np.hypot(vx, vy))
+    cap = MAX_SPEED_FACTOR * spec.v_desired
     if speed > cap:
-        vel = vel * (cap / speed)
-    pos = pos + vel * dt
+        vx = vx * (cap / speed)
+        vy = vy * (cap / speed)
+    x = x + vx * dt
+    y = y + vy * dt
 
-    goal_index = human.current_goal_index
-    if human.goal_waypoints:
-        goal = np.asarray(human.goal_waypoints[goal_index], dtype=float)
-        if float(np.hypot(*(goal - pos))) <= params.waypoint_tolerance:
-            goal_index = (goal_index + 1) % len(human.goal_waypoints)
-    return replace(human, position=pos, velocity=vel, current_goal_index=goal_index)
+    goal_index = human.goal_index
+    if spec.waypoints:
+        gx, gy = spec.waypoints[goal_index]
+        if float(np.hypot(gx - x, gy - y)) <= WAYPOINT_TOLERANCE:
+            goal_index = (goal_index + 1) % len(spec.waypoints)
+    return HumanState(x, y, vx, vy, goal_index)

@@ -24,7 +24,6 @@ from .dynamics import (
     Control,
     HumanState,
     RobotState,
-    SocialForceParams,
     step_human,
     step_robot,
 )
@@ -50,8 +49,6 @@ from .scenario import Scenario
 from .tasking import Dispatcher
 from .trace import Trace
 from .world import raycast
-
-import numpy as np
 
 
 @dataclass
@@ -127,21 +124,7 @@ class _Engine:
             if scenario.locations:
                 rt.ref_location = self.net.nearest_location(rt.position())
         self.humans = [
-            HumanState(
-                position=np.array(h.start, dtype=float),
-                velocity=np.zeros(2),
-                goal_waypoints=list(h.waypoints),
-            )
-            for h in scenario.humans
-        ]
-        controller = scenario.robots[0].params
-        self.sf_params = [
-            SocialForceParams(
-                v_desired=h.v_desired,
-                r_robot=controller.r_robot,
-                r_human=controller.r_human,
-            )
-            for h in scenario.humans
+            HumanState(h.start[0], h.start[1], 0.0, 0.0) for h in scenario.humans
         ]
         self.events: list[dict] = []
         self.qp_samples: list[tuple[int, float]] = []
@@ -161,11 +144,7 @@ class _Engine:
                  self.robots[rid].state.theta, self.robots[rid].state.v]
                 for rid in self.robot_ids
             ],
-            "humans": [
-                [float(h.position[0]), float(h.position[1]),
-                 float(h.velocity[0]), float(h.velocity[1])]
-                for h in self.humans
-            ],
+            "humans": [[h.x, h.y, h.vx, h.vy] for h in self.humans],
         })
 
     def _fault(self, rt: _Robot, message: str) -> None:
@@ -235,12 +214,22 @@ class _Engine:
         ):
             req = stream[stream_pos]
             stream_pos += 1
-            locs = {rid: self.robots[rid].ref_location for rid in self.robot_ids}
-            changed, events = self.dispatcher.dispatch(req, locs, self.now)
-            self.emit_tasks(events)
-            for rid in sorted(changed):
-                self._rebuild_plan(rid)
+            self._apply(self.dispatcher.dispatch(req, self._fleet(), self.now))
         return stream_pos
+
+    def _fleet(self) -> dict[int, int]:
+        """Each robot without a fault, at its reference location."""
+        return {
+            rid: self.robots[rid].ref_location
+            for rid in self.robot_ids if not self.robots[rid].fault
+        }
+
+    def _apply(self, dispatched: tuple[set[int], list[dict]]) -> None:
+        """Emit a dispatcher's task events and replan the robots it changed."""
+        changed, events = dispatched
+        self.emit_tasks(events)
+        for rid in sorted(changed):
+            self._rebuild_plan(rid)
 
     def _queue_event(self, q: RoomQueue, event: str, robot: int, index) -> None:
         self.emit({
@@ -479,14 +468,11 @@ class _Engine:
         n_sub = round(self.s.control_period / self.s.tick_dt)
         human_obstacles = []
         for h in self.humans:
-            speed = math.hypot(float(h.velocity[0]), float(h.velocity[1]))
-            heading = (
-                math.atan2(float(h.velocity[1]), float(h.velocity[0]))
-                if speed > 1e-9 else 0.0
-            )
-            if self.s.grid.in_bounds(float(h.position[0]), float(h.position[1])):
+            speed = math.hypot(h.vx, h.vy)
+            heading = math.atan2(h.vy, h.vx) if speed > 1e-9 else 0.0
+            if self.s.grid.in_bounds(h.x, h.y):
                 hits = raycast(
-                    self.s.grid, float(h.position[0]), float(h.position[1]),
+                    self.s.grid, h.x, h.y,
                     heading, self.s.world.n_rays, self.s.world.max_range,
                 ).hit_points()
             else:
@@ -496,12 +482,13 @@ class _Engine:
             # humans see the robot positions from the start of the substep
             if self.humans:
                 robot_positions = [self.robots[rid].position() for rid in self.robot_ids]
+                bodies = self.s.robots[0].params  # sizes robot and pedestrian bodies
                 self.humans = [
                     step_human(
-                        h, robot_positions, self.humans[:i] + self.humans[i + 1:],
-                        human_obstacles[i], self.s.tick_dt, self.sf_params[i],
+                        h, spec, robot_positions, self.humans[:i] + self.humans[i + 1:],
+                        human_obstacles[i], self.s.tick_dt, bodies.r_robot, bodies.r_human,
                     )
-                    for i, h in enumerate(self.humans)
+                    for i, (h, spec) in enumerate(zip(self.humans, self.s.humans))
                 ]
             for rid in self.robot_ids:
                 rt = self.robots[rid]
@@ -539,6 +526,12 @@ class _Engine:
             ):
                 self._route_out_of_rooms(rt)
         if self.dispatcher is not None:
+            faulted = [
+                rid for rid in self.robot_ids
+                if self.robots[rid].fault and self.dispatcher.has_tasks(rid)
+            ]
+            if faulted:
+                self._apply(self.dispatcher.release(faulted, self._fleet(), self.now))
             self.emit_tasks(self.dispatcher.check_deadlines(self.now))
 
     def _route_out_of_rooms(self, rt: _Robot) -> None:

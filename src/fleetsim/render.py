@@ -224,6 +224,8 @@ def render_trace(
     """
     if every <= 0:
         raise ValueError("every must be positive")
+    if not 0 < meters_per_pixel < math.inf:
+        raise ValueError(f"meters_per_pixel must be positive and finite, got {meters_per_pixel}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = load_map(trace.header["map"]["text"])

@@ -187,9 +187,8 @@ def _assemble(
             add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
     for rid in members:
         for hum in humans:
-            pt = (float(hum.position[0]), float(hum.position[1]))
-            vel = (float(hum.velocity[0]), float(hum.velocity[1]))
-            add(point_barrier(states[rid], pt, vel, p.r_human_safe), rid)
+            add(point_barrier(states[rid], (hum.x, hum.y), (hum.vx, hum.vy),
+                              p.r_human_safe), rid)
     if rows:
         return np.vstack(rows), np.array(rhs)
     return np.zeros((0, 2 * n)), np.zeros(0)

@@ -18,6 +18,7 @@ from pathlib import Path as FsPath
 
 import yaml
 
+from .dynamics import HumanSpec
 from .navigation import RoadwayNetwork, RoomQueue
 from .safety import ControllerParams
 from .tasking import Task, TaskRequest, TravelTimeGraph
@@ -61,13 +62,6 @@ class RobotSpec:
     start: Position
     heading: float = 0.0
     params: ControllerParams = field(default_factory=ControllerParams)
-
-
-@dataclass(frozen=True)
-class HumanSpec:
-    start: Position
-    waypoints: tuple[Position, ...] = ()
-    v_desired: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -175,6 +169,14 @@ def _params_from(mapping: dict | None, base, context: str):
         raise ScenarioError(f"{context}: {exc}") from None
 
 
+def _check_free(grid: OccupancyGrid, position: Position, context: str) -> None:
+    """A start position must lie on the map, on a free cell."""
+    if not grid.in_bounds(*position):
+        raise ScenarioError(f"{context}: {position} is outside the map")
+    if grid.is_occupied_cell(*grid.world_to_cell(*position)):
+        raise ScenarioError(f"{context}: {position} lies on an occupied cell")
+
+
 def _file_text(base: FsPath, name, context: str) -> str:
     """The text of a file named relative to the scenario directory."""
     if not isinstance(name, str):
@@ -267,11 +269,7 @@ def load_scenario(
         ctx = f"agents.{name}"
         _mapping(spec, ctx)
         start = _position(_require(spec, "start", ctx), f"{ctx}.start")
-        if not grid.in_bounds(*start):
-            raise ScenarioError(f"{ctx}: start {start} is outside the map")
-        cell = grid.world_to_cell(*start)
-        if grid.is_occupied_cell(*cell):
-            raise ScenarioError(f"{ctx}: start {start} lies on an occupied cell")
+        _check_free(grid, start, f"{ctx}.start")
         params = _params_from(spec.get("params"), base_controller, f"{ctx}.params")
         robots.append(RobotSpec(
             robot_id=idx,
@@ -286,11 +284,14 @@ def load_scenario(
         ctx = f"humans[{k}]"
         _mapping(entry, ctx)
         start = _position(_require(entry, "start", ctx), f"{ctx}.start")
+        _check_free(grid, start, f"{ctx}.start")
         wps = tuple(
             _position(w, f"{ctx}.waypoints[{i}]")
             for i, w in enumerate(_list(entry.get("waypoints"), f"{ctx}.waypoints"))
         )
         v_desired = _number(entry.get("v_desired", 1.0), f"{ctx}.v_desired")
+        if v_desired <= 0:
+            raise ScenarioError(f"{ctx}.v_desired: must be positive, got {v_desired}")
         humans.append(HumanSpec(start, wps, v_desired))
 
     locations: dict[int, Position] = {}

@@ -4,7 +4,7 @@ Tasks are pickup/drop-off pairs over named locations with hard deadlines.
 The exact solver searches assignments and per-robot leg interleavings for the
 minimum-makespan schedule meeting every deadline; the greedy solver is the
 scalable earliest-deadline-first fallback. The dispatcher owns task lifecycle
-state and re-solves whenever a new batch arrives.
+state and re-solves whenever a new batch arrives or a robot with tasks faults.
 """
 
 from __future__ import annotations
@@ -401,7 +401,8 @@ class DispatchLeg:
 
 
 class Dispatcher:
-    """Owns task lifecycle state and re-solves the allocation on new batches.
+    """Owns task lifecycle state and re-solves the allocation on new batches
+    and when robots that hold tasks fault.
 
     Commitment rules on a re-solve: a carried task stays on its robot (only
     its drop-off remains), and each robot's in-progress first leg stays its
@@ -426,7 +427,9 @@ class Dispatcher:
         arrived = len(self.records)
         completed = sum(1 for r in self.records.values() if r.completed)
         missed = sum(1 for r in self.records.values() if r.missed)
-        unassigned = sum(1 for r in self.records.values() if r.unassigned)
+        unassigned = sum(
+            1 for r in self.records.values() if r.unassigned and not r.missed
+        )
         return {
             "arrived": arrived,
             "completed": completed,
@@ -466,6 +469,14 @@ class Dispatcher:
                 events.append({"event": "missed", "task": rec.task_id, "robot": rec.robot})
         return events
 
+    def _give_up(self, rec: TaskRecord, robot: int | None) -> list[dict]:
+        """No robot will deliver the task: it ends unassigned, unless it
+        already ended missed."""
+        rec.unassigned = True
+        if rec.missed:
+            return []
+        return [{"event": "unassigned", "task": rec.task_id, "robot": robot}]
+
     # -- allocation -------------------------------------------------------
 
     def dispatch(
@@ -486,7 +497,37 @@ class Dispatcher:
             })
         if not incoming.tasks:
             return set(), events
+        changed, solved = self._solve(robots, now)
+        return changed, events + solved
 
+    def release(
+        self, faulted: list[int], robots: dict[int, int], now: float
+    ) -> tuple[set[int], list[dict]]:
+        """Take faulted robots out of the fleet: (robots whose legs changed, events).
+
+        In id order, each one's legs are dropped and each task it carries
+        ends unassigned. Then their unpicked tasks are re-solved over
+        ``robots``, the robots left.
+        """
+        events: list[dict] = []
+        unpicked = False
+        for robot in sorted(faulted):
+            for leg in self.robot_legs.pop(robot, []):
+                rec = self.records[leg.task_id]
+                if rec.picked_at is not None:
+                    events += self._give_up(rec, robot)
+                else:
+                    unpicked = True
+        if not unpicked:
+            return set(), events
+        changed, solved = self._solve(robots, now)
+        return changed, events + solved
+
+    def _solve(
+        self, robots: dict[int, int], now: float
+    ) -> tuple[set[int], list[dict]]:
+        """Re-solve every open task over ``robots``; with none, they end unassigned."""
+        events: list[dict] = []
         # build the solver's task list: everything not yet dropped or rejected
         open_ids = [
             tid for tid, rec in self.records.items()
@@ -512,7 +553,9 @@ class Dispatcher:
                 forced_first[rid] = (index_of[legs[0].task_id], legs[0].stage)
 
         allocation = None
-        if len(solver_tasks) <= EXACT_MAX_TASKS and len(robots) <= EXACT_MAX_ROBOTS:
+        if not robots:
+            allocation = Allocation({}, list(range(len(solver_tasks))))
+        elif len(solver_tasks) <= EXACT_MAX_TASKS and len(robots) <= EXACT_MAX_ROBOTS:
             allocation = solve_exact(
                 robots, solver_tasks, self.graph, now,
                 pinned=pinned, pre_picked=frozenset(pre_picked),
@@ -549,10 +592,7 @@ class Dispatcher:
                     rec.robot = rid
                     events.append({"event": "assigned", "task": leg.task_id, "robot": rid})
         for k in allocation.unassigned:
-            rec = self.records[open_ids[k]]
-            if not rec.unassigned:
-                rec.unassigned = True
-                events.append({"event": "unassigned", "task": rec.task_id, "robot": None})
+            events += self._give_up(self.records[open_ids[k]], None)
         self.robot_legs = new_legs
         return changed, events
 

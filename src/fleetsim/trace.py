@@ -79,23 +79,31 @@ def write_trace(path: str | Path, trace: Trace) -> None:
             fh.write(dumps_record(event) + "\n")
 
 
+def _record(path, n: int, line: str) -> dict:
+    """Line ``n`` parsed as one record: a JSON object with a string type."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceError(f"{path}: line {n}: {exc}") from None
+    if not isinstance(record, dict):
+        raise TraceError(
+            f"{path}: line {n}: expected a JSON object, got {type(record).__name__}"
+        )
+    if not isinstance(record.get("type"), str):
+        raise TraceError(f"{path}: line {n}: record has no string 'type'")
+    return record
+
+
 def read_trace(path: str | Path) -> Trace:
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise TraceError(f"{path}: empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceError(f"{path}: line 1: {exc}") from None
-    if header.get("type") != HEADER:
+    header = _record(path, 1, lines[0])
+    if header["type"] != HEADER:
         raise TraceError(f"{path}: first record is not a header")
-    events = []
-    for n, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"{path}: line {n}: {exc}") from None
+    events = [
+        _record(path, n, line)
+        for n, line in enumerate(lines[1:], start=2) if line
+    ]
     return Trace(header, events)

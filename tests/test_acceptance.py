@@ -48,7 +48,7 @@ def _qp_timing_scene(n: int):
         states[i] = RobotState(1.2 * i, 0.0, math.pi if i % 2 else 0.0, 0.6)
         nominals[i] = Control(0.5, 0.2)
         obstacles[i] = ObstaclePointSet(((1.2 * i, 1.0), (1.2 * i + 0.7, 0.8), None))
-    humans = [HumanState(np.array([0.6, -1.0]), np.array([0.0, 0.3]))]
+    humans = [HumanState(0.6, -1.0, 0.0, 0.3)]
     return members, states, nominals, obstacles, humans, params
 
 

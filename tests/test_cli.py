@@ -138,6 +138,13 @@ class TestRender:
                      "--every", "0"])
         assert code == 2
 
+    @pytest.mark.parametrize("scale", ["0", "-1", "inf", "nan"])
+    def test_scale_must_be_positive(self, smoke_trace, tmp_path, capsys, scale):
+        out = tmp_path / "f"
+        assert main(["render", str(smoke_trace), "--out", str(out), "--scale", scale]) == 2
+        assert "meters_per_pixel must be positive" in capsys.readouterr().err
+        assert not list(out.glob("*.svg"))
+
     def test_missing_trace(self, tmp_path, capsys):
         assert main(["render", str(tmp_path / "no.trace"),
                      "--out", str(tmp_path / "f")]) == 3
@@ -163,6 +170,17 @@ class TestReport:
 
     def test_missing_trace(self, tmp_path):
         assert main(["report", str(tmp_path / "no.trace")]) == 3
+
+    @pytest.mark.parametrize("lines, message", [
+        (["[1]"], "line 1: expected a JSON object, got list"),
+        (['{"type": "header"}', "5"], "line 2: expected a JSON object, got int"),
+        (['{"type": "header"}', '{"t": 0}'], "line 2: record has no string 'type'"),
+    ])
+    def test_malformed_record_names_its_line(self, tmp_path, capsys, lines, message):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
 
 
 class TestCollectTravelTimes:

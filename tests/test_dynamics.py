@@ -1,14 +1,15 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from fleetsim.dynamics import (
     Control,
+    FORCE_CAP,
+    MAX_SPEED_FACTOR,
+    HumanSpec,
     HumanState,
     RobotState,
-    SocialForceParams,
     step_human,
     step_robot,
     wrap_angle,
@@ -92,65 +93,65 @@ class TestStepRobot:
         assert -math.pi < out.theta <= math.pi
 
 
-def _human(pos, vel=(0.0, 0.0), waypoints=(), index=0):
-    return HumanState(
-        np.array(pos, dtype=float), np.array(vel, dtype=float),
-        list(waypoints), index,
-    )
+def _human(pos, vel=(0.0, 0.0), index=0):
+    return HumanState(float(pos[0]), float(pos[1]), float(vel[0]), float(vel[1]), index)
+
+
+def _step(human, robots, others, obstacles, dt, waypoints=(), v_desired=1.0):
+    """step_human with the default controller radii (r_robot 0.3, r_human 0.35)."""
+    spec = HumanSpec((human.x, human.y), tuple(waypoints), v_desired)
+    return step_human(human, spec, robots, others, obstacles, dt, 0.3, 0.35)
 
 
 class TestStepHuman:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError, match="dt"):
-            step_human(_human((0, 0)), [], [], [], 0.0)
+            _step(_human((0, 0)), [], [], [], 0.0)
 
     def test_goal_attraction(self):
-        p = SocialForceParams()
-        out = step_human(_human((0, 0), waypoints=[(5.0, 0.0)]), [], [], [], 0.1, p)
+        out = _step(_human((0, 0)), [], [], [], 0.1, waypoints=[(5.0, 0.0)])
         # force = (v_desired * xhat - 0) / tau = (2, 0)
-        assert out.velocity == pytest.approx([0.2, 0.0])
-        assert out.position == pytest.approx([0.02, 0.0])
+        assert (out.vx, out.vy) == pytest.approx([0.2, 0.0])
+        assert (out.x, out.y) == pytest.approx([0.02, 0.0])
 
     def test_no_goal_no_drift(self):
-        out = step_human(_human((1.0, 1.0)), [], [], [], 0.1)
-        assert out.velocity == pytest.approx([0.0, 0.0])
-        assert out.position == pytest.approx([1.0, 1.0])
+        out = _step(_human((1.0, 1.0)), [], [], [], 0.1)
+        assert (out.vx, out.vy) == pytest.approx([0.0, 0.0])
+        assert (out.x, out.y) == pytest.approx([1.0, 1.0])
 
     def test_robot_repulsion_pushes_away(self):
-        out = step_human(_human((0, 0)), [(0.3, 0.0)], [], [], 0.05)
-        assert out.velocity[0] < 0
-        assert out.velocity[1] == pytest.approx(0.0, abs=1e-12)
+        out = _step(_human((0, 0)), [(0.3, 0.0)], [], [], 0.05)
+        assert out.vx < 0
+        assert out.vy == pytest.approx(0.0, abs=1e-12)
 
     def test_overlap_force_capped(self):
-        p = SocialForceParams()
-        out = step_human(_human((0, 0)), [(0.0, 0.0)], [], [], 0.05, p)
+        out = _step(_human((0, 0)), [(0.0, 0.0)], [], [], 0.05)
         # overlapping bodies push along +x at exactly the cap
-        assert out.velocity == pytest.approx([p.force_cap * 0.05, 0.0])
+        assert (out.vx, out.vy) == pytest.approx([FORCE_CAP * 0.05, 0.0])
 
     def test_each_source_kind_repels(self):
         d = (0.5, 0.0)
-        by_robot = step_human(_human((0, 0)), [d], [], [], 0.05)
-        by_human = step_human(_human((0, 0)), [], [_human(d)], [], 0.05)
-        by_obstacle = step_human(_human((0, 0)), [], [], [d], 0.05)
-        v_r = -by_robot.velocity[0]
-        v_h = -by_human.velocity[0]
-        v_o = -by_obstacle.velocity[0]
+        by_robot = _step(_human((0, 0)), [d], [], [], 0.05)
+        by_human = _step(_human((0, 0)), [], [_human(d)], [], 0.05)
+        by_obstacle = _step(_human((0, 0)), [], [], [d], 0.05)
+        v_r = -by_robot.vx
+        v_h = -by_human.vx
+        v_o = -by_obstacle.vx
         assert v_r > 0 and v_h > 0 and v_o > 0
         # larger radius sum means stronger push at equal distance
         assert v_h > v_r > v_o
 
     def test_speed_cap(self):
-        p = SocialForceParams()
-        out = step_human(_human((0, 0), vel=(5.0, 0.0)), [], [], [], 0.1, p)
-        speed = math.hypot(*out.velocity)
-        assert speed == pytest.approx(p.max_speed_factor * p.v_desired)
+        out = _step(_human((0, 0), vel=(5.0, 0.0)), [], [], [], 0.1, v_desired=1.0)
+        speed = math.hypot(out.vx, out.vy)
+        assert speed == pytest.approx(MAX_SPEED_FACTOR * 1.0)
 
     def test_waypoint_cycles(self):
-        h = _human((0.9, 0.0), vel=(1.0, 0.0), waypoints=[(1.0, 0.0), (0.0, 0.0)])
-        out = step_human(h, [], [], [], 0.1)
-        assert out.current_goal_index == 1
+        h = _human((0.9, 0.0), vel=(1.0, 0.0))
+        out = _step(h, [], [], [], 0.1, waypoints=[(1.0, 0.0), (0.0, 0.0)])
+        assert out.goal_index == 1
 
     def test_single_waypoint_wraps_to_itself(self):
-        h = _human((0.99, 0.0), vel=(1.0, 0.0), waypoints=[(1.0, 0.0)])
-        out = step_human(h, [], [], [], 0.05)
-        assert out.current_goal_index == 0
+        h = _human((0.99, 0.0), vel=(1.0, 0.0))
+        out = _step(h, [], [], [], 0.05, waypoints=[(1.0, 0.0)])
+        assert out.goal_index == 0

@@ -236,6 +236,38 @@ class TestFaults:
         assert not list(trace.of_type("qp"))
         assert trace.events[-1]["type"] == "end"
 
+    def test_faulted_robot_task_goes_to_the_robot_left(self, tmp_path):
+        """A robot that faults leaves the fleet: its task is re-solved at once.
+
+        The smoke scenario with robot b faulting at t=0, plus a second task
+        arriving later, which only robot a may take. b starts 1.5 m short of
+        the pickup so that, parked, it does not block it for robot a.
+        """
+        doc = yaml.safe_load((SCENARIOS / "smoke_two_robot.yaml").read_text())
+        for key in ("map", "travel_times"):
+            doc[key] = str(SCENARIOS / doc[key])
+        (tmp_path / "tasks.json").write_text(json.dumps([
+            {"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 60}]},
+            {"arrival": 5, "tasks": [{"start": 1, "end": 0, "deadline": 200}]},
+        ]))
+        doc["tasks"] = "tasks.json"
+        doc["agents"]["b"] = {"start": [6.5, 5.0], "params": {"r_safe": 1.0e+200}}
+        doc["duration"] = 70
+        path = tmp_path / "scenario.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        trace = run(load_scenario(path)).trace
+        (fault,) = trace.of_type("fault")
+        assert (fault["t"], fault["robot"]) == (0.0, 1)
+        assert fault["error"] == "safety: non-finite constraints"
+        events = [(e["t"], e["task"], e["event"], e["robot"]) for e in trace.of_type("task")]
+        assert events[:3] == [
+            (0.0, "t0", "arrival", None), (0.0, "t0", "assigned", 1),
+            (0.0, "t0", "assigned", 0),
+        ]
+        assert [e for e in events if e[2] == "assigned"][2:] == [(5.0, "t1", "assigned", 0)]
+        (done,) = [e for e in events if e[1:] == ("t0", "completed", 0)]
+        assert done[0] < 60.0
+
 
 def test_pedestrian_body_uses_controller_r_human(tmp_path):
     """params.controller.r_human sizes the pedestrian in the social-force

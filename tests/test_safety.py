@@ -236,7 +236,7 @@ class TestSolveClusterQP:
         assert dec.controls[0] == Control(-1.0, 0.0)
 
     def test_human_row_counts(self):
-        hum = HumanState(np.array([5.0, 5.0]), np.array([0.0, 0.0]))
+        hum = HumanState(5.0, 5.0, 0.0, 0.0)
         states = {0: RobotState(0, 0, 0, 0.0), 1: RobotState(2.0, 0, 0, 0.0)}
         noms = {0: Control(0, 0), 1: Control(0, 0)}
         hits = ObstaclePointSet(((3.0, 0.0), None))

@@ -290,6 +290,29 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="occupied cell"):
             load_scenario(write_scenario(tmp_path, doc, map_text=blocked))
 
+    @pytest.mark.parametrize("v_desired", [0, -1.0])
+    def test_human_speed_must_be_positive(self, tmp_path, v_desired):
+        doc = base_doc()
+        doc["humans"] = [{"start": [2.0, 2.0], "v_desired": 1.0},
+                         {"start": [2.0, 3.0], "v_desired": v_desired}]
+        with pytest.raises(ScenarioError, match=r"humans\[1\]\.v_desired: must be positive"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    def test_human_start_out_of_bounds(self, tmp_path):
+        doc = base_doc()
+        doc["humans"] = [{"start": [2.0, -0.5], "waypoints": [[4.0, 4.0]]}]
+        with pytest.raises(ScenarioError, match=r"humans\[0\]\.start: .* outside the map"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    def test_human_start_on_occupied_cell(self, tmp_path):
+        rows = ["." * 16 for _ in range(16)]
+        rows[11] = "...." + "#" + "." * 11  # the cell holding (2.2, 2.2)
+        blocked = "map 16 16 0.5 0 0\n" + "\n".join(rows) + "\n"
+        doc = base_doc()
+        doc["humans"] = [{"start": [2.2, 2.2]}]
+        with pytest.raises(ScenarioError, match=r"humans\[0\]\.start: .* occupied cell"):
+            load_scenario(write_scenario(tmp_path, doc, map_text=blocked))
+
     def test_agent_start_not_a_position(self, tmp_path):
         doc = base_doc()
         doc["agents"]["alpha"]["start"] = [1.0, 1.0, 2.0]

@@ -353,6 +353,43 @@ class TestDispatcher:
         assert kinds.count("unassigned") == 8
         assert d.counts()["unassigned"] == 8
 
+    def test_release_ends_carried_and_resolves_unpicked(self):
+        d = self.make()
+        d.dispatch(TaskRequest(0.0, (Task(1, 2, 100.0), Task(3, 4, 100.0))),
+                   {0: 1, 1: 0}, 0.0)
+        assert {d.records[t].robot for t in ("t0", "t1")} == {0}
+        d.complete_leg(0, 1, 1.0)  # robot 0 carries t0; t1 is unpicked
+        changed, events = d.release([0], {1: 0}, 1.0)
+        assert events == [
+            {"event": "unassigned", "task": "t0", "robot": 0},
+            {"event": "assigned", "task": "t1", "robot": 1},
+        ]
+        assert changed == {1}
+        assert 0 not in d.robot_legs
+        assert [leg.task_id for leg in d.robot_legs[1]] == ["t1", "t1"]
+        assert d.counts()["unassigned"] == 1 and d.counts()["in_flight"] == 1
+
+    def test_release_of_last_robot_leaves_tasks_unassigned(self):
+        d = self.make()
+        d.dispatch(TaskRequest(0.0, (Task(1, 2, 100.0),)), {0: 0}, 0.0)
+        changed, events = d.release([0], {}, 1.0)
+        assert events == [{"event": "unassigned", "task": "t0", "robot": None}]
+        assert changed == set() and not d.robot_legs
+        # later batches find no robot either
+        _, events = d.dispatch(TaskRequest(2.0, (Task(3, 4, 100.0),)), {}, 2.0)
+        assert [e["event"] for e in events] == ["arrival", "unassigned"]
+
+    def test_release_of_missed_carried_task_ends_it_once(self):
+        d = self.make()
+        d.dispatch(TaskRequest(0.0, (Task(1, 2, 5.0),)), {0: 0}, 0.0)
+        d.complete_leg(0, 1, 1.0)
+        d.check_deadlines(6.0)
+        _, events = d.release([0], {1: 0}, 6.0)
+        assert events == []
+        counts = d.counts()
+        assert counts["missed"] == 1
+        assert counts["unassigned"] == 0 and counts["in_flight"] == 0
+
 
 class TestCollectTravelTimes:
     # rooms pins that the measurement ignores room queues
