@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +52,7 @@ class TravelTimeGraph:
 
     locations: tuple[int, ...]
     weights: np.ndarray  # seconds, shape (n, n)
+    index: dict[int, int] = field(init=False, repr=False, compare=False)  # id -> row
 
     def __post_init__(self) -> None:
         n = len(self.locations)
@@ -58,22 +60,27 @@ class TravelTimeGraph:
             raise ValueError("weight matrix shape does not match locations")
         if len(set(self.locations)) != n:
             raise ValueError("duplicate location ids")
-        if not np.allclose(self.weights, self.weights.T, atol=1e-9):
+        bad = np.argwhere(~np.isfinite(self.weights))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(
+                f"row {i + 1}, column {j + 1} (location {self.locations[i]} to "
+                f"{self.locations[j]}): travel time {self.weights[i, j]} is not finite"
+            )
+        if not np.array_equal(self.weights, self.weights.T):
             raise ValueError("travel times must be symmetric")
         if np.any(np.diag(self.weights) != 0):
             raise ValueError("diagonal travel times must be zero")
         off = self.weights[~np.eye(n, dtype=bool)]
         if n > 1 and np.any(off <= 0):
             raise ValueError("off-diagonal travel times must be positive")
+        object.__setattr__(self, "index", {loc: k for k, loc in enumerate(self.locations)})
 
     def time(self, a: int, b: int) -> float:
-        try:
-            ia = self.locations.index(a)
-            ib = self.locations.index(b)
-        except ValueError:
-            missing = a if a not in self.locations else b
-            raise KeyError(f"unknown location {missing}") from None
-        return float(self.weights[ia, ib])
+        index = self.index
+        if a not in index or b not in index:
+            raise KeyError(f"unknown location {a if a not in index else b}")
+        return float(self.weights[index[a], index[b]])
 
     def to_text(self) -> str:
         header = " ".join(str(loc) for loc in self.locations)
@@ -157,70 +164,145 @@ def _check_locations(robots: dict[int, int], tasks: list[Task], g: TravelTimeGra
             raise KeyError(f"task {k} references an unknown location")
 
 
+class _Table(NamedTuple):
+    """A travel-time graph as the schedule search reads it."""
+
+    index: dict[int, int]  # location id -> row
+    rows: list[list[float]]  # rows[a][b]: the same doubles as weights[a, b]
+    entry: list[float]  # entry[b]: cheapest leg into b from another location
+
+
+def _table(g: TravelTimeGraph) -> _Table:
+    rows = g.weights.astype(float).tolist()
+    n = len(rows)
+    entry = [min((rows[a][b] for a in range(n) if a != b), default=0.0) for b in range(n)]
+    return _Table(g.index, rows, entry)
+
+
+def _bound_limit(t: float) -> float:
+    """The latest a branch's time plus its lower bound may be and the branch
+    still count as able to finish by ``t``.
+
+    A bound sums up to 16 legs in another order than the schedule adds
+    them, so the two can differ by a few rounding steps (relative 1e-15);
+    the margin is far wider than that, so a bound never cuts a branch that
+    could still finish by ``t``.
+    """
+    return t + 1e-9 * max(1.0, abs(t))
+
+
 def _best_schedule(
     start_loc: int,
     now: float,
     task_ids: tuple[int, ...],
     tasks: list[Task],
-    g: TravelTimeGraph,
+    table: _Table,
     pre_picked: frozenset[int],
     forced_first: tuple[int, str] | None,
+    cutoff: float,
 ) -> tuple[float, list[Leg]] | None:
     """Minimum-completion leg order for one robot over its assigned tasks.
 
-    Depth-first search over pickup/drop-off interleavings with hard-deadline
-    pruning and dominance pruning on (location, picked, done) states. Returns
-    None when no order meets every deadline.
+    Depth-first search over pickup/drop-off interleavings, trying legs in
+    (location, stage, task) order, with hard-deadline pruning and dominance
+    pruning on (location, picked, done) states; of the earliest-finishing
+    orders it returns the first one tried. Returns None when no order meets
+    every deadline and finishes by ``cutoff``.
+
+    A branch is also cut when it cannot finish strictly before the best
+    order found so far, or by the cutoff: when its time, plus the cheapest
+    way into each location it still has to visit, is already later. Each
+    such location must be entered at least once, and only a stay is free.
     """
-    full = frozenset(task_ids)
-    if forced_first is not None and forced_first[0] not in full:
+    index, rows, entry = table
+    bit = {t: 1 << i for i, t in enumerate(task_ids)}
+    full = (1 << len(task_ids)) - 1
+    if forced_first is not None and forced_first[0] not in bit:
         # the forced task is not assigned here (partial assignments during
         # search); its absence only shortens the schedule, keeping bounds valid
         forced_first = None
-    best: list[tuple[float, list[Leg]] | None] = [None]
-    visited: dict[tuple[int, frozenset, frozenset], float] = {}
+    order = sorted(
+        [(tasks[t].start, PICKUP, t) for t in task_ids]
+        + [(tasks[t].end, DROPOFF, t) for t in task_ids]
+    )
+    # (row of the location, task bit, is drop-off, deadline, position in order)
+    legs = [
+        (index[loc], bit[t], stage == DROPOFF,
+         tasks[t].deadline if stage == DROPOFF else math.inf, k)
+        for k, (loc, stage, t) in enumerate(order)
+    ]
+    first = None
+    if forced_first is not None:
+        # the robot's in-progress leg stays its first
+        first = [leg for leg, (_, stage, t) in zip(legs, order) if (t, stage) == forced_first]
 
-    def legs_from(picked: frozenset, done: frozenset, seq: list[Leg]) -> list[tuple[int, str, int]]:
-        if not seq and forced_first is not None:
-            # the robot's in-progress leg stays its first
-            t, stage = forced_first
-            return [(tasks[t].start if stage == PICKUP else tasks[t].end, stage, t)]
-        out = []
-        for t in task_ids:
-            if t in done:
+    def remaining(picked: int, done: int) -> tuple[list, int]:
+        """The legs open now, and the rows of every location still to visit."""
+        open_legs, rows_left = [], 0
+        for leg in legs:
+            x, b, drop = leg[:3]
+            if done & b or not drop and picked & b:
                 continue
-            if t in picked:
-                out.append((tasks[t].end, DROPOFF, t))
-            else:
-                out.append((tasks[t].start, PICKUP, t))
-        out.sort()
-        return out
+            rows_left |= 1 << x
+            if not drop or picked & b:
+                open_legs.append(leg)
+        return open_legs, rows_left
 
-    def dfs(loc: int, t_now: float, picked: frozenset, done: frozenset, seq: list[Leg]) -> None:
+    remaining_of: dict[tuple[int, int], tuple[list, int]] = {}
+    bound_of: dict[int, float] = {}  # rows to enter -> sum of their entry costs
+    visited: dict[tuple[int, int, int], float] = {}
+    path: list[tuple[int, float]] = []  # (position in order, arrival)
+    best_t = math.inf
+    best_path: list[tuple[int, float]] | None = None
+    limit = _bound_limit(cutoff)
+
+    def dfs(x: int, t_now: float, picked: int, done: int, options) -> None:
+        nonlocal best_t, best_path, limit
         if done == full:
-            if best[0] is None or t_now < best[0][0]:
-                best[0] = (t_now, list(seq))
+            if t_now < best_t:
+                best_t, best_path = t_now, path[:]
+                limit = min(limit, _bound_limit(t_now))
             return
-        if best[0] is not None and t_now >= best[0][0]:
+        if t_now >= best_t or t_now > cutoff:
             return
-        key = (loc, picked, done)
+        left = remaining_of.get((picked, done))
+        if left is None:
+            left = remaining_of[picked, done] = remaining(picked, done)
+        to_enter = left[1] & ~(1 << x)
+        bound = bound_of.get(to_enter)
+        if bound is None:
+            bound = bound_of[to_enter] = math.fsum(
+                e for y, e in enumerate(entry) if to_enter >> y & 1
+            )
+        if t_now + bound > limit:
+            return
+        key = (x, picked, done)
         prev = visited.get(key)
         if prev is not None and prev <= t_now:
             return
         visited[key] = t_now
-        for target, stage, t in legs_from(picked, done, seq):
-            arrive = t_now + g.time(loc, target)
-            if stage == DROPOFF and arrive > tasks[t].deadline:
+        row = rows[x]
+        for y, b, drop, deadline, k in options or left[0]:
+            arrive = t_now + row[y]
+            if arrive > deadline:
                 continue
-            seq.append(Leg(t, stage, target, arrive))
-            if stage == PICKUP:
-                dfs(target, arrive, picked | {t}, done, seq)
+            path.append((k, arrive))
+            if drop:
+                dfs(y, arrive, picked & ~b, done | b, None)
             else:
-                dfs(target, arrive, picked - {t}, done | {t}, seq)
-            seq.pop()
+                dfs(y, arrive, picked | b, done, None)
+            path.pop()
 
-    dfs(start_loc, now, frozenset(t for t in task_ids if t in pre_picked), frozenset(), [])
-    return best[0]
+    picked = 0
+    for t in task_ids:
+        if t in pre_picked:
+            picked |= bit[t]
+    dfs(index[start_loc], now, picked, 0, first)
+    if best_path is None or best_t > cutoff:
+        return None
+    return best_t, [
+        Leg(order[k][2], order[k][1], order[k][0], arrive) for k, arrive in best_path
+    ]
 
 
 def solve_exact(
@@ -259,28 +341,40 @@ def solve_exact(
     if not robot_ids:
         raise ValueError("no robots")
     n_tasks = len(tasks)
+    table = _table(g)
 
-    schedule_cache: dict[tuple[int, frozenset], tuple[float, list[Leg]] | None] = {}
+    # A robot's schedule depends only on its start location, its forced leg
+    # (when that leg's task is in the set) and its task set, so robots that
+    # agree on all three share one search. An entry holds the search's
+    # result and the cutoff it ran under; None means no schedule finishes by
+    # that cutoff, which stays true for any lower one.
+    schedule_cache: dict[tuple, tuple[tuple[float, list[Leg]] | None, float]] = {}
 
-    def robot_schedule(rid: int, assigned: frozenset[int]):
-        key = (rid, assigned)
-        if key not in schedule_cache:
-            schedule_cache[key] = _best_schedule(
-                robots[rid], now, tuple(sorted(assigned)), tasks, g,
-                pre_picked, forced_first.get(rid),
-            )
-        return schedule_cache[key]
+    def robot_schedule(rid: int, assigned: int, cutoff: float = math.inf):
+        forced = forced_first.get(rid)
+        if forced is not None and not assigned >> forced[0] & 1:
+            forced = None
+        key = (robots[rid], forced, assigned)
+        hit = schedule_cache.get(key)
+        if hit is not None and (hit[0] is not None or cutoff <= hit[1]):
+            return hit[0]
+        task_ids = tuple(t for t in range(n_tasks) if assigned >> t & 1)
+        sched = _best_schedule(
+            robots[rid], now, task_ids, tasks, table, pre_picked, forced, cutoff,
+        )
+        schedule_cache[key] = (sched, cutoff)
+        return sched
 
-    best: list[tuple[float, tuple, dict[int, frozenset]] | None] = [None]
+    best: list[tuple[float, tuple, dict[int, int]] | None] = [None]
 
-    def lex_key(assignment: dict[int, frozenset]) -> tuple:
+    def lex_key(assignment: dict[int, int]) -> tuple:
         parts = []
         for rid in robot_ids:
-            sched = robot_schedule(rid, assignment.get(rid, frozenset()))
+            sched = robot_schedule(rid, assignment.get(rid, 0))
             parts.append(tuple(leg.location for leg in sched[1]) if sched else ())
         return tuple(parts)
 
-    def assign(task_idx: int, assignment: dict[int, frozenset], completions: dict[int, float]) -> None:
+    def assign(task_idx: int, assignment: dict[int, int], completions: dict[int, float]) -> None:
         if best[0] is not None and max(completions.values(), default=now) > best[0][0]:
             return
         if task_idx == n_tasks:
@@ -291,11 +385,16 @@ def solve_exact(
             return
         candidates = [pinned[task_idx]] if task_idx in pinned else robot_ids
         for rid in candidates:
-            new_set = assignment.get(rid, frozenset()) | {task_idx}
-            sched = robot_schedule(rid, new_set)
+            old_set = assignment.get(rid, 0)
+            # a schedule that ends after the best makespan would make the next
+            # level return at once, so the search may stop at that makespan
+            sched = robot_schedule(
+                rid, old_set | 1 << task_idx,
+                math.inf if best[0] is None else best[0][0],
+            )
             if sched is None:
                 continue
-            assignment[rid] = new_set
+            assignment[rid] = old_set | 1 << task_idx
             old = completions.get(rid)
             completions[rid] = sched[0]
             assign(task_idx + 1, assignment, completions)
@@ -303,10 +402,10 @@ def solve_exact(
                 del completions[rid]
             else:
                 completions[rid] = old
-            if len(new_set) == 1:
-                del assignment[rid]
+            if old_set:
+                assignment[rid] = old_set
             else:
-                assignment[rid] = new_set - {task_idx}
+                del assignment[rid]
 
     assign(0, {}, {})
     if best[0] is None:
@@ -314,9 +413,9 @@ def solve_exact(
     assignment = best[0][2]
     legs: dict[int, list[Leg]] = {rid: [] for rid in robot_ids}
     for rid in robot_ids:
-        sched = robot_schedule(rid, assignment.get(rid, frozenset()))
+        sched = robot_schedule(rid, assignment.get(rid, 0))
         if sched:
-            legs[rid] = sched[1]
+            legs[rid] = list(sched[1])  # robots may share one cached search
     return Allocation(legs, [])
 
 

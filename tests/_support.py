@@ -12,7 +12,18 @@ import numpy as np
 
 from fleetsim.navigation import RoadwayNetwork
 from fleetsim.scenario import RobotSpec, Scenario, WorldParams
-from fleetsim.tasking import Task, TaskRequest, TravelTimeGraph
+from fleetsim.tasking import (
+    DROPOFF,
+    EXACT_MAX_ROBOTS,
+    EXACT_MAX_TASKS,
+    PICKUP,
+    Allocation,
+    Leg,
+    Task,
+    TaskRequest,
+    TravelTimeGraph,
+    _check_locations,
+)
 from fleetsim.world import LETHAL_COST, OccupancyGrid, inflate, load_map
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -233,6 +244,172 @@ def enumerate_best_makespan(robots, tasks, g, now):
         if ok and (best is None or makespan < best):
             best = makespan
     return best
+
+
+# The exact allocator without the cutoff, the location-entry bound or shared
+# searches: one plain interleaving search per (robot, task set). solve_exact
+# must return its allocations bit for bit.
+def _reference_best_schedule(
+    start_loc: int,
+    now: float,
+    task_ids: tuple[int, ...],
+    tasks: list[Task],
+    g: TravelTimeGraph,
+    pre_picked: frozenset[int],
+    forced_first: tuple[int, str] | None,
+) -> tuple[float, list[Leg]] | None:
+    """Minimum-completion leg order for one robot over its assigned tasks.
+
+    Depth-first search over pickup/drop-off interleavings with hard-deadline
+    pruning and dominance pruning on (location, picked, done) states. Returns
+    None when no order meets every deadline.
+    """
+    full = frozenset(task_ids)
+    if forced_first is not None and forced_first[0] not in full:
+        # the forced task is not assigned here (partial assignments during
+        # search); its absence only shortens the schedule, keeping bounds valid
+        forced_first = None
+    best: list[tuple[float, list[Leg]] | None] = [None]
+    visited: dict[tuple[int, frozenset, frozenset], float] = {}
+
+    def legs_from(picked: frozenset, done: frozenset, seq: list[Leg]) -> list[tuple[int, str, int]]:
+        if not seq and forced_first is not None:
+            # the robot's in-progress leg stays its first
+            t, stage = forced_first
+            return [(tasks[t].start if stage == PICKUP else tasks[t].end, stage, t)]
+        out = []
+        for t in task_ids:
+            if t in done:
+                continue
+            if t in picked:
+                out.append((tasks[t].end, DROPOFF, t))
+            else:
+                out.append((tasks[t].start, PICKUP, t))
+        out.sort()
+        return out
+
+    def dfs(loc: int, t_now: float, picked: frozenset, done: frozenset, seq: list[Leg]) -> None:
+        if done == full:
+            if best[0] is None or t_now < best[0][0]:
+                best[0] = (t_now, list(seq))
+            return
+        if best[0] is not None and t_now >= best[0][0]:
+            return
+        key = (loc, picked, done)
+        prev = visited.get(key)
+        if prev is not None and prev <= t_now:
+            return
+        visited[key] = t_now
+        for target, stage, t in legs_from(picked, done, seq):
+            arrive = t_now + g.time(loc, target)
+            if stage == DROPOFF and arrive > tasks[t].deadline:
+                continue
+            seq.append(Leg(t, stage, target, arrive))
+            if stage == PICKUP:
+                dfs(target, arrive, picked | {t}, done, seq)
+            else:
+                dfs(target, arrive, picked - {t}, done | {t}, seq)
+            seq.pop()
+
+    dfs(start_loc, now, frozenset(t for t in task_ids if t in pre_picked), frozenset(), [])
+    return best[0]
+
+
+def reference_solve_exact(
+    robots: dict[int, int],
+    tasks: list[Task],
+    g: TravelTimeGraph,
+    now: float,
+    pinned: dict[int, int] | None = None,
+    pre_picked: frozenset[int] = frozenset(),
+    forced_first: dict[int, tuple[int, str]] | None = None,
+) -> Allocation | None:
+    """Minimum-makespan allocation meeting every deadline, or None.
+
+    Branch-and-bound over task-to-robot assignments; each robot's legs are
+    ordered by an exhaustive interleaving search. ``pinned`` forces specific
+    tasks onto specific robots, ``pre_picked`` marks tasks already carried
+    (only their drop-off remains), and ``forced_first`` pins a robot's
+    in-progress leg as its first element. Ties break lexicographically by
+    (robot id, visit sequence).
+    """
+    if len(tasks) > EXACT_MAX_TASKS or len(robots) > EXACT_MAX_ROBOTS:
+        raise ValueError(
+            f"instance too large for exact search "
+            f"({len(tasks)} tasks, {len(robots)} robots); use solve_greedy"
+        )
+    _check_locations(robots, tasks, g)
+    pinned = dict(pinned or {})
+    forced_first = dict(forced_first or {})
+    for rid, (t, stage) in forced_first.items():
+        pinned.setdefault(t, rid)
+    for t in pre_picked:
+        if t not in pinned:
+            raise ValueError(f"carried task {t} must be pinned to its robot")
+
+    robot_ids = sorted(robots)
+    if not robot_ids:
+        raise ValueError("no robots")
+    n_tasks = len(tasks)
+
+    schedule_cache: dict[tuple[int, frozenset], tuple[float, list[Leg]] | None] = {}
+
+    def robot_schedule(rid: int, assigned: frozenset[int]):
+        key = (rid, assigned)
+        if key not in schedule_cache:
+            schedule_cache[key] = _reference_best_schedule(
+                robots[rid], now, tuple(sorted(assigned)), tasks, g,
+                pre_picked, forced_first.get(rid),
+            )
+        return schedule_cache[key]
+
+    best: list[tuple[float, tuple, dict[int, frozenset]] | None] = [None]
+
+    def lex_key(assignment: dict[int, frozenset]) -> tuple:
+        parts = []
+        for rid in robot_ids:
+            sched = robot_schedule(rid, assignment.get(rid, frozenset()))
+            parts.append(tuple(leg.location for leg in sched[1]) if sched else ())
+        return tuple(parts)
+
+    def assign(task_idx: int, assignment: dict[int, frozenset], completions: dict[int, float]) -> None:
+        if best[0] is not None and max(completions.values(), default=now) > best[0][0]:
+            return
+        if task_idx == n_tasks:
+            makespan = max(completions.values(), default=now)
+            key = lex_key(assignment)
+            if best[0] is None or (makespan, key) < (best[0][0], best[0][1]):
+                best[0] = (makespan, key, dict(assignment))
+            return
+        candidates = [pinned[task_idx]] if task_idx in pinned else robot_ids
+        for rid in candidates:
+            new_set = assignment.get(rid, frozenset()) | {task_idx}
+            sched = robot_schedule(rid, new_set)
+            if sched is None:
+                continue
+            assignment[rid] = new_set
+            old = completions.get(rid)
+            completions[rid] = sched[0]
+            assign(task_idx + 1, assignment, completions)
+            if old is None:
+                del completions[rid]
+            else:
+                completions[rid] = old
+            if len(new_set) == 1:
+                del assignment[rid]
+            else:
+                assignment[rid] = new_set - {task_idx}
+
+    assign(0, {}, {})
+    if best[0] is None:
+        return None
+    assignment = best[0][2]
+    legs: dict[int, list[Leg]] = {rid: [] for rid in robot_ids}
+    for rid in robot_ids:
+        sched = robot_schedule(rid, assignment.get(rid, frozenset()))
+        if sched:
+            legs[rid] = sched[1]
+    return Allocation(legs, [])
 
 
 def unicycle_closed_form(x0, y0, th0, v0, a, w, t):

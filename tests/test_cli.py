@@ -110,6 +110,20 @@ class TestRun:
         assert main(["run", str(bad), "--out", str(tmp_path / "t")]) == 2
         assert f"error: {where}:" in capsys.readouterr().err
 
+    def test_travel_table_not_finite(self, tmp_path, capsys):
+        rows = [ln.split() for ln in
+                (SCENARIOS / "tables" / "smoke_travel.txt").read_text().splitlines()]
+        rows[1][1] = rows[2][0] = "inf"
+        (tmp_path / "tt.txt").write_text("\n".join(" ".join(r) for r in rows) + "\n")
+        doc = yaml.safe_load((SCENARIOS / "smoke_two_robot.yaml").read_text())
+        for key in ("map", "tasks"):
+            doc[key] = str(SCENARIOS / doc[key])
+        doc["travel_times"] = "tt.txt"
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(bad), "--out", str(tmp_path / "t")]) == 2
+        assert "row 1, column 2" in capsys.readouterr().err
+
 
 class TestRender:
     def test_renders_frames(self, smoke_trace, tmp_path, capsys):

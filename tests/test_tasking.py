@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from fleetsim.tasking import (
     solve_greedy,
 )
 
-from _support import SCENARIOS, enumerate_best_makespan, straight_line_graph
+from _support import (
+    SCENARIOS,
+    enumerate_best_makespan,
+    reference_solve_exact,
+    straight_line_graph,
+)
 
 LINE = straight_line_graph({k: (float(k), 0.0) for k in range(5)})
 
@@ -62,6 +68,9 @@ class TestTravelTimeGraph:
         (np.array([[1.0, 2.0], [2.0, 0.0]]), "diagonal"),
         (np.array([[0.0, -1.0], [-1.0, 0.0]]), "positive"),
         (np.zeros((3, 3)), "shape"),
+        (np.array([[0.0, 1.0], [1.000001, 0.0]]), "symmetric"),
+        (np.array([[0.0, np.nan], [np.nan, 0.0]]), r"row 1, column 2 .* not finite"),
+        (np.array([[0.0, 1.0], [np.inf, 0.0]]), r"row 2, column 1 .* not finite"),
     ])
     def test_validation(self, weights, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -77,6 +86,9 @@ class TestTravelTimeGraph:
         ("0 1\n0 1\n", "matrix rows"),
         ("0 1\n0 1\n1\n", "entries"),
         ("0 1\n0 one\none 0\n", "malformed"),
+        ("0 1\n0 31.3\n31.3003 0\n", "symmetric"),
+        ("0 1\n0 nan\nnan 0\n", r"location 0 to 1\): travel time nan is not finite"),
+        ("0 1\n0 inf\ninf 0\n", r"location 0 to 1\): travel time inf is not finite"),
     ])
     def test_from_text_errors(self, text, fragment):
         with pytest.raises(ValueError, match=fragment):
@@ -115,6 +127,93 @@ class TestAllocationValidate:
         alloc = Allocation(legs={0: [Leg(0, PICKUP, 1, 4.5)], 1: []})
         assert alloc.makespan(0.0) == 4.5
         assert alloc.makespan(9.0) == 9.0
+
+
+def _legs(alloc: Allocation | None):
+    if alloc is None:
+        return None
+    return {
+        rid: [(leg.task, leg.stage, leg.location, leg.time.hex()) for leg in legs]
+        for rid, legs in alloc.legs.items()
+    }
+
+
+def _random_table(rng, kind: str, n: int) -> TravelTimeGraph:
+    if kind == "collinear":
+        points = [(float(x), 0.0) for x in rng.sample(range(12), n)]
+    else:
+        points = [(rng.uniform(0, 40), rng.uniform(0, 40)) for _ in range(n)]
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if kind == "non-metric":
+                v = rng.choice([rng.uniform(1, 40), rng.uniform(1, 5), rng.randint(1, 6)])
+            elif kind == "rounded":
+                v = max(0.1, round(math.dist(points[i], points[j]), 1))
+            else:
+                v = max(1.0, math.dist(points[i], points[j]))
+            w[i, j] = w[j, i] = v
+    ids = tuple(range(n)) if rng.random() < 0.5 else tuple(sorted(rng.sample(range(100), n)))
+    return TravelTimeGraph(ids, w)
+
+
+def _random_instance(rng):
+    """A solve_exact input: table kind, pinned, carried and forced legs, and
+    lifted (infinite) deadlines drawn at random."""
+    kind = rng.choice(["collinear", "plane", "non-metric", "rounded"])
+    g = _random_table(rng, kind, rng.randint(2, 6))
+    scale = float(g.weights.max())
+    n_tasks = rng.randint(1, 5)
+    now = rng.choice([0.0, rng.uniform(0, 500)])
+    robots = {r: rng.choice(g.locations) for r in rng.sample(range(6), rng.randint(1, 3))}
+    tasks = []
+    for _ in range(n_tasks):
+        a, b = rng.sample(g.locations, 2)
+        lifted = rng.random() < 0.1
+        deadline = now + rng.uniform(0.5, 2.5 * n_tasks) * scale
+        tasks.append(Task(a, b, math.inf if lifted else deadline))
+    pinned, carried, forced = {}, set(), {}
+    for k in range(n_tasks):
+        u = rng.random()
+        if u < 0.2:
+            pinned[k] = rng.choice(sorted(robots))
+            if u < 0.1:
+                carried.add(k)
+    for rid in sorted(robots):
+        # the in-progress leg: a carried task's drop-off or a free pickup
+        options = [(k, DROPOFF) for k in sorted(carried) if pinned[k] == rid] + [
+            (k, PICKUP) for k in range(n_tasks)
+            if k not in carried and pinned.get(k, rid) == rid
+            and all(f[0] != k for f in forced.values())
+        ]
+        if options and rng.random() < 0.15:
+            forced[rid] = rng.choice(options)
+    return (robots, tasks, g, now), dict(
+        pinned=pinned, pre_picked=frozenset(carried), forced_first=forced,
+    )
+
+
+# The seed-1 depot_dispatch batch of perfbench/workloads.py, the allocator's
+# largest instance (8 tasks x 6 robots), and the legs it was first solved to.
+_CAP_ROBOTS = {0: 0, 1: 0, 2: 4, 3: 4, 4: 4, 5: 1}
+_CAP_NOW = "0x1.b333333333334p-1"
+_CAP_TASKS = [
+    (0, 3, "0x1.9b92e05de2c56p+8"), (1, 2, "0x1.979afe26e2a8ep+8"),
+    (4, 5, "0x1.da0f232d02112p+8"), (3, 0, "0x1.baf445d277ec1p+8"),
+    (2, 1, "0x1.e407cdd9bd7fcp+8"), (5, 4, "0x1.c1a705df5fad8p+8"),
+    (0, 5, "0x1.b0689ce00b849p+8"), (1, 4, "0x1.2702a34cad127p+9"),
+]
+_CAP_LEGS = {
+    0: [],
+    1: [(0, PICKUP, 0, "0x1.b333333333334p-1"), (6, PICKUP, 0, "0x1.b333333333334p-1"),
+        (2, PICKUP, 4, "0x1.2e66666666667p+4"), (2, DROPOFF, 5, "0x1.42ccccccccccdp+5"),
+        (6, DROPOFF, 5, "0x1.42ccccccccccdp+5"), (0, DROPOFF, 3, "0x1.d000000000000p+5")],
+    2: [(1, PICKUP, 1, "0x1.2800000000000p+4"), (7, PICKUP, 1, "0x1.2800000000000p+4"),
+        (7, DROPOFF, 4, "0x1.2133333333333p+5"), (1, DROPOFF, 2, "0x1.0600000000000p+6")],
+    3: [(4, PICKUP, 2, "0x1.e333333333334p+4"), (4, DROPOFF, 1, "0x1.2266666666666p+6")],
+    4: [(3, PICKUP, 3, "0x1.eb33333333334p+4"), (3, DROPOFF, 0, "0x1.2400000000000p+6")],
+    5: [(5, PICKUP, 5, "0x1.ed9999999999ap+4"), (5, DROPOFF, 4, "0x1.a266666666666p+5")],
+}
 
 
 class TestSolveExact:
@@ -254,6 +353,26 @@ class TestSolveExact:
                 assert alloc is not None
                 assert alloc.makespan(0.0) == expected
                 alloc.validate()
+
+    def test_matches_reference_search(self):
+        """Same legs, to the last bit, as the search the allocator replaced."""
+        rng = random.Random(7)
+        outcomes = {"none": 0, "forced": 0, "carried": 0, "lifted": 0}
+        for _ in range(500):
+            args, kwargs = _random_instance(rng)
+            expected = _legs(reference_solve_exact(*args, **kwargs))
+            assert _legs(solve_exact(*args, **kwargs)) == expected, (args, kwargs)
+            outcomes["none"] += expected is None
+            outcomes["forced"] += bool(kwargs["forced_first"])
+            outcomes["carried"] += bool(kwargs["pre_picked"])
+            outcomes["lifted"] += any(math.isinf(t.deadline) for t in args[1])
+        assert min(outcomes.values()) >= 40, outcomes
+
+    def test_golden_allocation_at_the_cap(self):
+        g = TravelTimeGraph.from_text((SCENARIOS / "tables" / "depot_travel.txt").read_text())
+        tasks = [Task(a, b, float.fromhex(d)) for a, b, d in _CAP_TASKS]
+        alloc = solve_exact(_CAP_ROBOTS, tasks, g, float.fromhex(_CAP_NOW))
+        assert _legs(alloc) == _CAP_LEGS
 
 
 class TestSolveGreedy:
