@@ -30,6 +30,7 @@ from .dynamics import (
 from .navigation import (
     ARRIVE,
     QUEUE_WAIT,
+    Position,
     RoomQueue,
     WaypointPlan,
     expand_actions,
@@ -77,13 +78,20 @@ class _Robot:
         self.path_target: tuple[float, float] | None = None
         self.last_plan_time = -math.inf
         self.ref_location: int | None = None
-        self.queue_room: int | None = None
-        self.queue_index: int | None = None
         self.fault: str | None = None
         self.control = Control(0.0, 0.0)
 
     def position(self) -> tuple[float, float]:
         return (self.state.x, self.state.y)
+
+
+def _head(plan: WaypointPlan) -> tuple[str | None, int | None, Position | None]:
+    """Label kind, location and position of the plan's first labeled
+    waypoint; all None when it has none."""
+    for label, point in zip(plan.labels, plan.pending):
+        if label is not None:
+            return label[0], label[1], point
+    return None, None, None
 
 
 def _plan_through(costmap, position, targets, cost_weight: float) -> Path:
@@ -115,9 +123,7 @@ class _Engine:
         self.include_timing = include_timing
         self.net = scenario.roadways
         self.queues: dict[int, RoomQueue] = scenario.build_queues()
-        self.dispatcher = (
-            Dispatcher(scenario.travel_graph) if scenario.travel_graph else None
-        )
+        self.dispatcher = Dispatcher(scenario.travel_graph)
         self.robots = {spec.robot_id: _Robot(spec) for spec in scenario.robots}
         self.robot_ids = sorted(self.robots)
         for rt in self.robots.values():
@@ -153,22 +159,17 @@ class _Engine:
         rt.path = None
         rt.control = Control(0.0, 0.0)
         self.emit({"type": tr.FAULT, "t": self.now, "robot": rt.rid, "error": message})
+        q = self._queue_of(rt.rid)
+        if q is not None:
+            q.release(rt.rid, rt.position(), self.s.world.release_distance,
+                      tasks_exhausted=True)
+            self._queue_event(q, "release", rt.rid, None)
 
-    def _first_labeled(self, rt: _Robot) -> tuple[str, int] | None:
-        for label in rt.plan.labels:
-            if label is not None:
-                return label
-        return None
-
-    def _room_engaged(self, rt: _Robot, room: int) -> bool:
-        """The robot's current leg still targets this room."""
-        head = self._first_labeled(rt)
-        return head is not None and head[1] == room
-
-    def _next_queue_room(self, rt: _Robot) -> int | None:
-        head = self._first_labeled(rt)
-        if head is not None and head[0] == QUEUE_WAIT:
-            return head[1]
+    def _queue_of(self, rid: int) -> RoomQueue | None:
+        """The one room queue the robot is a member of, if any."""
+        for q in self.queues.values():
+            if q.index_of(rid) is not None:
+                return q
         return None
 
     def _waiting_in_queue(self, rt: _Robot) -> bool:
@@ -191,12 +192,10 @@ class _Engine:
         actions = [leg.location for leg in self.dispatcher.robot_legs.get(rid, [])]
         rt.plan = expand_actions(actions, self.net, rt.position(), self.queues, rid)
         rt.path = None
-        if rt.queue_room is not None and self._room_engaged(rt, rt.queue_room):
-            q = self.queues[rt.queue_room]
-            idx = q.index_of(rid)
-            if idx is not None:
-                rt.plan = on_queue_position(rt.plan, q, idx)
-                rt.queue_index = idx
+        q = self.queues.get(_head(rt.plan)[1])
+        idx = None if q is None else q.index_of(rid)
+        if idx is not None:
+            rt.plan = on_queue_position(rt.plan, q, idx)  # keep its place in line
 
     def emit_tasks(self, events: list[dict]) -> None:
         for ev in events:
@@ -207,11 +206,7 @@ class _Engine:
 
     def phase_arrivals(self, stream_pos: int) -> int:
         stream = self.s.task_stream
-        while (
-            self.dispatcher is not None
-            and stream_pos < len(stream)
-            and stream[stream_pos].arrival <= self.now + 1e-9
-        ):
+        while stream_pos < len(stream) and stream[stream_pos].arrival <= self.now + 1e-9:
             req = stream[stream_pos]
             stream_pos += 1
             self._apply(self.dispatcher.dispatch(req, self._fleet(), self.now))
@@ -257,76 +252,54 @@ class _Engine:
             for other in self.robot_ids
         )
 
-    def _try_grant(self, rid: int) -> None:
-        """Send the queue holder into the room once the doorway is clear."""
-        rt = self.robots[rid]
-        if rt.queue_room is None:
-            return
-        q = self.queues[rt.queue_room]
-        if q.holder != rid:
-            return
-        head = self._first_labeled(rt)
-        if head != (QUEUE_WAIT, q.room_id):
-            return
-        if not self._doorway_clear(q, rid):
-            return
-        rt.plan = on_queue_position(rt.plan, q, 0)
-        rt.queue_index = 0
-        rt.path = None  # retarget into the room
-        self._queue_event(q, "grant", rid, 0)
-
     def phase_queues(self) -> None:
         for rid in self.robot_ids:
             rt = self.robots[rid]
             if rt.fault:
                 continue
             pos = rt.position()
-            if rt.queue_room is not None:
-                q = self.queues[rt.queue_room]
-                if not self._room_engaged(rt, rt.queue_room):
-                    room = rt.queue_room
-                    spec = self.s.rooms[room]
-                    inside = point_in_polygon(pos, list(spec.polygon))
-                    no_tasks = self.dispatcher is None or not self.dispatcher.has_tasks(rid)
-                    reassigned = q.holder != rid
-                    exhausted = (no_tasks and not inside) or reassigned
-                    released = q.release(
-                        rid, pos, self.s.world.release_distance,
-                        tasks_exhausted=exhausted,
-                    )
-                    if released:
-                        rt.queue_room = None
-                        rt.queue_index = None
-                        self._queue_event(q, "release", rid, None)
-            if rt.queue_room is not None:
-                q = self.queues[rt.queue_room]
+            kind, room, waypoint = _head(rt.plan)
+            q = self._queue_of(rid)
+            if q is not None and room != q.room_id:
+                # the current leg no longer targets the queue's room
+                inside = point_in_polygon(pos, list(self.s.rooms[q.room_id].polygon))
+                no_tasks = not self.dispatcher.has_tasks(rid)
+                reassigned = q.holder != rid
+                exhausted = (no_tasks and not inside) or reassigned
+                if q.release(rid, pos, self.s.world.release_distance,
+                             tasks_exhausted=exhausted):
+                    self._queue_event(q, "release", rid, None)
+                    q = None
+            if q is not None and q.holder != rid:
+                # a waiting robot moves up when a robot ahead leaves; the
+                # holder moves only by its grant below
                 idx = q.index_of(rid)
-                if (
-                    idx is not None and idx != rt.queue_index
-                    and q.holder != rid  # holders advance via _try_grant
-                ):
+                if waypoint != q.slots[idx]:
                     rt.plan = on_queue_position(rt.plan, q, idx)
-                    rt.queue_index = idx
                     self._queue_event(q, "position", rid, idx)
-            if rt.queue_room is None:
-                room = self._next_queue_room(rt)
-                if room is not None:
-                    q = self.queues[room]
-                    room_pos = q.room_position
-                    threshold = self.s.world.queue_request_factor * math.dist(
-                        q.slots[-1], room_pos
-                    )
-                    if math.dist(pos, room_pos) <= threshold:
-                        idx = q.request_slot(rid)
-                        if idx is None:
-                            self._queue_event(q, "full", rid, None)
-                        else:
-                            rt.queue_room = room
-                            rt.queue_index = idx
-                            self._queue_event(q, "request", rid, idx)
-                            if q.holder != rid:
-                                rt.plan = on_queue_position(rt.plan, q, idx)
-            self._try_grant(rid)
+            if q is None and kind == QUEUE_WAIT:
+                q = self.queues[room]
+                room_pos = q.room_position
+                threshold = self.s.world.queue_request_factor * math.dist(
+                    q.slots[-1], room_pos
+                )
+                if math.dist(pos, room_pos) <= threshold:
+                    idx = q.request_slot(rid)
+                    if idx is None:
+                        self._queue_event(q, "full", rid, None)
+                    else:
+                        self._queue_event(q, "request", rid, idx)
+                        if q.holder != rid:
+                            rt.plan = on_queue_position(rt.plan, q, idx)
+            if (
+                q is not None and q.holder == rid
+                and (kind, room) == (QUEUE_WAIT, q.room_id)
+                and self._doorway_clear(q, rid)
+            ):
+                # the holder, still waiting, enters once the doorway is clear
+                rt.plan = on_queue_position(rt.plan, q, 0)
+                rt.path = None
+                self._queue_event(q, "grant", rid, 0)
 
     def phase_replan(self) -> None:
         for rid in self.robot_ids:
@@ -517,22 +490,18 @@ class _Engine:
                     })
                     if label is not None and label[0] == ARRIVE:
                         rt.ref_location = label[1]
-                        if self.dispatcher is not None:
-                            self.emit_tasks(
-                                self.dispatcher.complete_leg(rid, label[1], self.now)
-                            )
-            if not rt.plan.pending and (
-                self.dispatcher is None or not self.dispatcher.has_tasks(rid)
-            ):
+                        self.emit_tasks(
+                            self.dispatcher.complete_leg(rid, label[1], self.now)
+                        )
+            if not rt.plan.pending and not self.dispatcher.has_tasks(rid):
                 self._route_out_of_rooms(rt)
-        if self.dispatcher is not None:
-            faulted = [
-                rid for rid in self.robot_ids
-                if self.robots[rid].fault and self.dispatcher.has_tasks(rid)
-            ]
-            if faulted:
-                self._apply(self.dispatcher.release(faulted, self._fleet(), self.now))
-            self.emit_tasks(self.dispatcher.check_deadlines(self.now))
+        faulted = [
+            rid for rid in self.robot_ids
+            if self.robots[rid].fault and self.dispatcher.has_tasks(rid)
+        ]
+        if faulted:
+            self._apply(self.dispatcher.release(faulted, self._fleet(), self.now))
+        self.emit_tasks(self.dispatcher.check_deadlines(self.now))
 
     def _route_out_of_rooms(self, rt: _Robot) -> None:
         """An idle robot standing inside a room walks out past the queue line."""

@@ -25,14 +25,7 @@ ITERATION_LIMIT = "iteration_limit"
 class QPResult:
     x: np.ndarray
     status: str
-    active: tuple[int, ...]
-    multipliers: dict[int, float]
     iterations: int
-    objective: float
-
-
-def _objective(H: np.ndarray, g: np.ndarray, x: np.ndarray) -> float:
-    return float(0.5 * x @ H @ x + g @ x)
 
 
 def solve_qp(
@@ -45,8 +38,8 @@ def solve_qp(
 ) -> QPResult:
     """Solve ``min 0.5 x'Hx + g'x`` subject to ``Ax >= b``.
 
-    Returns the optimum with its active set and multipliers, or a result
-    flagged ``infeasible`` (no x satisfies the constraints) or
+    Returns the optimum and the number of active-set steps taken, or a
+    result flagged ``infeasible`` (no x satisfies the constraints) or
     ``iteration_limit``. Raises ValueError for non-SPD H or malformed shapes.
     """
     H = np.asarray(H, dtype=float)
@@ -79,8 +72,7 @@ def solve_qp(
     iterations = 0
 
     def result(status: str) -> QPResult:
-        mult = {k: v for k, v in zip(active, lam)}
-        return QPResult(x, status, tuple(active), mult, iterations, _objective(H, g, x))
+        return QPResult(x, status, iterations)
 
     while iterations < max_iter:
         slack = A @ x - b

@@ -340,6 +340,12 @@ def load_scenario(
         )
         if not slots:
             raise ScenarioError(f"{ctx}: queue_slots must not be empty")
+        for i, slot in enumerate(slots):
+            if slot in slots[:i]:
+                # two robots cannot wait at one spot
+                raise ScenarioError(
+                    f"{ctx}.queue_slots[{i}] repeats queue_slots[{slots.index(slot)}]"
+                )
         rooms[loc] = RoomSpec(loc, polygon, slots)
 
     graph = None

@@ -508,10 +508,11 @@ class Dispatcher:
     first element. Tasks whose deadline has already passed stay in the
     schedule with their deadline lifted, so they still get finished. Exact
     search is used within its scale caps, greedy beyond them or when the
-    exact problem has no deadline-respecting schedule.
+    exact problem has no deadline-respecting schedule. A scenario without
+    a travel-time graph has no tasks, so its dispatcher gets no request.
     """
 
-    def __init__(self, graph: TravelTimeGraph) -> None:
+    def __init__(self, graph: TravelTimeGraph | None) -> None:
         self.graph = graph
         self.records: dict[str, TaskRecord] = {}
         self.robot_legs: dict[int, list[DispatchLeg]] = {}
@@ -521,21 +522,6 @@ class Dispatcher:
 
     def has_tasks(self, robot: int) -> bool:
         return bool(self.robot_legs.get(robot))
-
-    def counts(self) -> dict[str, int]:
-        arrived = len(self.records)
-        completed = sum(1 for r in self.records.values() if r.completed)
-        missed = sum(1 for r in self.records.values() if r.missed)
-        unassigned = sum(
-            1 for r in self.records.values() if r.unassigned and not r.missed
-        )
-        return {
-            "arrived": arrived,
-            "completed": completed,
-            "missed": missed,
-            "unassigned": unassigned,
-            "in_flight": arrived - completed - missed - unassigned,
-        }
 
     # -- lifecycle transitions -------------------------------------------
 

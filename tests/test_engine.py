@@ -345,6 +345,62 @@ class TestRoomCoordination:
         assert not any(e["event"] == "missed" for e in result.trace.events
                        if e["type"] == "task")
 
+    def test_contention_trace_digest(self, tmp_path):
+        """Six deliveries into room 0 fill its queue, and robots move up a
+        slot as those ahead leave: the only pinned trace with ``position``
+        records."""
+        tasks = tmp_path / "tasks.json"
+        tasks.write_text(json.dumps([
+            {"arrival": 0, "tasks": [{"start": s, "end": 0, "deadline": 900}
+                                     for s in (2, 3, 2, 3)]},
+            {"arrival": 5, "tasks": [{"start": s, "end": 0, "deadline": 900}
+                                     for s in (2, 3)]},
+        ]))
+        scenario = load_scenario(
+            SCENARIOS / "rooms_four_robot.yaml", tasks_path=tasks, duration=300
+        )
+        trace = run(scenario).trace
+        queue = [(e["event"], e["robot"], e["index"]) for e in trace.of_type("queue")]
+        assert [q for q in queue if q[0] == "position"] == [
+            ("position", 2, 0), ("position", 3, 1), ("position", 3, 0),
+        ]
+        completed = [e for e in trace.of_type("task") if e["event"] == "completed"]
+        assert len(completed) == 6
+        text = "".join(dumps_record(r) + "\n" for r in [trace.header, *trace.events])
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "67c56bb0495cbfe1ec475ba97592ceeff0a622829d43feafca2bf286fc2f1516"
+        )
+
+    def test_faulted_holder_leaves_its_queue(self):
+        """Robot 1 faults at its grant into room 0: it releases the room in
+        the same tick, so robot 3, queued behind it, is granted."""
+        scenario = load_scenario(SCENARIOS / "rooms_four_robot.yaml", duration=200)
+        eng = engine._Engine(scenario, include_timing=False)
+        stream_pos = 0
+        for k in range(round(scenario.duration / scenario.control_period)):
+            eng.now = k * scenario.control_period
+            stream_pos = eng.phase_arrivals(stream_pos)
+            eng.phase_queues()
+            if eng.now == 3.75:
+                assert eng.events[-1]["event"] == "grant"
+                assert eng.events[-1]["robot"] == 1
+                eng._fault(eng.robots[1], "injected")
+            eng.phase_replan()
+            eng.phase_controls(eng.phase_clusters())
+            eng.phase_integrate()
+            eng.phase_bookkeeping()
+        queue = [(round(e["t"], 9), e["event"], e["robot"], e["holder"])
+                 for e in eng.events if e["type"] == "queue" and e["room"] == 0]
+        assert queue == [
+            (3.75, "request", 1, 1), (3.75, "grant", 1, 1),
+            (3.75, "release", 1, None),
+            (8.35, "request", 3, 3), (8.35, "grant", 3, 3),
+            (27.0, "release", 3, None),
+        ]
+        completed = {e["task"]: e["t"] for e in eng.events
+                     if e["type"] == "task" and e["event"] == "completed"}
+        assert completed["t1"] == pytest.approx(22.9, abs=1e-9)
+
 
 class TestDepotScenario:
     def test_six_robot_run_completes_all_tasks(self, depot_result):

@@ -225,7 +225,7 @@ class TestSolveClusterQP:
 
     def test_solver_failure_falls_back_to_stops(self, monkeypatch):
         def always_infeasible(H, g, A=None, b=None, **kw):
-            return QPResult(np.zeros(len(g)), INFEASIBLE, (), {}, 0, 0.0)
+            return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
 
         monkeypatch.setattr(safety, "solve_qp", always_infeasible)
         states = {0: RobotState(0, 0, 0, 0.5)}

@@ -240,6 +240,9 @@ class TestLoadScenario:
          "at least 3 vertices"),
         ({"location": 0, "polygon": [[0, 0], [1, 0], [1, 1]], "queue_slots": []},
          "queue_slots must not be empty"),
+        ({"location": 0, "polygon": [[0, 0], [1, 0], [1, 1]],
+          "queue_slots": [[2, 0], [3, 0], [2.0, 0.0]]},
+         "queue_slots.2. repeats queue_slots.0."),
     ])
     def test_room_validation(self, tmp_path, entry, fragment):
         doc = base_doc()

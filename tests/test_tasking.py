@@ -421,7 +421,7 @@ class TestDispatcher:
         assert d.robot_legs[0][0].stage == PICKUP
         assert d.has_tasks(0)
         assert changed == {0}
-        assert d.counts()["in_flight"] == 1
+        assert d.records["t0"].robot == 0 and not d.records["t0"].terminal
 
     def test_complete_leg_lifecycle(self):
         d = self.make()
@@ -431,7 +431,7 @@ class TestDispatcher:
         assert d.records["t0"].picked_at == 2.0
         events = d.complete_leg(0, 4, 4.0)
         assert [e["event"] for e in events] == ["dropoff", "completed"]
-        assert d.counts()["completed"] == 1
+        assert d.records["t0"].completed
         assert not d.has_tasks(0)
 
     def test_missed_deadline_reported_once(self):
@@ -441,7 +441,7 @@ class TestDispatcher:
         events = d.check_deadlines(6.0)
         assert [e["event"] for e in events] == ["missed"]
         assert d.check_deadlines(7.0) == []
-        assert d.counts()["missed"] == 1
+        assert d.records["t0"].missed
 
     def test_missed_task_kept_in_schedule(self):
         d = self.make()
@@ -470,7 +470,7 @@ class TestDispatcher:
         kinds = [e["event"] for e in events]
         # greedy fallback: one task fits the deadline, the rest are rejected
         assert kinds.count("unassigned") == 8
-        assert d.counts()["unassigned"] == 8
+        assert sum(rec.unassigned for rec in d.records.values()) == 8
 
     def test_release_ends_carried_and_resolves_unpicked(self):
         d = self.make()
@@ -486,7 +486,7 @@ class TestDispatcher:
         assert changed == {1}
         assert 0 not in d.robot_legs
         assert [leg.task_id for leg in d.robot_legs[1]] == ["t1", "t1"]
-        assert d.counts()["unassigned"] == 1 and d.counts()["in_flight"] == 1
+        assert d.records["t0"].unassigned and not d.records["t1"].terminal
 
     def test_release_of_last_robot_leaves_tasks_unassigned(self):
         d = self.make()
@@ -505,9 +505,7 @@ class TestDispatcher:
         d.check_deadlines(6.0)
         _, events = d.release([0], {1: 0}, 6.0)
         assert events == []
-        counts = d.counts()
-        assert counts["missed"] == 1
-        assert counts["unassigned"] == 0 and counts["in_flight"] == 0
+        assert d.records["t0"].missed and d.records["t0"].terminal
 
 
 class TestCollectTravelTimes:
