@@ -32,7 +32,7 @@ from .navigation import (
     QUEUE_WAIT,
     Position,
     RoomQueue,
-    WaypointPlan,
+    Waypoint,
     expand_actions,
     on_queue_position,
     point_in_polygon,
@@ -73,7 +73,7 @@ class _Robot:
         self.spec = spec
         self.rid: int = spec.robot_id
         self.state = RobotState(spec.start[0], spec.start[1], spec.heading, 0.0)
-        self.plan = WaypointPlan(spec.robot_id)
+        self.plan: list[Waypoint] = []
         self.path: Path | None = None
         self.path_target: tuple[float, float] | None = None
         self.last_plan_time = -math.inf
@@ -85,10 +85,10 @@ class _Robot:
         return (self.state.x, self.state.y)
 
 
-def _head(plan: WaypointPlan) -> tuple[str | None, int | None, Position | None]:
+def _head(plan: list[Waypoint]) -> tuple[str | None, int | None, Position | None]:
     """Label kind, location and position of the plan's first labeled
     waypoint; all None when it has none."""
-    for label, point in zip(plan.labels, plan.pending):
+    for point, label in plan:
         if label is not None:
             return label[0], label[1], point
     return None, None, None
@@ -155,7 +155,7 @@ class _Engine:
 
     def _fault(self, rt: _Robot, message: str) -> None:
         rt.fault = message
-        rt.plan = replace(rt.plan, pending=[], labels=[])
+        rt.plan = []
         rt.path = None
         rt.control = Control(0.0, 0.0)
         self.emit({"type": tr.FAULT, "t": self.now, "robot": rt.rid, "error": message})
@@ -173,29 +173,27 @@ class _Engine:
         return None
 
     def _waiting_in_queue(self, rt: _Robot) -> bool:
-        if not rt.plan.pending:
+        if not rt.plan:
             return False
-        label = rt.plan.labels[0]
+        point, label = rt.plan[0]
         if label is None or label[0] != QUEUE_WAIT:
             return False
-        return (
-            math.dist(rt.position(), rt.plan.pending[0]) <= 2.0 * rt.spec.params.d_arrive
-        )
+        return math.dist(rt.position(), point) <= 2.0 * rt.spec.params.d_arrive
 
     def _is_active(self, rt: _Robot) -> bool:
-        return bool(rt.plan.pending) and not rt.fault and not self._waiting_in_queue(rt)
+        return bool(rt.plan) and not rt.fault and not self._waiting_in_queue(rt)
 
     def _rebuild_plan(self, rid: int) -> None:
         rt = self.robots[rid]
         if rt.fault:
             return
         actions = [leg.location for leg in self.dispatcher.robot_legs.get(rid, [])]
-        rt.plan = expand_actions(actions, self.net, rt.position(), self.queues, rid)
+        rt.plan = expand_actions(actions, self.net, rt.position(), self.queues)
         rt.path = None
         q = self.queues.get(_head(rt.plan)[1])
         idx = None if q is None else q.index_of(rid)
         if idx is not None:
-            rt.plan = on_queue_position(rt.plan, q, idx)  # keep its place in line
+            rt.plan = on_queue_position(rt.plan, q, idx, rid)  # keep its place in line
 
     def emit_tasks(self, events: list[dict]) -> None:
         for ev in events:
@@ -275,7 +273,7 @@ class _Engine:
                 # holder moves only by its grant below
                 idx = q.index_of(rid)
                 if waypoint != q.slots[idx]:
-                    rt.plan = on_queue_position(rt.plan, q, idx)
+                    rt.plan = on_queue_position(rt.plan, q, idx, rid)
                     self._queue_event(q, "position", rid, idx)
             if q is None and kind == QUEUE_WAIT:
                 q = self.queues[room]
@@ -290,32 +288,32 @@ class _Engine:
                     else:
                         self._queue_event(q, "request", rid, idx)
                         if q.holder != rid:
-                            rt.plan = on_queue_position(rt.plan, q, idx)
+                            rt.plan = on_queue_position(rt.plan, q, idx, rid)
             if (
                 q is not None and q.holder == rid
                 and (kind, room) == (QUEUE_WAIT, q.room_id)
                 and self._doorway_clear(q, rid)
             ):
                 # the holder, still waiting, enters once the doorway is clear
-                rt.plan = on_queue_position(rt.plan, q, 0)
+                rt.plan = on_queue_position(rt.plan, q, 0, rid)
                 rt.path = None
                 self._queue_event(q, "grant", rid, 0)
 
     def phase_replan(self) -> None:
         for rid in self.robot_ids:
             rt = self.robots[rid]
-            if rt.fault or not rt.plan.pending:
+            if rt.fault or not rt.plan:
                 rt.path = None
                 continue
             if self._waiting_in_queue(rt):
                 continue
-            target = rt.plan.pending[0]
+            target = rt.plan[0].point
             expired = self.now - rt.last_plan_time >= self.s.replan_period - 1e-9
             if rt.path is not None and rt.path_target == target and not expired:
                 continue
             try:
                 rt.path = _plan_through(
-                    self.s.costmap, rt.position(), rt.plan.next_two(),
+                    self.s.costmap, rt.position(), [wp.point for wp in rt.plan[:2]],
                     self.s.world.cost_weight,
                 )
                 rt.path_target = target
@@ -354,11 +352,8 @@ class _Engine:
     def _leader_nominal(self, rt: _Robot) -> Control:
         if rt.path is not None:
             waypoint = lookahead_point(rt.path, rt.position(), rt.spec.params.delta)
-        elif rt.plan.pending:
-            waypoint = rt.plan.pending[0]
-        else:
-            return nominal_stop(rt.state, rt.spec.params)
-        return nominal_leader(rt.state, waypoint, rt.spec.params)
+            return nominal_leader(rt.state, waypoint, rt.spec.params)
+        return nominal_stop(rt.state, rt.spec.params)
 
     def phase_controls(self, partition: ClusterPartition) -> None:
         decided: dict[int, Control] = {}
@@ -477,9 +472,8 @@ class _Engine:
             rt = self.robots[rid]
             if rt.fault:
                 continue
-            if rt.plan.pending:
-                target = rt.plan.pending[0]
-                label = rt.plan.labels[0]
+            if rt.plan:
+                target, label = rt.plan[0]
                 is_wait = label is not None and label[0] == QUEUE_WAIT
                 if not is_wait and math.dist(rt.position(), target) <= rt.spec.params.d_arrive:
                     rt.plan = record_arrival(rt.plan)
@@ -493,7 +487,7 @@ class _Engine:
                         self.emit_tasks(
                             self.dispatcher.complete_leg(rid, label[1], self.now)
                         )
-            if not rt.plan.pending and not self.dispatcher.has_tasks(rid):
+            if not rt.plan and not self.dispatcher.has_tasks(rid):
                 self._route_out_of_rooms(rt)
         faulted = [
             rid for rid in self.robot_ids
@@ -519,7 +513,7 @@ class _Engine:
                 back[0] + direction[0] / norm,
                 back[1] + direction[1] / norm,
             )
-            rt.plan = replace(rt.plan, pending=[exit_point], labels=[None])
+            rt.plan = [Waypoint(exit_point, None)]
             rt.path = None
             return
 
@@ -646,12 +640,12 @@ def measure_travel_time(
     )
     engine = _Engine(solo, include_timing=False)
     rt = engine.robots[spec.robot_id]
-    rt.plan = expand_actions([loc_b], solo.roadways, start, {}, rt.rid)
+    rt.plan = expand_actions([loc_b], solo.roadways, start)
     # the partition elect_leaders gives a lone active robot
     partition = ClusterPartition((Cluster((rt.rid,), rt.rid, (rt.rid,)),))
     now = 0.0
     while now <= timeout:
-        if not rt.plan.pending:
+        if not rt.plan:
             return now
         engine.now = now
         engine.phase_replan()

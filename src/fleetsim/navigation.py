@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 log = logging.getLogger(__name__)
 
 Position = tuple[float, float]
 
-ROUTE_ENDPOINT_TOLERANCE = 0.5
-
-# pending-waypoint labels
+# waypoint labels
 ARRIVE = "arrive"  # reaching this waypoint completes travel to a location
 QUEUE_WAIT = "queue"  # hold at this waypoint until the room queue grants access
 Label = tuple[str, int] | None
@@ -29,20 +28,6 @@ class RoadwayNetwork:
 
     locations: dict[int, Position]
     routes: dict[tuple[int, int], list[Position]] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for loc, pos in self.locations.items():
-            if len(pos) != 2:
-                raise ValueError(f"location {loc}: position must be 2D")
-        for (a, b), pts in self.routes.items():
-            if a not in self.locations or b not in self.locations:
-                raise ValueError(f"route ({a}, {b}) references an unknown location")
-            if not pts:
-                raise ValueError(f"route ({a}, {b}) is empty")
-            if math.dist(pts[0], self.locations[a]) > ROUTE_ENDPOINT_TOLERANCE:
-                raise ValueError(f"route ({a}, {b}) does not start at location {a}")
-            if math.dist(pts[-1], self.locations[b]) > ROUTE_ENDPOINT_TOLERANCE:
-                raise ValueError(f"route ({a}, {b}) does not end at location {b}")
 
     def route(self, a: int, b: int) -> list[Position]:
         """Authored route, else the reverse of the opposite route, else a
@@ -144,27 +129,16 @@ def point_in_polygon(point: Position, polygon: list[Position]) -> bool:
     return inside
 
 
-@dataclass
-class WaypointPlan:
-    """A robot's remaining waypoints.
+class Waypoint(NamedTuple):
+    """One point of a robot's plan.
 
-    ``labels`` parallels ``pending``: None marks a plain travel waypoint,
-    (ARRIVE, loc) marks completion of travel to a location, (QUEUE_WAIT, loc)
-    marks a queue slot the robot must hold at until granted access.
+    ``label`` None marks a plain travel waypoint, (ARRIVE, loc) marks
+    completion of travel to a location, (QUEUE_WAIT, loc) marks a queue slot
+    the robot must hold at until granted access.
     """
 
-    robot_id: int
-    pending: list[Position] = field(default_factory=list)
-    labels: list[Label] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.labels:
-            self.labels = [None] * len(self.pending)
-        if len(self.labels) != len(self.pending):
-            raise ValueError("labels must parallel pending")
-
-    def next_two(self) -> list[Position]:
-        return self.pending[:2]
+    point: Position
+    label: Label
 
 
 def expand_actions(
@@ -172,8 +146,7 @@ def expand_actions(
     net: RoadwayNetwork,
     current: Position,
     queues: dict[int, RoomQueue] | None = None,
-    robot_id: int = 0,
-) -> WaypointPlan:
+) -> list[Waypoint]:
     """Turn an ordered location sequence into a waypoint plan.
 
     Routes are chained starting from the location nearest the robot, joining
@@ -185,57 +158,53 @@ def expand_actions(
     for loc in actions:
         if loc not in net.locations:
             raise KeyError(f"unknown location {loc}")
-    pending: list[Position] = []
-    labels: list[Label] = []
+    plan: list[Waypoint] = []
     chain = [net.nearest_location(current)] + list(actions)
     for a, b in zip(chain, chain[1:]):
         pts = net.route(a, b)
-        if pending and pts and math.dist(pts[0], pending[-1]) < 1e-9:
+        if plan and pts and math.dist(pts[0], plan[-1].point) < 1e-9:
             pts = pts[1:]
         for k, pt in enumerate(pts):
-            last = k == len(pts) - 1
-            pending.append(pt)
-            labels.append((ARRIVE, b) if last else None)
-        if not pts and (not pending or labels[-1] != (ARRIVE, b)):
+            plan.append(Waypoint(pt, (ARRIVE, b) if k == len(pts) - 1 else None))
+        if not pts and (not plan or plan[-1].label != (ARRIVE, b)):
             # zero-length leg after join-dedupe: still record the arrival
-            pending.append(net.locations[b])
-            labels.append((ARRIVE, b))
-    previous = list(labels)
-    for i, label in enumerate(previous):
+            plan.append(Waypoint(net.locations[b], (ARRIVE, b)))
+    # back to front, so plan[i - 1] still holds its label as expanded
+    for i in range(len(plan) - 1, -1, -1):
+        label = plan[i].label
         if label is None or label[0] != ARRIVE or label[1] not in queues:
             continue
-        if i > 0 and previous[i - 1] == label:
+        if i > 0 and plan[i - 1].label == label:
             continue  # consecutive services at one room share a single access
         q = queues[label[1]]
         if q.slots:
-            pending[i] = q.slots[-1]
-            labels[i] = (QUEUE_WAIT, label[1])
-    return WaypointPlan(robot_id, pending, labels)
+            plan[i] = Waypoint(q.slots[-1], (QUEUE_WAIT, label[1]))
+    return plan
 
 
-def on_queue_position(plan: WaypointPlan, q: RoomQueue, index: int) -> WaypointPlan:
+def on_queue_position(
+    plan: list[Waypoint], q: RoomQueue, index: int, robot: int
+) -> list[Waypoint]:
     """Retarget the plan's queue-wait waypoint to slot ``index``.
 
-    Once the robot holds index 0 with access granted, the wait waypoint
+    Once ``robot`` holds index 0 with access granted, the wait waypoint
     becomes the room itself. The waypoint must not stay on slot 0: the next
     occupant in line camps there, and routing the holder through an occupied
     slot would wedge both behind the safety filter.
     """
     if not 0 <= index < max(len(q.slots), 1):
         raise ValueError(f"slot index {index} out of range")
-    pending = list(plan.pending)
-    labels = list(plan.labels)
-    for i, label in enumerate(labels):
+    plan = list(plan)
+    for i, (_, label) in enumerate(plan):
         if label == (QUEUE_WAIT, q.room_id):
-            if index == 0 and q.holder == plan.robot_id:
-                pending[i] = q.room_position
-                labels[i] = (ARRIVE, q.room_id)
+            if index == 0 and q.holder == robot:
+                plan[i] = Waypoint(q.room_position, (ARRIVE, q.room_id))
             else:
-                pending[i] = q.slots[index]
+                plan[i] = Waypoint(q.slots[index], label)
             break
-    return replace(plan, pending=pending, labels=labels)
+    return plan
 
 
-def record_arrival(plan: WaypointPlan) -> WaypointPlan:
-    """Drop the reached first waypoint and its label."""
-    return replace(plan, pending=plan.pending[1:], labels=plan.labels[1:])
+def record_arrival(plan: list[Waypoint]) -> list[Waypoint]:
+    """Drop the reached first waypoint."""
+    return plan[1:]

@@ -26,6 +26,9 @@ from .world import Costmap, OccupancyGrid, inflate, load_map
 
 Position = tuple[float, float]
 
+# how far a roadway's first and last waypoints may lie from its locations
+ROUTE_ENDPOINT_TOLERANCE = 0.5
+
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
@@ -169,12 +172,14 @@ def _params_from(mapping: dict | None, base, context: str):
         raise ScenarioError(f"{context}: {exc}") from None
 
 
-def _check_free(grid: OccupancyGrid, position: Position, context: str) -> None:
-    """A start position must lie on the map, on a free cell."""
+def _free_position(grid: OccupancyGrid, value, context: str) -> Position:
+    """``value`` as [x, y], which must lie on the map, on a free cell."""
+    position = _position(value, context)
     if not grid.in_bounds(*position):
         raise ScenarioError(f"{context}: {position} is outside the map")
     if grid.is_occupied_cell(*grid.world_to_cell(*position)):
         raise ScenarioError(f"{context}: {position} lies on an occupied cell")
+    return position
 
 
 def _file_text(base: FsPath, name, context: str) -> str:
@@ -268,8 +273,7 @@ def load_scenario(
     for idx, (name, spec) in enumerate(agents_raw.items()):
         ctx = f"agents.{name}"
         _mapping(spec, ctx)
-        start = _position(_require(spec, "start", ctx), f"{ctx}.start")
-        _check_free(grid, start, f"{ctx}.start")
+        start = _free_position(grid, _require(spec, "start", ctx), f"{ctx}.start")
         params = _params_from(spec.get("params"), base_controller, f"{ctx}.params")
         robots.append(RobotSpec(
             robot_id=idx,
@@ -283,8 +287,7 @@ def load_scenario(
     for k, entry in enumerate(_list(doc.get("humans"), "humans")):
         ctx = f"humans[{k}]"
         _mapping(entry, ctx)
-        start = _position(_require(entry, "start", ctx), f"{ctx}.start")
-        _check_free(grid, start, f"{ctx}.start")
+        start = _free_position(grid, _require(entry, "start", ctx), f"{ctx}.start")
         wps = tuple(
             _position(w, f"{ctx}.waypoints[{i}]")
             for i, w in enumerate(_list(entry.get("waypoints"), f"{ctx}.waypoints"))
@@ -296,7 +299,7 @@ def load_scenario(
 
     locations: dict[int, Position] = {}
     for k, entry in enumerate(_list(doc.get("locations"), "locations")):
-        locations[k] = _position(entry, f"locations[{k}]")
+        locations[k] = _free_position(grid, entry, f"locations[{k}]")
 
     routes: dict[tuple[int, int], list[Position]] = {}
     for k, entry in enumerate(_list(doc.get("roadways"), "roadways")):
@@ -305,19 +308,25 @@ def load_scenario(
         a = _number(_require(entry, "from", ctx), f"{ctx}.from", int)
         b = _number(_require(entry, "to", ctx), f"{ctx}.to", int)
         wps = [
-            _position(w, f"{ctx}.waypoints[{i}]")
+            _free_position(grid, w, f"{ctx}.waypoints[{i}]")
             for i, w in enumerate(
                 _list(_require(entry, "waypoints", ctx), f"{ctx}.waypoints")
             )
         ]
         if a not in locations or b not in locations:
             raise ScenarioError(f"{ctx}: references unknown location {a if a not in locations else b}")
+        if (a, b) in routes:
+            # routes holds one pair per earlier entry, in entry order
+            first = list(routes).index((a, b))
+            raise ScenarioError(f"{ctx} repeats roadways[{first}] (from {a} to {b})")
+        if not wps:
+            raise ScenarioError(f"{ctx}: waypoints must not be empty")
+        if math.dist(wps[0], locations[a]) > ROUTE_ENDPOINT_TOLERANCE:
+            raise ScenarioError(f"{ctx}: does not start at location {a}")
+        if math.dist(wps[-1], locations[b]) > ROUTE_ENDPOINT_TOLERANCE:
+            raise ScenarioError(f"{ctx}: does not end at location {b}")
         routes[(a, b)] = wps
     net = RoadwayNetwork(dict(locations), routes)
-    try:
-        net.validate()
-    except ValueError as exc:
-        raise ScenarioError(f"roadways: {exc}") from None
 
     rooms: dict[int, RoomSpec] = {}
     for k, entry in enumerate(_list(doc.get("rooms"), "rooms")):
@@ -333,7 +342,7 @@ def load_scenario(
         if len(polygon) < 3:
             raise ScenarioError(f"{ctx}: polygon needs at least 3 vertices")
         slots = tuple(
-            _position(s, f"{ctx}.queue_slots[{i}]")
+            _free_position(grid, s, f"{ctx}.queue_slots[{i}]")
             for i, s in enumerate(
                 _list(_require(entry, "queue_slots", ctx), f"{ctx}.queue_slots")
             )

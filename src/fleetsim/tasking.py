@@ -347,8 +347,9 @@ def solve_exact(
     # (when that leg's task is in the set) and its task set, so robots that
     # agree on all three share one search. An entry holds the search's
     # result and the cutoff it ran under; None means no schedule finishes by
-    # that cutoff, which stays true for any lower one.
-    schedule_cache: dict[tuple, tuple[tuple[float, list[Leg]] | None, float]] = {}
+    # that cutoff, which stays true for any lower one. A schedule carries its
+    # visit sequence, the robot's part of the tie-break key.
+    schedule_cache: dict[tuple, tuple[tuple[float, list[Leg], tuple] | None, float]] = {}
 
     def robot_schedule(rid: int, assigned: int, cutoff: float = math.inf):
         forced = forced_first.get(rid)
@@ -362,17 +363,19 @@ def solve_exact(
         sched = _best_schedule(
             robots[rid], now, task_ids, tasks, table, pre_picked, forced, cutoff,
         )
+        if sched is not None:
+            sched = (*sched, tuple(leg.location for leg in sched[1]))
         schedule_cache[key] = (sched, cutoff)
         return sched
 
     best: list[tuple[float, tuple, dict[int, int]] | None] = [None]
 
     def lex_key(assignment: dict[int, int]) -> tuple:
-        parts = []
-        for rid in robot_ids:
-            sched = robot_schedule(rid, assignment.get(rid, 0))
-            parts.append(tuple(leg.location for leg in sched[1]) if sched else ())
-        return tuple(parts)
+        # every assigned robot's schedule was found on the way down
+        return tuple(
+            robot_schedule(rid, assignment[rid])[2] if rid in assignment else ()
+            for rid in robot_ids
+        )
 
     def assign(task_idx: int, assignment: dict[int, int], completions: dict[int, float]) -> None:
         if best[0] is not None and max(completions.values(), default=now) > best[0][0]:

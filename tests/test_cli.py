@@ -24,6 +24,14 @@ MALFORMED = {
     "roadways[0].from": lambda d: d.update(roadways=[
         {"from": "x", "to": 1, "waypoints": [[1.5, 1.5], [6.5, 6.5]]},
     ]),
+    "locations[1]": lambda d: d.update(locations=[[1.5, 1.5], [0.1, 0.1]]),
+    "roadways[0].waypoints[1]": lambda d: d.update(roadways=[
+        {"from": 0, "to": 1, "waypoints": [[1.5, 1.5], [50.0, 50.0], [6.5, 6.5]]},
+    ]),
+    "rooms[0].queue_slots[0]": lambda d: d.update(rooms=[{
+        "location": 1, "polygon": [[5.5, 5.5], [7.5, 5.5], [7.5, 7.5], [5.5, 7.5]],
+        "queue_slots": [[0.1, 6.5]],
+    }]),
     "map": lambda d: d.update(map=5),
     "travel_times": lambda d: d.update(travel_times=5),
     "tasks": lambda d: d.update(tasks=5),

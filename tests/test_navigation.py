@@ -7,7 +7,7 @@ from fleetsim.navigation import (
     QUEUE_WAIT,
     RoadwayNetwork,
     RoomQueue,
-    WaypointPlan,
+    Waypoint,
     expand_actions,
     on_queue_position,
     point_in_polygon,
@@ -20,7 +20,6 @@ LOCS = {0: (0.0, 0.0), 1: (4.0, 0.0), 2: (4.0, 4.0)}
 class TestRoadwayNetwork:
     def test_authored_route(self):
         net = RoadwayNetwork(dict(LOCS), {(0, 1): [(0.0, 0.0), (2.0, 1.0), (4.0, 0.0)]})
-        net.validate()
         assert net.route(0, 1) == [(0.0, 0.0), (2.0, 1.0), (4.0, 0.0)]
 
     def test_reversed_fallback(self):
@@ -37,20 +36,6 @@ class TestRoadwayNetwork:
             net.route(0, 9)
         with pytest.raises(KeyError):
             net.route(9, 0)
-
-    def test_validate_rejects_detached_route(self):
-        net = RoadwayNetwork(dict(LOCS), {(0, 1): [(2.0, 2.0), (4.0, 0.0)]})
-        with pytest.raises(ValueError, match="start"):
-            net.validate()
-        net = RoadwayNetwork(dict(LOCS), {(0, 1): [(0.0, 0.0), (2.0, 2.0)]})
-        with pytest.raises(ValueError, match="end"):
-            net.validate()
-
-    def test_validate_rejects_unknown_and_empty(self):
-        with pytest.raises(ValueError, match="unknown"):
-            RoadwayNetwork(dict(LOCS), {(0, 9): [(0.0, 0.0)]}).validate()
-        with pytest.raises(ValueError, match="empty"):
-            RoadwayNetwork(dict(LOCS), {(0, 1): []}).validate()
 
     def test_nearest_location_tie_prefers_lowest_id(self):
         net = RoadwayNetwork({3: (0.0, 0.0), 1: (2.0, 0.0)})
@@ -154,21 +139,6 @@ class TestRoomQueue:
         assert q.index_of(3) == 1
 
 
-class TestWaypointPlan:
-    def test_labels_default_to_none(self):
-        plan = WaypointPlan(0, [(1.0, 0.0), (2.0, 0.0)])
-        assert plan.labels == [None, None]
-
-    def test_label_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="parallel"):
-            WaypointPlan(0, [(1.0, 0.0)], labels=[None, None])
-
-    def test_next_two(self):
-        plan = WaypointPlan(0, [(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)])
-        assert plan.next_two() == [(1.0, 0.0), (2.0, 0.0)]
-        assert WaypointPlan(0, []).next_two() == []
-
-
 class TestExpandActions:
     NET = RoadwayNetwork(
         dict(LOCS),
@@ -176,24 +146,27 @@ class TestExpandActions:
     )
 
     def test_chains_routes_with_labels(self):
-        plan = expand_actions([1, 2], self.NET, (0.1, 0.0), robot_id=4)
-        assert plan.robot_id == 4
-        assert plan.pending == [
-            (0.0, 0.0), (2.0, 1.0), (4.0, 0.0),  # authored 0 -> 1
-            (4.0, 4.0),  # straight 1 -> 2 with the join point dropped
+        plan = expand_actions([1, 2], self.NET, (0.1, 0.0))
+        assert plan == [
+            Waypoint((0.0, 0.0), None),  # authored 0 -> 1
+            Waypoint((2.0, 1.0), None),
+            Waypoint((4.0, 0.0), (ARRIVE, 1)),
+            Waypoint((4.0, 4.0), (ARRIVE, 2)),  # straight 1 -> 2, join point dropped
         ]
-        assert plan.labels == [None, None, (ARRIVE, 1), (ARRIVE, 2)]
 
     def test_starts_from_nearest_location(self):
         plan = expand_actions([0], self.NET, (3.9, 0.2))
         # nearest is location 1; route is the reversed authored one
-        assert plan.pending == [(4.0, 0.0), (2.0, 1.0), (0.0, 0.0)]
-        assert plan.labels[-1] == (ARRIVE, 0)
+        assert plan == [
+            Waypoint((4.0, 0.0), None),
+            Waypoint((2.0, 1.0), None),
+            Waypoint((0.0, 0.0), (ARRIVE, 0)),
+        ]
 
     def test_repeat_visit_still_records_arrival(self):
         plan = expand_actions([1, 1], self.NET, (0.0, 0.0))
-        assert plan.labels.count((ARRIVE, 1)) == 2
-        assert plan.pending[-1] == (4.0, 0.0)
+        assert [wp.label for wp in plan].count((ARRIVE, 1)) == 2
+        assert plan[-1] == Waypoint((4.0, 0.0), (ARRIVE, 1))
 
     def test_unknown_action_rejected(self):
         with pytest.raises(KeyError):
@@ -205,76 +178,67 @@ class TestExpandActions:
     def test_room_destination_targets_back_slot(self):
         q = self._queues()
         plan = expand_actions([1, 2], self.NET, (0.1, 0.0), queues=q)
-        assert plan.pending[-1] == (4.0, 1.0)  # last slot, not the room
-        assert plan.labels[-1] == (QUEUE_WAIT, 2)
-        assert plan.labels[-2] == (ARRIVE, 1)
+        assert plan[-1] == Waypoint((4.0, 1.0), (QUEUE_WAIT, 2))  # last slot, not the room
+        assert plan[-2] == Waypoint((4.0, 0.0), (ARRIVE, 1))
 
     def test_consecutive_room_visits_share_one_access(self):
         q = self._queues()
         plan = expand_actions([2, 2], self.NET, (0.1, 0.0), queues=q)
-        waits = [lab for lab in plan.labels if lab == (QUEUE_WAIT, 2)]
-        arrives = [lab for lab in plan.labels if lab == (ARRIVE, 2)]
-        assert len(waits) == 1 and len(arrives) == 1
         # the second visit keeps the room itself as its waypoint
-        assert plan.pending[plan.labels.index((ARRIVE, 2))] == (4.0, 4.0)
+        assert [wp for wp in plan if wp.label is not None] == [
+            Waypoint((4.0, 1.0), (QUEUE_WAIT, 2)),
+            Waypoint((4.0, 4.0), (ARRIVE, 2)),
+        ]
 
     def test_separated_room_visits_queue_twice(self):
         q = self._queues()
         plan = expand_actions([2, 0, 2], self.NET, (0.1, 0.0), queues=q)
-        waits = [lab for lab in plan.labels if lab == (QUEUE_WAIT, 2)]
-        assert len(waits) == 2
+        waits = [wp for wp in plan if wp.label == (QUEUE_WAIT, 2)]
+        assert waits == [Waypoint((4.0, 1.0), (QUEUE_WAIT, 2))] * 2
 
     def test_roomless_queue_without_slots_untouched(self):
         q = {2: RoomQueue(2, slots=[], room_position=(4.0, 4.0))}
         plan = expand_actions([2], self.NET, (0.1, 0.0), queues=q)
-        assert plan.labels[-1] == (ARRIVE, 2)
+        assert plan[-1] == Waypoint((4.0, 4.0), (ARRIVE, 2))
 
 
 class TestOnQueuePosition:
     def make_plan(self):
         q = RoomQueue(3, slots=[(1.0, 0.0), (2.0, 0.0)], room_position=(0.0, 0.0))
-        plan = WaypointPlan(
-            5,
-            [(9.0, 9.0), (2.0, 0.0)],
-            labels=[None, (QUEUE_WAIT, 3)],
-        )
+        plan = [Waypoint((9.0, 9.0), None), Waypoint((2.0, 0.0), (QUEUE_WAIT, 3))]
         return plan, q
 
     def test_moves_to_granted_slot(self):
         plan, q = self.make_plan()
-        out = on_queue_position(plan, q, 0)
-        assert out.pending[1] == (1.0, 0.0)
-        assert out.labels[1] == (QUEUE_WAIT, 3)
+        out = on_queue_position(plan, q, 0, 5)
+        assert out[1] == Waypoint((1.0, 0.0), (QUEUE_WAIT, 3))
 
     def test_holder_targets_room(self):
         plan, q = self.make_plan()
         q.holder = 5
-        out = on_queue_position(plan, q, 0)
-        assert out.pending[1] == (0.0, 0.0)
-        assert out.labels[1] == (ARRIVE, 3)
+        out = on_queue_position(plan, q, 0, 5)
+        assert out[1] == Waypoint((0.0, 0.0), (ARRIVE, 3))
 
     def test_index_out_of_range(self):
         plan, q = self.make_plan()
         with pytest.raises(ValueError, match="out of range"):
-            on_queue_position(plan, q, 2)
+            on_queue_position(plan, q, 2, 5)
 
     def test_only_first_wait_retargeted(self):
         q = RoomQueue(3, slots=[(1.0, 0.0)], room_position=(0.0, 0.0))
-        plan = WaypointPlan(
-            5,
-            [(2.0, 0.0), (5.0, 5.0), (2.0, 0.0)],
-            labels=[(QUEUE_WAIT, 3), None, (QUEUE_WAIT, 3)],
-        )
-        out = on_queue_position(plan, q, 0)
-        assert out.pending[0] == (1.0, 0.0)
-        assert out.pending[2] == (2.0, 0.0)
+        plan = [
+            Waypoint((2.0, 0.0), (QUEUE_WAIT, 3)),
+            Waypoint((5.0, 5.0), None),
+            Waypoint((2.0, 0.0), (QUEUE_WAIT, 3)),
+        ]
+        out = on_queue_position(plan, q, 0, 5)
+        assert out[0] == Waypoint((1.0, 0.0), (QUEUE_WAIT, 3))
+        assert out[2] == Waypoint((2.0, 0.0), (QUEUE_WAIT, 3))
 
 
 class TestRecordArrival:
     def test_drops_reached_waypoint_and_label(self):
-        plan = WaypointPlan(4, [(1.0, 0.0), (2.0, 0.0)], labels=[None, (ARRIVE, 1)])
+        plan = [Waypoint((1.0, 0.0), None), Waypoint((2.0, 0.0), (ARRIVE, 1))]
         out = record_arrival(plan)
-        assert out.pending == [(2.0, 0.0)]
-        assert out.labels == [(ARRIVE, 1)]
-        assert out.robot_id == 4
-        assert plan.pending == [(1.0, 0.0), (2.0, 0.0)]  # input left as it was
+        assert out == [Waypoint((2.0, 0.0), (ARRIVE, 1))]
+        assert plan[0] == Waypoint((1.0, 0.0), None)  # input left as it was

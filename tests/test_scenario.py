@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import pytest
 import yaml
@@ -213,8 +214,64 @@ class TestLoadScenario:
         doc["roadways"] = [
             {"from": 0, "to": 1, "waypoints": [[1.0, 1.0], [5.0, 5.0]]},
         ]
-        with pytest.raises(ScenarioError, match="roadways:"):
+        with pytest.raises(ScenarioError, match=r"roadways\[0\]: does not end"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("waypoints,fragment", [
+        pytest.param([[3.0, 3.0], [6.0, 6.0]], "does not start at location 0", id="start"),
+        pytest.param([[1.0, 1.0], [3.0, 3.0]], "does not end at location 1", id="end"),
+        pytest.param([], "waypoints must not be empty", id="empty"),
+    ])
+    def test_roadway_must_join_its_locations(self, tmp_path, waypoints, fragment):
+        doc = base_doc()
+        doc["roadways"] = [
+            {"from": 1, "to": 0, "waypoints": [[6.0, 6.0], [1.0, 1.0]]},
+            {"from": 0, "to": 1, "waypoints": waypoints},
+        ]
+        with pytest.raises(ScenarioError, match=rf"roadways\[1\]: {fragment}"):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    def test_roadway_repeated_pair(self, tmp_path):
+        doc = base_doc()
+        doc["roadways"] = [
+            {"from": 0, "to": 1, "waypoints": [[1.0, 1.0], [6.0, 6.0]]},
+            {"from": 1, "to": 0, "waypoints": [[6.0, 6.0], [1.0, 1.0]]},
+            {"from": 0, "to": 1, "waypoints": [[1.0, 1.0], [1.0, 6.0], [6.0, 6.0]]},
+        ]
+        with pytest.raises(
+            ScenarioError, match=r"^roadways\[2\] repeats roadways\[0\] \(from 0 to 1\)$"
+        ):
+            load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("key", [
+        "locations[1]", "roadways[0].waypoints[1]", "rooms[0].queue_slots[1]",
+    ])
+    @pytest.mark.parametrize("point,fragment", [
+        pytest.param([3.2, 3.2], "lies on an occupied cell", id="wall"),
+        pytest.param([50.0, 50.0], "is outside the map", id="off_map"),
+    ])
+    def test_plan_points_must_be_free(self, tmp_path, key, point, fragment):
+        rows = ["." * 16 for _ in range(16)]
+        rows[9] = "......#" + "." * 9  # the cell holding (3.2, 3.2)
+        blocked = "map 16 16 0.5 0 0\n" + "\n".join(rows) + "\n"
+        doc = base_doc()
+        doc["roadways"] = [
+            {"from": 0, "to": 1, "waypoints": [[1.0, 1.0], [6.0, 1.0], [6.0, 6.0]]},
+        ]
+        doc["rooms"] = [{
+            "location": 1,
+            "polygon": [[5.0, 5.0], [7.0, 5.0], [7.0, 7.0], [5.0, 7.0]],
+            "queue_slots": [[3.0, 6.0], [2.0, 6.0]],
+        }]
+        load_scenario(write_scenario(tmp_path, doc, map_text=blocked))
+        if key == "locations[1]":
+            doc["locations"][1] = point
+        elif key.startswith("roadways"):
+            doc["roadways"][0]["waypoints"][1] = point
+        else:
+            doc["rooms"][0]["queue_slots"][1] = point
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(key)}: .* {fragment}$"):
+            load_scenario(write_scenario(tmp_path, doc, map_text=blocked))
 
     def test_rooms_parsed(self, tmp_path):
         doc = base_doc()
