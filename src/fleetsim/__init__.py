@@ -1,6 +1,6 @@
 """Deterministic multi-robot task-allocation simulator with CBF-QP safety control."""
 
-from .engine import RunResult, measure_travel_time, run
+from .engine import RunResult, collect_travel_times, measure_travel_time, run
 from .metrics import MetricsReport, compute_metrics
 from .render import render_trace
 from .scenario import Scenario, ScenarioError, load_scenario, load_task_stream
@@ -10,7 +10,6 @@ from .tasking import (
     Task,
     TaskRequest,
     TravelTimeGraph,
-    collect_travel_times,
     solve_exact,
     solve_greedy,
 )

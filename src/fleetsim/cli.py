@@ -10,11 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import run as run_engine
+from .engine import collect_travel_times, run as run_engine
 from .metrics import compute_metrics
 from .render import render_trace
 from .scenario import ScenarioError, load_scenario
-from .tasking import collect_travel_times
 from .trace import TraceError, read_trace, write_trace
 
 

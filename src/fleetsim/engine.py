@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+
+import numpy as np
 
 from . import trace as tr
 from .coordination import (
@@ -47,7 +49,7 @@ from .safety import (
     stop_control,
 )
 from .scenario import Scenario
-from .tasking import Dispatcher
+from .tasking import Dispatcher, TravelTimeGraph
 from .trace import Trace
 from .world import raycast
 
@@ -69,9 +71,9 @@ class RunResult:
 class _Robot:
     """Mutable per-robot runtime state."""
 
-    def __init__(self, spec) -> None:
-        self.spec = spec
-        self.rid: int = spec.robot_id
+    def __init__(self, rid: int, spec) -> None:
+        self.rid = rid
+        self.params = spec.params
         self.state = RobotState(spec.start[0], spec.start[1], spec.heading, 0.0)
         self.plan: list[Waypoint] = []
         self.path: Path | None = None
@@ -124,9 +126,8 @@ class _Engine:
         self.net = scenario.roadways
         self.queues: dict[int, RoomQueue] = scenario.build_queues()
         self.dispatcher = Dispatcher(scenario.travel_graph)
-        self.robots = {spec.robot_id: _Robot(spec) for spec in scenario.robots}
-        self.robot_ids = sorted(self.robots)
-        for rt in self.robots.values():
+        self.robots = [_Robot(rid, spec) for rid, spec in enumerate(scenario.robots)]
+        for rt in self.robots:
             if scenario.locations:
                 rt.ref_location = self.net.nearest_location(rt.position())
         self.humans = [
@@ -145,11 +146,8 @@ class _Engine:
     def emit_state(self) -> None:
         self.emit({
             "type": tr.STATE, "t": self.now,
-            "robots": [
-                [rid, self.robots[rid].state.x, self.robots[rid].state.y,
-                 self.robots[rid].state.theta, self.robots[rid].state.v]
-                for rid in self.robot_ids
-            ],
+            "robots": [[rt.rid, rt.state.x, rt.state.y, rt.state.theta, rt.state.v]
+                       for rt in self.robots],
             "humans": [[h.x, h.y, h.vx, h.vy] for h in self.humans],
         })
 
@@ -178,7 +176,7 @@ class _Engine:
         point, label = rt.plan[0]
         if label is None or label[0] != QUEUE_WAIT:
             return False
-        return math.dist(rt.position(), point) <= 2.0 * rt.spec.params.d_arrive
+        return math.dist(rt.position(), point) <= 2.0 * rt.params.d_arrive
 
     def _is_active(self, rt: _Robot) -> bool:
         return bool(rt.plan) and not rt.fault and not self._waiting_in_queue(rt)
@@ -212,10 +210,7 @@ class _Engine:
 
     def _fleet(self) -> dict[int, int]:
         """Each robot without a fault, at its reference location."""
-        return {
-            rid: self.robots[rid].ref_location
-            for rid in self.robot_ids if not self.robots[rid].fault
-        }
+        return {rt.rid: rt.ref_location for rt in self.robots if not rt.fault}
 
     def _apply(self, dispatched: tuple[set[int], list[dict]]) -> None:
         """Emit a dispatcher's task events and replan the robots it changed."""
@@ -245,14 +240,12 @@ class _Engine:
         )
         ignore = {rid, *q.occupants}
         return all(
-            other in ignore
-            or math.dist(self.robots[other].position(), room_pos) > clearance
-            for other in self.robot_ids
+            other.rid in ignore or math.dist(other.position(), room_pos) > clearance
+            for other in self.robots
         )
 
     def phase_queues(self) -> None:
-        for rid in self.robot_ids:
-            rt = self.robots[rid]
+        for rid, rt in enumerate(self.robots):
             if rt.fault:
                 continue
             pos = rt.position()
@@ -300,8 +293,7 @@ class _Engine:
                 self._queue_event(q, "grant", rid, 0)
 
     def phase_replan(self) -> None:
-        for rid in self.robot_ids:
-            rt = self.robots[rid]
+        for rid, rt in enumerate(self.robots):
             if rt.fault or not rt.plan:
                 rt.path = None
                 continue
@@ -335,9 +327,9 @@ class _Engine:
                 self._fault(rt, f"planner: {exc}")
 
     def phase_clusters(self) -> ClusterPartition:
-        positions = {rid: self.robots[rid].position() for rid in self.robot_ids}
+        positions = {rt.rid: rt.position() for rt in self.robots}
         partition = form_clusters(neighbor_sets(positions, self.s.world.d_neighbor))
-        active = {rid for rid in self.robot_ids if self._is_active(self.robots[rid])}
+        active = {rt.rid for rt in self.robots if self._is_active(rt)}
         partition = elect_leaders(partition, active)
         self.emit_state()
         self.emit({
@@ -351,17 +343,16 @@ class _Engine:
 
     def _leader_nominal(self, rt: _Robot) -> Control:
         if rt.path is not None:
-            waypoint = lookahead_point(rt.path, rt.position(), rt.spec.params.delta)
-            return nominal_leader(rt.state, waypoint, rt.spec.params)
-        return nominal_stop(rt.state, rt.spec.params)
+            waypoint = lookahead_point(rt.path, rt.position(), rt.params.delta)
+            return nominal_leader(rt.state, waypoint, rt.params)
+        return nominal_stop(rt.state, rt.params)
 
     def phase_controls(self, partition: ClusterPartition) -> None:
         decided: dict[int, Control] = {}
-        for rid in self.robot_ids:
-            rt = self.robots[rid]
+        for rid, rt in enumerate(self.robots):
             if not self.s.grid.in_bounds(rt.state.x, rt.state.y):
                 # nothing can be sensed off the map: stop, outside the QP
-                decided[rid] = stop_control(rt.state, rt.spec.params)
+                decided[rid] = stop_control(rt.state, rt.params)
                 if not rt.fault:
                     self._fault(rt, f"sensing pose ({rt.state.x}, {rt.state.y}) "
                                     "is outside the map bounds")
@@ -372,17 +363,17 @@ class _Engine:
             if cluster.all_stop:
                 for m in members:
                     rt = self.robots[m]
-                    decided[m] = stop_control(rt.state, rt.spec.params)
+                    decided[m] = stop_control(rt.state, rt.params)
                 continue
             leader = cluster.leader
-            params = self.robots[leader].spec.params
+            params = self.robots[leader].params
             states, nominals, obstacle_points = {}, {}, {}
             for m in members:
                 rt = self.robots[m]
                 states[m] = st = rt.state
                 nominals[m] = (
                     self._leader_nominal(rt) if m == leader
-                    else nominal_stop(st, rt.spec.params)
+                    else nominal_stop(st, rt.params)
                 )
                 obstacle_points[m] = raycast(
                     self.s.grid, st.x, st.y, st.theta,
@@ -404,7 +395,7 @@ class _Engine:
                 # a bad QP input stops its own cluster, not the run
                 for m in members:
                     rt = self.robots[m]
-                    decided[m] = stop_control(rt.state, rt.spec.params)
+                    decided[m] = stop_control(rt.state, rt.params)
                     if not rt.fault:
                         self._fault(rt, f"safety: {exc}")
                 continue
@@ -421,15 +412,11 @@ class _Engine:
             if self.include_timing:
                 record["duration"] = elapsed
             self.emit(record)
-        for rid in self.robot_ids:
-            rt = self.robots[rid]
+        for rid, rt in enumerate(self.robots):
             rt.control = decided[rid]
         self.emit({
             "type": tr.CONTROL, "t": self.now,
-            "robots": [
-                [rid, self.robots[rid].control.a, self.robots[rid].control.omega]
-                for rid in self.robot_ids
-            ],
+            "robots": [[rt.rid, rt.control.a, rt.control.omega] for rt in self.robots],
         })
 
     def phase_integrate(self) -> None:
@@ -449,7 +436,7 @@ class _Engine:
         for _ in range(n_sub):
             # humans see the robot positions from the start of the substep
             if self.humans:
-                robot_positions = [self.robots[rid].position() for rid in self.robot_ids]
+                robot_positions = [rt.position() for rt in self.robots]
                 bodies = self.s.robots[0].params  # sizes robot and pedestrian bodies
                 self.humans = [
                     step_human(
@@ -458,24 +445,22 @@ class _Engine:
                     )
                     for i, (h, spec) in enumerate(zip(self.humans, self.s.humans))
                 ]
-            for rid in self.robot_ids:
-                rt = self.robots[rid]
+            for rt in self.robots:
                 try:
                     rt.state = step_robot(
-                        rt.state, rt.control, self.s.tick_dt, rt.spec.params.v_max
+                        rt.state, rt.control, self.s.tick_dt, rt.params.v_max
                     )
                 except ValueError as exc:
                     self._fault(rt, f"dynamics: {exc}")
 
     def phase_bookkeeping(self) -> None:
-        for rid in self.robot_ids:
-            rt = self.robots[rid]
+        for rid, rt in enumerate(self.robots):
             if rt.fault:
                 continue
             if rt.plan:
                 target, label = rt.plan[0]
                 is_wait = label is not None and label[0] == QUEUE_WAIT
-                if not is_wait and math.dist(rt.position(), target) <= rt.spec.params.d_arrive:
+                if not is_wait and math.dist(rt.position(), target) <= rt.params.d_arrive:
                     rt.plan = record_arrival(rt.plan)
                     rt.path = None
                     self.emit({
@@ -489,10 +474,8 @@ class _Engine:
                         )
             if not rt.plan and not self.dispatcher.has_tasks(rid):
                 self._route_out_of_rooms(rt)
-        faulted = [
-            rid for rid in self.robot_ids
-            if self.robots[rid].fault and self.dispatcher.has_tasks(rid)
-        ]
+        faulted = [rt.rid for rt in self.robots
+                   if rt.fault and self.dispatcher.has_tasks(rt.rid)]
         if faulted:
             self._apply(self.dispatcher.release(faulted, self._fleet(), self.now))
         self.emit_tasks(self.dispatcher.check_deadlines(self.now))
@@ -541,13 +524,13 @@ class _Engine:
             },
             "robots": [
                 {
-                    "id": spec.robot_id, "name": spec.name,
+                    "id": rid, "name": spec.name,
                     "x": spec.start[0], "y": spec.start[1],
                     "heading": spec.heading,
                     "r_robot": spec.params.r_robot,
                     "r_safe": spec.params.r_safe,
                 }
-                for spec in s.robots
+                for rid, spec in enumerate(s.robots)
             ],
             "humans": [
                 {"x": h.start[0], "y": h.start[1]} for h in s.humans
@@ -565,14 +548,7 @@ class _Engine:
                 for spec in (s.rooms[k] for k in sorted(s.rooms))
             ],
             "params": {
-                "d_neighbor": s.world.d_neighbor,
-                "n_rays": s.world.n_rays,
-                "max_range": s.world.max_range,
-                "cost_weight": s.world.cost_weight,
-                "inflation_radius": s.world.inflation_radius,
-                "cost_scale": s.world.cost_scale,
-                "release_distance": s.world.release_distance,
-                "queue_request_factor": s.world.queue_request_factor,
+                **asdict(s.world),
                 "r_human": s.robots[0].params.r_human if s.robots else 0.35,
             },
         }
@@ -639,7 +615,7 @@ def measure_travel_time(
         scenario, robots=[spec], humans=[], rooms={}, travel_graph=None, task_stream=[]
     )
     engine = _Engine(solo, include_timing=False)
-    rt = engine.robots[spec.robot_id]
+    rt = engine.robots[0]
     rt.plan = expand_actions([loc_b], solo.roadways, start)
     # the partition elect_leaders gives a lone active robot
     partition = ClusterPartition((Cluster((rt.rid,), rt.rid, (rt.rid,)),))
@@ -661,3 +637,20 @@ def measure_travel_time(
     raise PlanningError(
         f"pair ({loc_a}, {loc_b}): no arrival within {timeout} simulated seconds"
     )
+
+
+def collect_travel_times(scenario) -> TravelTimeGraph:
+    """Measure travel times by running a single robot between location pairs.
+
+    Each ordered pair is simulated by ``measure_travel_time`` through the
+    engine's own tick phases; the pair weight is the larger of the two
+    directions, the conservative choice for hard deadlines.
+    """
+    loc_ids = tuple(sorted(scenario.locations))
+    n = len(loc_ids)
+    directed = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a != b:
+                directed[a, b] = measure_travel_time(scenario, loc_ids[a], loc_ids[b])
+    return TravelTimeGraph(loc_ids, np.maximum(directed, directed.T))

@@ -29,6 +29,12 @@ Position = tuple[float, float]
 # how far a roadway's first and last waypoints may lie from its locations
 ROUTE_ENDPOINT_TOLERANCE = 0.5
 
+# the keys a scenario document may have
+SCENARIO_KEYS = (
+    "map", "travel_times", "tasks", "agents", "humans", "locations", "roadways",
+    "rooms", "params", "duration", "seed", "tick_dt", "control_period", "replan_period",
+)
+
 
 class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
@@ -60,7 +66,6 @@ class WorldParams:
 
 @dataclass(frozen=True)
 class RobotSpec:
-    robot_id: int
     name: str
     start: Position
     heading: float = 0.0
@@ -147,9 +152,14 @@ def _list(value, context: str) -> list:
     return value
 
 
-def _mapping(value, context: str) -> dict:
+def _mapping(value, context: str, keys, what: str = "keys") -> dict:
+    """``value``, which must be a mapping with no keys outside ``keys``."""
     if not isinstance(value, dict):
         raise ScenarioError(f"{context}: expected a mapping, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        # YAML keys need not be strings, so they sort as text
+        raise ScenarioError(f"{context}: unknown {what} {sorted(unknown, key=str)}")
     return value
 
 
@@ -157,11 +167,8 @@ def _params_from(mapping: dict | None, base, context: str):
     """``base`` with the mapping's entries read as numbers of each field's type."""
     if not mapping:
         return base
-    _mapping(mapping, context)
-    unknown = set(mapping) - set(base.__dataclass_fields__)
-    if unknown:
-        section = "world" if isinstance(base, WorldParams) else "controller"
-        raise ScenarioError(f"{context}: unknown {section} parameters {sorted(unknown)}")
+    section = "world" if isinstance(base, WorldParams) else "controller"
+    _mapping(mapping, context, base.__dataclass_fields__, f"{section} parameters")
     values = {
         k: _number(v, f"{context}.{k}", type(getattr(base, k)))
         for k, v in mapping.items()
@@ -202,6 +209,7 @@ def load_task_stream(text: str) -> list[TaskRequest]:
         ctx = f"task request {k}"
         if not isinstance(entry, dict):
             raise ScenarioError(f"{ctx}: expected an object")
+        _mapping(entry, ctx, ("arrival", "tasks"))
         arrival = _require(entry, "arrival", ctx)
         tasks_raw = _require(entry, "tasks", ctx)
         if not isinstance(tasks_raw, list):
@@ -211,6 +219,7 @@ def load_task_stream(text: str) -> list[TaskRequest]:
             tctx = f"{ctx}, task {j}"
             if not isinstance(t, dict):
                 raise ScenarioError(f"{tctx}: expected an object")
+            _mapping(t, tctx, ("start", "end", "deadline"))
             try:
                 tasks.append(Task(
                     start=_number(_require(t, "start", tctx), f"{tctx}: start", int),
@@ -249,6 +258,7 @@ def load_scenario(
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from None
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path}: top level must be a mapping")
+    _mapping(doc, str(path), SCENARIO_KEYS)
 
     map_rel = _require(doc, "map", str(path))
     map_text = _file_text(base, map_rel, "map")
@@ -257,7 +267,7 @@ def load_scenario(
     except ValueError as exc:
         raise ScenarioError(f"map {map_rel}: {exc}") from None
 
-    world_raw = _mapping(doc.get("params") or {}, "params")
+    world_raw = _mapping(doc.get("params") or {}, "params", ("world", "controller"))
     world = _params_from(world_raw.get("world"), WorldParams(), "params.world")
     base_controller = _params_from(
         world_raw.get("controller"), ControllerParams(), "params.controller"
@@ -270,13 +280,12 @@ def load_scenario(
         grid, world.inflation_radius, world.cost_scale, base_controller.r_robot
     )
     robots = []
-    for idx, (name, spec) in enumerate(agents_raw.items()):
+    for name, spec in agents_raw.items():
         ctx = f"agents.{name}"
-        _mapping(spec, ctx)
+        _mapping(spec, ctx, ("start", "heading", "params"))
         start = _free_position(grid, _require(spec, "start", ctx), f"{ctx}.start")
         params = _params_from(spec.get("params"), base_controller, f"{ctx}.params")
         robots.append(RobotSpec(
-            robot_id=idx,
             name=str(name),
             start=start,
             heading=_number(spec.get("heading", 0.0), f"{ctx}.heading"),
@@ -286,7 +295,7 @@ def load_scenario(
     humans = []
     for k, entry in enumerate(_list(doc.get("humans"), "humans")):
         ctx = f"humans[{k}]"
-        _mapping(entry, ctx)
+        _mapping(entry, ctx, ("start", "waypoints", "v_desired"))
         start = _free_position(grid, _require(entry, "start", ctx), f"{ctx}.start")
         wps = tuple(
             _position(w, f"{ctx}.waypoints[{i}]")
@@ -304,7 +313,7 @@ def load_scenario(
     routes: dict[tuple[int, int], list[Position]] = {}
     for k, entry in enumerate(_list(doc.get("roadways"), "roadways")):
         ctx = f"roadways[{k}]"
-        _mapping(entry, ctx)
+        _mapping(entry, ctx, ("from", "to", "waypoints"))
         a = _number(_require(entry, "from", ctx), f"{ctx}.from", int)
         b = _number(_require(entry, "to", ctx), f"{ctx}.to", int)
         wps = [
@@ -331,7 +340,7 @@ def load_scenario(
     rooms: dict[int, RoomSpec] = {}
     for k, entry in enumerate(_list(doc.get("rooms"), "rooms")):
         ctx = f"rooms[{k}]"
-        _mapping(entry, ctx)
+        _mapping(entry, ctx, ("location", "polygon", "queue_slots"))
         loc = _number(_require(entry, "location", ctx), f"{ctx}.location", int)
         if loc not in locations:
             raise ScenarioError(f"{ctx}: unknown location {loc}")

@@ -684,21 +684,3 @@ class Dispatcher:
         self.robot_legs = new_legs
         return changed, events
 
-
-def collect_travel_times(scenario) -> TravelTimeGraph:
-    """Measure travel times by running a single robot between location pairs.
-
-    Each ordered pair is simulated by ``measure_travel_time`` through the
-    engine's own tick phases; the pair weight is the larger of the two
-    directions, the conservative choice for hard deadlines.
-    """
-    from .engine import measure_travel_time  # deferred: engine imports tasking
-
-    loc_ids = tuple(sorted(scenario.locations))
-    n = len(loc_ids)
-    directed = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                directed[a, b] = measure_travel_time(scenario, loc_ids[a], loc_ids[b])
-    return TravelTimeGraph(loc_ids, np.maximum(directed, directed.T))

@@ -71,7 +71,7 @@ def busy_fleet_scenario(n_robots: int, duration: float = 120.0) -> Scenario:
     """
     map_text, grid, costmap = depot_world()
     robots = [
-        RobotSpec(robot_id=k, name=f"r{k}", start=(3.0 + 4.0 * k, 2.5),
+        RobotSpec(name=f"r{k}", start=(3.0 + 4.0 * k, 2.5),
                   heading=math.pi / 2)
         for k in range(n_robots)
     ]
@@ -126,7 +126,7 @@ def random_safety_scenario(seed: int, duration: float = 60.0) -> Scenario:
     locs = sample_apart(4, 4.0, taken=starts)
     locations = {i: locs[i] for i in range(4)}
     robots = [
-        RobotSpec(robot_id=k, name=f"r{k}", start=starts[k],
+        RobotSpec(name=f"r{k}", start=starts[k],
                   heading=rng.uniform(-math.pi, math.pi))
         for k in range(4)
     ]

@@ -41,6 +41,22 @@ MALFORMED = {
     "params.controller.r_safe": lambda d: d.update(params={"controller": {"r_safe": float("nan")}}),
 }
 
+# mapping path -> edit of the smoke scenario that puts a misspelt key in that
+# mapping; the top level ("") is named by the scenario file
+MISSPELT = {
+    "": lambda d: d.update(duraton=5),
+    "params": lambda d: d.update(params={"wrld": {"n_rays": 4}}),
+    "agents.a": lambda d: d["agents"]["a"].update(haeding=1.0),
+    "humans[0]": lambda d: d.update(humans=[{"start": [3.0, 3.0], "v_desierd": 2.0}]),
+    "roadways[0]": lambda d: d.update(roadways=[
+        {"from": 0, "to": 1, "waypoints": [[1.5, 1.5], [6.5, 6.5]], "waypionts": []},
+    ]),
+    "rooms[0]": lambda d: d.update(rooms=[{
+        "location": 1, "polygon": [[5.5, 5.5], [7.5, 5.5], [7.5, 7.5], [5.5, 7.5]],
+        "queue_slots": [[4.5, 6.5]], "slots": [],
+    }]),
+}
+
 
 @pytest.fixture(scope="module")
 def smoke_trace(tmp_path_factory):
@@ -117,6 +133,17 @@ class TestRun:
         bad.write_text(yaml.safe_dump(doc))
         assert main(["run", str(bad), "--out", str(tmp_path / "t")]) == 2
         assert f"error: {where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", list(MISSPELT))
+    def test_misspelt_key_names_its_mapping(self, tmp_path, capsys, where):
+        doc = yaml.safe_load((SCENARIOS / "smoke_two_robot.yaml").read_text())
+        for key in ("map", "travel_times", "tasks"):
+            doc[key] = str(SCENARIOS / doc[key])
+        MISSPELT[where](doc)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["run", str(bad), "--out", str(tmp_path / "t")]) == 2
+        assert f"error: {where or bad}: unknown keys [" in capsys.readouterr().err
 
     def test_travel_table_not_finite(self, tmp_path, capsys):
         rows = [ln.split() for ln in

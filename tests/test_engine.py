@@ -481,6 +481,8 @@ def test_benchmark_span_names_resolve():
     tracer = spans.Tracer()
     try:
         tracer.install()  # AttributeError when a patched name is gone
+        patched = {attr for owner, attr, _ in tracer._restore if owner is engine}
+        assert {attr for attr, _ in spans.ENGINE_NAMES} <= patched
         for owner, attr, original in tracer._restore:
             assert getattr(owner, attr).__wrapped__ is original
     finally:

@@ -110,6 +110,10 @@ class TestTaskStream:
          "task request 0, task 0"),
         ('[{"arrival": 10, "tasks": [{"start": 0, "end": 1, "deadline": 5}]}]',
          "task request 0"),
+        ('[{"arrival": 0, "tasks": [], "arival": 1}]',
+         r"^task request 0: unknown keys \['arival'\]$"),
+        ('[{"arrival": 0, "tasks": [{"start": 0, "end": 1, "deadline": 9, "dedline": 5}]}]',
+         r"^task request 0, task 0: unknown keys \['dedline'\]$"),
     ])
     def test_rejects_malformed(self, text, fragment):
         with pytest.raises(ScenarioError, match=fragment):
@@ -128,7 +132,6 @@ class TestLoadScenario:
     def test_minimal_document(self, tmp_path):
         sc = load_scenario(write_scenario(tmp_path, base_doc()))
         assert [r.name for r in sc.robots] == ["alpha", "beta"]
-        assert [r.robot_id for r in sc.robots] == [0, 1]
         assert sc.robots[0].start == (1.0, 1.0)
         assert sc.robots[0].heading == 0.0
         assert sc.robots[1].heading == 1.5
@@ -183,6 +186,37 @@ class TestLoadScenario:
         doc["agents"]["alpha"]["params"] = {"warp_speed": 3}
         with pytest.raises(ScenarioError, match="unknown controller parameters"):
             load_scenario(write_scenario(tmp_path, doc))
+
+    @pytest.mark.parametrize("where,key,edit", [
+        (None, "duraton", lambda d: d.update(duraton=5)),
+        (None, "room", lambda d: d.update(room=[])),
+        ("params", "wrld", lambda d: d.update(params={"wrld": {"n_rays": 4}})),
+        ("agents.beta", "haeding", lambda d: d["agents"]["beta"].update(haeding=1.0)),
+        ("humans[0]", "v_desierd",
+         lambda d: d.update(humans=[{"start": [4.0, 4.0], "v_desierd": 2.0}])),
+        ("roadways[0]", "waypionts", lambda d: d.update(roadways=[
+            {"from": 0, "to": 1, "waypoints": [[1.0, 1.0], [6.0, 6.0]], "waypionts": []},
+        ])),
+        ("rooms[0]", "slots", lambda d: d.update(rooms=[{
+            "location": 1, "polygon": [[5.0, 5.0], [7.0, 5.0], [7.0, 7.0]],
+            "queue_slots": [[3.0, 6.0]], "slots": [],
+        }])),
+    ])
+    def test_unknown_key(self, tmp_path, where, key, edit):
+        """A misspelt optional key is an error, not a silent default; the
+        top level is named by the scenario file."""
+        doc = base_doc()
+        edit(doc)
+        path = write_scenario(tmp_path, doc)
+        context = re.escape(where or str(path))
+        with pytest.raises(ScenarioError, match=rf"^{context}: unknown keys \['{key}'\]$"):
+            load_scenario(path)
+
+    def test_unknown_keys_sort_as_text(self, tmp_path):
+        path = write_scenario(tmp_path, base_doc())
+        path.write_text(path.read_text() + "zz: 1\n2: 1\n10: 1\n")
+        with pytest.raises(ScenarioError, match=r"unknown keys \[10, 2, 'zz'\]$"):
+            load_scenario(path)
 
     def test_humans_parsed(self, tmp_path):
         doc = base_doc()

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from fleetsim.engine import collect_travel_times
 from fleetsim.scenario import load_scenario
 from fleetsim.tasking import (
     DROPOFF,
@@ -16,7 +17,6 @@ from fleetsim.tasking import (
     Task,
     TaskRequest,
     TravelTimeGraph,
-    collect_travel_times,
     solve_exact,
     solve_greedy,
 )
