@@ -70,10 +70,6 @@ class HumanState:
     goal_index: int = 0
 
 
-def _unicycle_deriv(x: float, y: float, theta: float, v: float, a: float, omega: float):
-    return (v * math.cos(theta), v * math.sin(theta), omega, a)
-
-
 def step_robot(
     state: RobotState,
     control: Control,
@@ -94,26 +90,26 @@ def step_robot(
 
     n_sub = max(1, math.ceil(dt / MAX_SUBSTEP - 1e-12))
     h = dt / n_sub
+    half = 0.5 * h
+    sixth = h / 6.0
     x, y, theta, v = state.x, state.y, state.theta, state.v
     a, omega = control.a, control.omega
+    # the derivative (v cos theta, v sin theta, omega, a) reads only theta and
+    # v; its last two components are constant, and k3 equals k2 because both
+    # midpoints move theta and v by the same half step
+    d_theta = sixth * (omega + 2.0 * omega + 2.0 * omega + omega)
+    d_v = sixth * (a + 2.0 * a + 2.0 * a + a)
     for _ in range(n_sub):
-        k1 = _unicycle_deriv(x, y, theta, v, a, omega)
-        k2 = _unicycle_deriv(
-            x + 0.5 * h * k1[0], y + 0.5 * h * k1[1],
-            theta + 0.5 * h * k1[2], v + 0.5 * h * k1[3], a, omega,
-        )
-        k3 = _unicycle_deriv(
-            x + 0.5 * h * k2[0], y + 0.5 * h * k2[1],
-            theta + 0.5 * h * k2[2], v + 0.5 * h * k2[3], a, omega,
-        )
-        k4 = _unicycle_deriv(
-            x + h * k3[0], y + h * k3[1], theta + h * k3[2], v + h * k3[3], a, omega,
-        )
-        x += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        y += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        theta += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        v += h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3])
-        v = min(max(v, -v_max), v_max)
+        mid_theta = theta + half * omega
+        mid_v = v + half * a
+        end_theta = theta + h * omega
+        end_v = v + h * a
+        k2x = mid_v * math.cos(mid_theta)
+        k2y = mid_v * math.sin(mid_theta)
+        x += sixth * (v * math.cos(theta) + 2.0 * k2x + 2.0 * k2x + end_v * math.cos(end_theta))
+        y += sixth * (v * math.sin(theta) + 2.0 * k2y + 2.0 * k2y + end_v * math.sin(end_theta))
+        theta += d_theta
+        v = min(max(v + d_v, -v_max), v_max)
     return RobotState(x, y, wrap_angle(theta), v)
 
 

@@ -65,8 +65,24 @@ def solve_qp(
         chol = cho_factor(H)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"H is not positive definite: {exc}") from None
+    return solve_factored(chol, g, A, b, max_iter, tol)
 
-    x = cho_solve(chol, -g)
+
+def solve_factored(
+    chol: tuple[np.ndarray, bool],
+    g: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    max_iter: int = 200,
+    tol: float = 1e-9,
+) -> QPResult:
+    """``solve_qp`` on a prefactored H, with no argument checks.
+
+    ``chol`` is ``cho_factor(H)``; g, A and b must be finite float arrays of
+    matching shapes (A may have no rows). Callers that solve many problems
+    with one H share its factor this way.
+    """
+    x = cho_solve(chol, -g, check_finite=False)
     active: list[int] = []
     lam: list[float] = []
     iterations = 0
@@ -86,10 +102,10 @@ def solve_qp(
 
         while iterations < max_iter:
             iterations += 1
-            hinv_np = cho_solve(chol, n_p)
+            hinv_np = cho_solve(chol, n_p, check_finite=False)
             if active:
                 N = A[active].T
-                hinv_N = cho_solve(chol, N)
+                hinv_N = cho_solve(chol, N, check_finite=False)
                 M = N.T @ hinv_N
                 try:
                     r = np.linalg.solve(M, N.T @ hinv_np)

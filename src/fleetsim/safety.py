@@ -10,18 +10,21 @@ hddot is linear in the stacked controls of a dynamic unicycle, so each
 constraint is one linear row of the QP. Solving is two-phase: the hard QP
 first (slack identically zero when it succeeds), then a slack-penalized QP
 only when the hard problem is infeasible; if even that fails the decision
-falls back to stop controls for every member.
+falls back to stop controls for every member. The hard QP's Hessian is 2I at
+every size, so it runs on a Cholesky factor cached per size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor
 
 from .dynamics import Control, HumanState, RobotState, wrap_angle
-from .qp import OPTIMAL, solve_qp
+from .qp import OPTIMAL, solve_factored, solve_qp
 from .world import ObstaclePointSet
 
 FEASIBLE = "feasible"
@@ -163,35 +166,63 @@ def _assemble(
     humans: list[HumanState],
     p: ControllerParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all CBF rows into (A, b) with A @ u >= b over stacked controls."""
+    """Stack all CBF rows into (A, b) with A @ u >= b over stacked controls.
+
+    Rows come pairs first, then each member's obstacle hits, then each member
+    against each human. Every row holds ``pair_barrier``'s or
+    ``point_barrier``'s terms, computed in place with the same float operations.
+    """
     n = len(members)
-    slot = {rid: 2 * k for k, rid in enumerate(members)}
-    rows: list[np.ndarray] = []
-    rhs: list[float] = []
+    hits = [obstacle_points[rid].hit_points() for rid in members]
+    m = n * (n - 1) // 2 + sum(map(len, hits)) + n * len(humans)
+    A = np.zeros((m, 2 * n))
+    b = np.empty(m)
+    gain = p.alpha1 + p.alpha2
+    decay = p.alpha1 * p.alpha2
+    # per member: state, heading e, its normal, velocity v * e
+    kin = []
+    for rid in members:
+        s = states[rid]
+        e = np.array([math.cos(s.theta), math.sin(s.theta)])
+        kin.append((s, e, np.array([-e[1], e[0]]), s.v * e))
 
-    def add(terms: BarrierTerms, rid_i: int, rid_j: int | None = None) -> None:
-        row = np.zeros(2 * n)
-        row[slot[rid_i]: slot[rid_i] + 2] = terms.coef_i
-        if rid_j is not None:
-            row[slot[rid_j]: slot[rid_j] + 2] = terms.coef_j
-        gain = p.alpha1 + p.alpha2
-        rows.append(row)
-        rhs.append(-terms.c0 - gain * terms.hdot - p.alpha1 * p.alpha2 * terms.h)
+    # Each product stays a numpy 2-vector dot: BLAS rounds it as
+    # fma(b, d, a*c), and scalar a*c + b*d would move the trace bytes.
+    def put(row: int, k: int, dp: np.ndarray, dv: np.ndarray, c0: float, r: float) -> None:
+        s, e, normal, _ = kin[k]
+        A[row, 2 * k] = 2.0 * float(dp.dot(e))
+        A[row, 2 * k + 1] = 2.0 * s.v * float(dp.dot(normal))
+        h = float(dp.dot(dp)) - r * r
+        hdot = 2.0 * float(dp.dot(dv))
+        b[row] = -c0 - gain * hdot - decay * h
 
+    row = 0
     for a_idx in range(n):
+        s_i, _, _, ve_i = kin[a_idx]
         for b_idx in range(a_idx + 1, n):
-            i, j = members[a_idx], members[b_idx]
-            add(pair_barrier(states[i], states[j], p.r_safe), i, j)
-    for rid in members:
-        for pt in obstacle_points[rid].hit_points():
-            add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
-    for rid in members:
+            s_j, e_j, normal_j, ve_j = kin[b_idx]
+            dp = np.array([s_i.x - s_j.x, s_i.y - s_j.y])
+            dv = ve_i - ve_j
+            put(row, a_idx, dp, dv, 2.0 * float(dv.dot(dv)), p.r_safe)
+            A[row, 2 * b_idx] = -2.0 * float(dp.dot(e_j))
+            A[row, 2 * b_idx + 1] = -2.0 * s_j.v * float(dp.dot(normal_j))
+            row += 1
+    for k, pts in enumerate(hits):
+        if not pts:
+            continue
+        s, _, _, ve = kin[k]
+        c0 = 2.0 * float(ve.dot(ve))  # static points: dv is the robot's velocity
+        for dp in np.array([s.x, s.y]) - np.array(pts):
+            put(row, k, dp, ve, c0, p.r_obstacle)
+            row += 1
+    for k in range(n):
+        s, _, _, ve = kin[k]
         for hum in humans:
-            add(point_barrier(states[rid], (hum.x, hum.y), (hum.vx, hum.vy),
-                              p.r_human_safe), rid)
-    if rows:
-        return np.vstack(rows), np.array(rhs)
-    return np.zeros((0, 2 * n)), np.zeros(0)
+            dp = np.array([s.x - hum.x, s.y - hum.y])
+            dv = ve - np.array([hum.vx, hum.vy])
+            put(row, k, dp, dv, 2.0 * float(dv.dot(dv)), p.r_human_safe)
+            row += 1
+    return A, b
 
 
 def _box_rows(n_vars: int, p: ControllerParams) -> tuple[np.ndarray, np.ndarray]:
@@ -201,6 +232,14 @@ def _box_rows(n_vars: int, p: ControllerParams) -> tuple[np.ndarray, np.ndarray]
         A[2 * var, var] = -1.0
         A[2 * var + 1, var] = 1.0
     return A, -np.array([p.a_max, p.a_max, p.omega_max, p.omega_max] * (n_vars // 2))
+
+
+@functools.cache
+def _hard_factor(n_vars: int) -> tuple[np.ndarray, bool]:
+    """``cho_factor`` of the hard problem's H = 2I, shared by every solve of its size."""
+    c, lower = cho_factor(2.0 * np.eye(n_vars))
+    c.flags.writeable = False
+    return c, lower
 
 
 def _clip(value: float, limit: float) -> float:
@@ -240,12 +279,11 @@ def solve_cluster_qp(
     m = A_cbf.shape[0]
     A_box, b_box = _box_rows(2 * n, p)
 
-    hard = solve_qp(
-        np.eye(2 * n) * 2.0,
-        -2.0 * u_star,
-        np.vstack([A_cbf, A_box]),
-        np.concatenate([b_cbf, b_box]),
-    )
+    A_hard = np.vstack([A_cbf, A_box])
+    b_hard = np.concatenate([b_cbf, b_box])
+    if not (np.isfinite(A_hard).all() and np.isfinite(b_hard).all()):
+        raise ValueError("non-finite constraints")
+    hard = solve_factored(_hard_factor(2 * n), -2.0 * u_star, A_hard, b_hard)
     if hard.status == OPTIMAL:
         return ControlDecision(
             _unpack(members, hard.x, p), [0.0] * m, FEASIBLE

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -66,6 +67,20 @@ class OccupancyGrid:
 
     def is_occupied_cell(self, ix: int, iy: int) -> bool:
         return bool(self.occupied[iy, ix])
+
+    @cached_property
+    def clearance(self) -> np.ndarray:
+        """Per cell, the distance in meters between its center and the nearest
+        occupied cell's center (0 on occupied cells, inf with no wall at all)."""
+        if not self.occupied.any():
+            # the transform of an all-free grid measures to nothing
+            return np.full((self.height, self.width), math.inf)
+        return ndimage.distance_transform_edt(~self.occupied) * self.resolution
+
+    @cached_property
+    def occupied_flat(self) -> bytes:
+        """``occupied`` as one byte per cell, cell (ix, iy) at ``iy * width + ix``."""
+        return self.occupied.tobytes()
 
     def to_text(self) -> str:
         """Serialize back to the map file format (top line = max-y row)."""
@@ -169,8 +184,7 @@ def inflate(
     cost = np.zeros((grid.height, grid.width), dtype=np.uint8)
     if not grid.occupied.any():
         return Costmap(grid, cost)
-    # exact Euclidean distance (in cells) to the nearest occupied cell
-    dist = ndimage.distance_transform_edt(~grid.occupied) * grid.resolution
+    dist = grid.clearance
     with np.errstate(over="ignore"):
         decay = 254.0 * np.exp(-cost_scale * (dist - r_robot))
     inflated = np.clip(np.rint(decay), 0, MAX_INFLATED_COST)
@@ -191,66 +205,73 @@ def raycast(
     """Cast evenly spaced rays from (x, y) and return first-hit points.
 
     Rays leave at angles ``heading + 2*pi*k/n_rays``. Each ray walks the grid
-    cell by cell (every traversed cell is visited); the hit point is the
-    ray's entry point on the first occupied cell's boundary. A ray with no
-    occupied cell within ``max_range`` contributes ``None``.
+    cell by cell (Amanatides & Woo 1987; every traversed cell is visited);
+    the hit point is the ray's entry point on the first occupied cell's
+    boundary. A ray with no occupied cell within ``max_range`` contributes
+    ``None``.
+
+    A pose whose cell center lies farther than ``max_range + resolution*sqrt(2)``
+    from every occupied cell center casts no ray: any point of a cell is within
+    ``resolution*sqrt(2)/2`` of its center, so no occupied cell has a point
+    within ``max_range`` of the pose.
     """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
     if not grid.in_bounds(x, y):
         raise MapError(f"sensing pose ({x}, {y}) is outside the map bounds")
+    ix0, iy0 = grid.world_to_cell(x, y)
+    res = grid.resolution
+    # the relative margin keeps distance-transform rounding from skipping a hit
+    if grid.clearance[iy0, ix0] > (max_range + res * math.sqrt(2.0)) * (1.0 + 1e-9):
+        return ObstaclePointSet((None,) * n_rays)
+    width, height = grid.width, grid.height
+    occupied = grid.occupied_flat
+    if occupied[iy0 * width + ix0]:
+        # surrounded: the sensing pose itself sits on an occupied cell
+        return ObstaclePointSet(((x, y),) * n_rays)
+    ox, oy = grid.origin_x, grid.origin_y
+    inf = math.inf
     points: list[tuple[float, float] | None] = []
     for k in range(n_rays):
         angle = heading + 2.0 * math.pi * k / n_rays
-        points.append(_trace_ray(grid, x, y, angle, max_range))
-    return ObstaclePointSet(tuple(points))
-
-
-def _trace_ray(
-    grid: OccupancyGrid, x: float, y: float, angle: float, max_range: float
-) -> tuple[float, float] | None:
-    """Amanatides-Woo traversal; returns the entry point of the first occupied cell."""
-    res = grid.resolution
-    dx, dy = math.cos(angle), math.sin(angle)
-    ix, iy = grid.world_to_cell(x, y)
-    if grid.occupied[iy, ix]:
-        return (x, y)  # surrounded: the sensing pose itself sits on an occupied cell
-
-    step_x = 1 if dx > 0 else -1
-    step_y = 1 if dy > 0 else -1
-    inf = math.inf
-    if dx != 0.0:
-        next_gx = grid.origin_x + (ix + (1 if dx > 0 else 0)) * res
-        t_max_x = (next_gx - x) / dx
-        t_delta_x = res / abs(dx)
-    else:
-        t_max_x, t_delta_x = inf, inf
-    if dy != 0.0:
-        next_gy = grid.origin_y + (iy + (1 if dy > 0 else 0)) * res
-        t_max_y = (next_gy - y) / dy
-        t_delta_y = res / abs(dy)
-    else:
-        t_max_y, t_delta_y = inf, inf
-
-    while True:
-        # advance to the next crossed boundary; equal t means a corner crossing
-        if t_max_x < t_max_y:
-            t = t_max_x
-            t_max_x += t_delta_x
-            ix += step_x
-        elif t_max_y < t_max_x:
-            t = t_max_y
-            t_max_y += t_delta_y
-            iy += step_y
+        dx, dy = math.cos(angle), math.sin(angle)
+        ix, iy = ix0, iy0
+        step_x = 1 if dx > 0 else -1
+        step_y = 1 if dy > 0 else -1
+        if dx != 0.0:
+            next_gx = ox + (ix + (1 if dx > 0 else 0)) * res
+            t_max_x = (next_gx - x) / dx
+            t_delta_x = res / abs(dx)
         else:
-            t = t_max_x
-            t_max_x += t_delta_x
-            t_max_y += t_delta_y
-            ix += step_x
-            iy += step_y
-        if t > max_range:
-            return None
-        if not (0 <= ix < grid.width and 0 <= iy < grid.height):
-            return None
-        if grid.occupied[iy, ix]:
-            return (x + t * dx, y + t * dy)
+            t_max_x, t_delta_x = inf, inf
+        if dy != 0.0:
+            next_gy = oy + (iy + (1 if dy > 0 else 0)) * res
+            t_max_y = (next_gy - y) / dy
+            t_delta_y = res / abs(dy)
+        else:
+            t_max_y, t_delta_y = inf, inf
+
+        hit = None
+        while True:
+            # advance to the next crossed boundary; equal t means a corner crossing
+            if t_max_x < t_max_y:
+                t = t_max_x
+                t_max_x += t_delta_x
+                ix += step_x
+            elif t_max_y < t_max_x:
+                t = t_max_y
+                t_max_y += t_delta_y
+                iy += step_y
+            else:
+                t = t_max_x
+                t_max_x += t_delta_x
+                t_max_y += t_delta_y
+                ix += step_x
+                iy += step_y
+            if t > max_range or not (0 <= ix < width and 0 <= iy < height):
+                break
+            if occupied[iy * width + ix]:
+                hit = (x + t * dx, y + t * dy)
+                break
+        points.append(hit)
+    return ObstaclePointSet(tuple(points))

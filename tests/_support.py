@@ -24,7 +24,7 @@ from fleetsim.tasking import (
     TravelTimeGraph,
     _check_locations,
 )
-from fleetsim.world import LETHAL_COST, OccupancyGrid, inflate, load_map
+from fleetsim.world import LETHAL_COST, ObstaclePointSet, OccupancyGrid, inflate, load_map
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -427,3 +427,70 @@ def unicycle_closed_form(x0, y0, th0, v0, a, w, t):
         return -(v0 + a * s) / w * math.cos(th0 + w * s) + a / w ** 2 * math.sin(th0 + w * s)
 
     return x0 + fx(t) - fx(0.0), y0 + fy(t) - fy(0.0), th, v
+
+
+def reference_raycast(
+    grid: OccupancyGrid,
+    x: float,
+    y: float,
+    heading: float,
+    n_rays: int = 16,
+    max_range: float = 3.0,
+) -> ObstaclePointSet:
+    """The plain ray walk ``world.raycast`` must match bit for bit: every ray
+    traced cell by cell, with no clearance skip."""
+    points: list[tuple[float, float] | None] = []
+    for k in range(n_rays):
+        angle = heading + 2.0 * math.pi * k / n_rays
+        points.append(_reference_trace_ray(grid, x, y, angle, max_range))
+    return ObstaclePointSet(tuple(points))
+
+
+def _reference_trace_ray(
+    grid: OccupancyGrid, x: float, y: float, angle: float, max_range: float
+) -> tuple[float, float] | None:
+    """Amanatides-Woo traversal; returns the entry point of the first occupied cell."""
+    res = grid.resolution
+    dx, dy = math.cos(angle), math.sin(angle)
+    ix, iy = grid.world_to_cell(x, y)
+    if grid.occupied[iy, ix]:
+        return (x, y)  # surrounded: the sensing pose itself sits on an occupied cell
+
+    step_x = 1 if dx > 0 else -1
+    step_y = 1 if dy > 0 else -1
+    inf = math.inf
+    if dx != 0.0:
+        next_gx = grid.origin_x + (ix + (1 if dx > 0 else 0)) * res
+        t_max_x = (next_gx - x) / dx
+        t_delta_x = res / abs(dx)
+    else:
+        t_max_x, t_delta_x = inf, inf
+    if dy != 0.0:
+        next_gy = grid.origin_y + (iy + (1 if dy > 0 else 0)) * res
+        t_max_y = (next_gy - y) / dy
+        t_delta_y = res / abs(dy)
+    else:
+        t_max_y, t_delta_y = inf, inf
+
+    while True:
+        # advance to the next crossed boundary; equal t means a corner crossing
+        if t_max_x < t_max_y:
+            t = t_max_x
+            t_max_x += t_delta_x
+            ix += step_x
+        elif t_max_y < t_max_x:
+            t = t_max_y
+            t_max_y += t_delta_y
+            iy += step_y
+        else:
+            t = t_max_x
+            t_max_x += t_delta_x
+            t_max_y += t_delta_y
+            ix += step_x
+            iy += step_y
+        if t > max_range:
+            return None
+        if not (0 <= ix < grid.width and 0 <= iy < grid.height):
+            return None
+        if grid.occupied[iy, ix]:
+            return (x + t * dx, y + t * dy)

@@ -1,11 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 import fleetsim.safety as safety
 from fleetsim.dynamics import Control, HumanState, RobotState
-from fleetsim.qp import INFEASIBLE, QPResult
+from fleetsim.qp import INFEASIBLE, OPTIMAL, QPResult, solve_qp
 from fleetsim.safety import (
     FEASIBLE,
     FEASIBLE_WITH_SLACK,
@@ -224,9 +225,11 @@ class TestSolveClusterQP:
             assert abs(u.a) <= P.a_max and abs(u.omega) <= P.omega_max
 
     def test_solver_failure_falls_back_to_stops(self, monkeypatch):
-        def always_infeasible(H, g, A=None, b=None, **kw):
+        def always_infeasible(first, g, A=None, b=None, **kw):
             return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
 
+        # the hard problem runs on the cached factor, the soft one through solve_qp
+        monkeypatch.setattr(safety, "solve_factored", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", always_infeasible)
         states = {0: RobotState(0, 0, 0, 0.5)}
         dec = solve_cluster_qp([0], states, {0: Control(1.0, 1.0)},
@@ -234,6 +237,28 @@ class TestSolveClusterQP:
         assert dec.qp_status == INFEASIBLE_FALLBACK
         assert dec.slack_used == []
         assert dec.controls[0] == Control(-1.0, 0.0)
+
+    def test_hard_failure_takes_the_soft_path(self, monkeypatch):
+        def always_infeasible(chol, g, A, b, **kw):
+            return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
+
+        soft_calls = []
+
+        def counted_solve_qp(H, g, A=None, b=None, **kw):
+            soft_calls.append(len(g))
+            return solve_qp(H, g, A, b, **kw)
+
+        monkeypatch.setattr(safety, "solve_factored", always_infeasible)
+        monkeypatch.setattr(safety, "solve_qp", counted_solve_qp)
+        states = {0: RobotState(0, 0, 0, 0.5)}
+        hits = ObstaclePointSet(((3.0, 0.0), None))
+        dec = solve_cluster_qp([0], states, {0: Control(0.5, 0.2)}, {0: hits}, [], P)
+        # one soft solve over two controls plus one slack for the one CBF row
+        assert soft_calls == [3]
+        assert dec.qp_status == FEASIBLE_WITH_SLACK
+        assert dec.slack_used == [0.0]
+        assert dec.controls[0].a == pytest.approx(0.5, abs=1e-9)
+        assert dec.controls[0].omega == pytest.approx(0.2, abs=1e-9)
 
     def test_human_row_counts(self):
         hum = HumanState(5.0, 5.0, 0.0, 0.0)
@@ -249,6 +274,12 @@ class TestSolveClusterQP:
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             solve_cluster_qp([], {}, {}, {}, [], P)
+
+    def test_non_finite_hit_rejected(self):
+        states = {0: RobotState(0, 0, 0, 0.0)}
+        hits = ObstaclePointSet(((math.nan, 1.0),))
+        with pytest.raises(ValueError, match="non-finite constraints"):
+            solve_cluster_qp([0], states, {0: Control(0, 0)}, {0: hits}, [], P)
 
     def test_non_finite_nominal_rejected(self):
         states = {0: RobotState(0, 0, 0, 0.0)}
@@ -268,3 +299,94 @@ class TestSolveClusterQP:
         # both must brake hard relative to nominal
         assert dec.controls[0].a < 1.0
         assert dec.controls[1].a < 1.0
+
+
+def _random_cluster(rng: random.Random):
+    """Members with shuffled ids, close enough for pair, obstacle and human rows to bind."""
+    n = rng.randint(1, 4)
+    members = rng.sample(range(6), n)
+    spread = rng.choice((0.6, 1.5, 4.0))
+    states, nominals, obstacle_points = {}, {}, {}
+    for rid in members:
+        s = RobotState(rng.uniform(0, spread), rng.uniform(0, spread),
+                       rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1))
+        states[rid] = s
+        nominals[rid] = Control(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        points = []
+        for _ in range(rng.choice((1, 4, 16))):
+            d, ang = rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi)
+            hit = (s.x + d * math.cos(ang), s.y + d * math.sin(ang))
+            points.append(hit if rng.random() < 0.3 else None)
+        obstacle_points[rid] = ObstaclePointSet(tuple(points))
+    humans = [HumanState(rng.uniform(-1, spread + 1), rng.uniform(-1, spread + 1),
+                         rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for _ in range(rng.randint(0, 2))]
+    return members, states, nominals, obstacle_points, humans
+
+
+def _reference_rows(members, states, obstacle_points, humans, p):
+    """The CBF rows rebuilt one at a time from pair_barrier and point_barrier."""
+    slot = {rid: 2 * k for k, rid in enumerate(members)}
+    rows, rhs = [], []
+
+    def add(terms, i, j=None):
+        row = [0.0] * (2 * len(members))
+        row[slot[i]: slot[i] + 2] = terms.coef_i
+        if j is not None:
+            row[slot[j]: slot[j] + 2] = terms.coef_j
+        rows.append(row)
+        rhs.append(-terms.c0 - (p.alpha1 + p.alpha2) * terms.hdot
+                   - p.alpha1 * p.alpha2 * terms.h)
+
+    for a, i in enumerate(members):
+        for j in members[a + 1:]:
+            add(pair_barrier(states[i], states[j], p.r_safe), i, j)
+    for rid in members:
+        for pt in obstacle_points[rid].hit_points():
+            add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
+    for rid in members:
+        for hum in humans:
+            add(point_barrier(states[rid], (hum.x, hum.y), (hum.vx, hum.vy),
+                              p.r_human_safe), rid)
+    return rows, rhs
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestRowsAndHardPath:
+    """The in-place row builder and the cached-factor hard solve, bit for bit."""
+
+    def test_assemble_matches_barrier_terms(self):
+        rng = random.Random(21)
+        for _ in range(500):
+            members, states, _, obstacle_points, humans = _random_cluster(rng)
+            A, b = safety._assemble(members, states, obstacle_points, humans, P)
+            rows, rhs = _reference_rows(members, states, obstacle_points, humans, P)
+            assert A.shape == (len(rows), 2 * len(members))
+            assert [_hex(row) for row in A] == [_hex(row) for row in rows]
+            assert _hex(b) == _hex(rhs)
+
+    def test_hard_path_equals_checked_solve(self):
+        rng = random.Random(22)
+        outcomes = set()
+        for _ in range(500):
+            members, states, nominals, obstacle_points, humans = _random_cluster(rng)
+            n = len(members)
+            A_cbf, b_cbf = safety._assemble(members, states, obstacle_points, humans, P)
+            A_box, b_box = safety._box_rows(2 * n, P)
+            A, b = np.vstack([A_cbf, A_box]), np.concatenate([b_cbf, b_box])
+            u_star = [u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+            g = -2.0 * np.array(u_star)
+            fast = safety.solve_factored(safety._hard_factor(2 * n), g, A, b)
+            checked = solve_qp(2.0 * np.eye(2 * n), g, A, b)
+            assert (fast.status, fast.iterations) == (checked.status, checked.iterations)
+            assert _hex(fast.x) == _hex(checked.x)
+            dec = solve_cluster_qp(members, states, nominals, obstacle_points, humans, P)
+            assert (dec.qp_status == FEASIBLE) == (checked.status == OPTIMAL)
+            if dec.qp_status == FEASIBLE:
+                assert dec.controls == safety._unpack(members, checked.x, P)
+            outcomes.add((checked.status, checked.iterations > 0))
+        # unconstrained optima, active-set steps and infeasible hard problems
+        assert outcomes >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from fleetsim.world import (
     raycast,
 )
 
-from _support import SCENARIOS, grid_from_rows
+from _support import SCENARIOS, grid_from_rows, reference_raycast
 
 
 class TestLoadMap:
@@ -195,6 +196,91 @@ class TestRaycast:
             raycast(grid, 1.0, 1.0, 0.0, n_rays=0)
         with pytest.raises(MapError):
             raycast(grid, 99.0, 1.0, 0.0)
+
+
+def _bundled_grids():
+    return [load_map(path.read_text()) for path in sorted((SCENARIOS / "maps").glob("*.map"))]
+
+
+def _hex(points):
+    return [None if p is None else (p[0].hex(), p[1].hex()) for p in points.points]
+
+
+def _assert_matches_reference(grid, x, y, heading, n_rays, max_range):
+    assert _hex(raycast(grid, x, y, heading, n_rays, max_range)) == _hex(
+        reference_raycast(grid, x, y, heading, n_rays, max_range)
+    ), (x, y, heading, n_rays, max_range)
+
+
+class TestRaycastMatchesReference:
+    """``raycast`` against the plain per-ray walk, bit for bit."""
+
+    def test_random_poses_on_bundled_maps(self):
+        rng = random.Random(7)
+        grids = _bundled_grids()
+        for k in range(1000):
+            grid = grids[k % len(grids)]
+            x = grid.origin_x + rng.random() * grid.width * grid.resolution
+            y = grid.origin_y + rng.random() * grid.height * grid.resolution
+            _assert_matches_reference(grid, x, y, rng.uniform(-math.pi, math.pi),
+                                      rng.choice((1, 8, 16)), rng.choice((1.0, 3.0, 5.0)))
+
+    @pytest.mark.parametrize("max_range", [1.0, 3.0])
+    def test_poses_near_the_skip_threshold(self, max_range):
+        # poses in cells within one cell of the clearance limit: the skipped
+        # ones must see nothing, and the unskipped ones may see a wall
+        rng = random.Random(8)
+        skipped = hits_beyond_range = 0
+        for grid in _bundled_grids():
+            res = grid.resolution
+            limit = max_range + res * math.sqrt(2.0)
+            iys, ixs = np.nonzero(np.abs(grid.clearance - limit) <= res)
+            assert len(ixs) > 0
+            for _ in range(125):
+                c = rng.randrange(len(ixs))
+                x = grid.origin_x + (ixs[c] + rng.random()) * res
+                y = grid.origin_y + (iys[c] + rng.random()) * res
+                heading = rng.uniform(-math.pi, math.pi)
+                _assert_matches_reference(grid, x, y, heading, 16, max_range)
+                clearance = grid.clearance[iys[c], ixs[c]]
+                skipped += clearance > limit
+                hits = len(raycast(grid, x, y, heading, 16, max_range))
+                hits_beyond_range += clearance > max_range and hits > 0
+        assert skipped > 0 and hits_beyond_range > 0
+
+    def test_skip_bound_is_tight_at_a_corner(self):
+        # one wall cell (4, 4); the pose sits at its cell's corner nearest the
+        # wall, just over max_range from the cell centers' limit: a skip that
+        # left out any part of res * sqrt(2) would lose this hit
+        rows = ["......"] * 6
+        rows[5 - 4] = "....#."
+        grid = grid_from_rows(rows, resolution=1.0)
+        max_range = 3.0 * math.sqrt(2.0) + 0.01
+        assert grid.clearance[0, 0] < max_range + math.sqrt(2.0)
+        assert grid.clearance[0, 0] > max_range + 1.0
+        hit = raycast(grid, 0.999, 0.999, math.pi / 4, 1, max_range).points[0]
+        assert hit is not None and hit == pytest.approx((4.0, 4.0), abs=1e-9)
+        _assert_matches_reference(grid, 0.999, 0.999, math.pi / 4, 1, max_range)
+
+    def test_all_free_grid(self):
+        grid = grid_from_rows(["......"] * 5)
+        assert np.all(grid.clearance == math.inf)
+        rng = random.Random(9)
+        for _ in range(50):
+            x, y = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.5)
+            _assert_matches_reference(grid, x, y, rng.uniform(-math.pi, math.pi), 16, 5.0)
+            assert raycast(grid, x, y, 0.0, 16, 5.0).points == (None,) * 16
+
+
+def test_clearance_is_the_distance_field_inflate_reads():
+    grid = grid_from_rows(["#....", ".....", "....."], resolution=0.5)
+    # wall at cell (0, 2); cell (4, 0) is 4 across and 2 down
+    assert grid.clearance[0, 4] == pytest.approx(0.5 * math.hypot(4, 2))
+    assert grid.clearance[2, 0] == 0.0
+    field = grid.clearance
+    costmap = inflate(grid, inflation_radius=1.0, cost_scale=3.0)
+    assert grid.clearance is field  # computed once per grid, then shared
+    assert costmap.cost[2, 1] > costmap.cost[2, 2] > costmap.cost[2, 3] == 0
 
 
 def test_obstacle_point_set_filters_misses():
