@@ -61,11 +61,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     result = run_engine(scenario, include_timing=args.timing)
     write_trace(args.out, result.trace)
-    report = compute_metrics(
-        result.trace, wall_time=result.wall_time, qp_samples=result.qp_samples
-    )
-    sys.stdout.write(report.to_text())
-    sys.stdout.write(f"trace written to {args.out}\n")
+    # report the file as written, so this is what `fleetsim report` prints
+    # for it: its 9-digit floats can round a row differently from the
+    # in-memory values (ns-grained solve durations often do)
+    sys.stdout.write(compute_metrics(read_trace(args.out)).to_text())
+    sys.stdout.write(f"trace written to {args.out} "
+                     f"(realtime factor {result.realtime_factor:.6g})\n")
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -56,12 +56,12 @@ from .world import raycast
 
 @dataclass
 class RunResult:
-    """A finished run: the trace plus wall-clock measurements kept out of it."""
+    """A finished run: the trace plus the run's wall-clock time, which the
+    trace carries only when written with timing."""
 
     trace: Trace
     sim_time: float
     wall_time: float
-    qp_samples: list[tuple[int, float]] = field(default_factory=list)
 
     @property
     def realtime_factor(self) -> float:
@@ -128,13 +128,12 @@ class _Engine:
         self.dispatcher = Dispatcher(scenario.travel_graph)
         self.robots = [_Robot(rid, spec) for rid, spec in enumerate(scenario.robots)]
         for rt in self.robots:
-            if scenario.locations:
+            if self.net.locations:
                 rt.ref_location = self.net.nearest_location(rt.position())
         self.humans = [
             HumanState(h.start[0], h.start[1], 0.0, 0.0) for h in scenario.humans
         ]
         self.events: list[dict] = []
-        self.qp_samples: list[tuple[int, float]] = []
         self.now = 0.0
 
     # ------------------------------------------------------------------
@@ -379,7 +378,8 @@ class _Engine:
                     self.s.grid, st.x, st.y, st.theta,
                     self.s.world.n_rays, self.s.world.max_range,
                 )
-            t0 = time.perf_counter()
+            if self.include_timing:
+                t0 = time.perf_counter()
             try:
                 if len(members) == 1:
                     only = members[0]
@@ -399,8 +399,6 @@ class _Engine:
                     if not rt.fault:
                         self._fault(rt, f"safety: {exc}")
                 continue
-            elapsed = time.perf_counter() - t0
-            self.qp_samples.append((len(members), elapsed))
             for m in members:
                 decided[m] = decision.controls[m]
             record = {
@@ -410,7 +408,7 @@ class _Engine:
                 "rows": len(decision.slack_used),
             }
             if self.include_timing:
-                record["duration"] = elapsed
+                record["duration"] = time.perf_counter() - t0
             self.emit(record)
         for rid, rt in enumerate(self.robots):
             rt.control = decided[rid]
@@ -486,7 +484,7 @@ class _Engine:
         for loc, spec in sorted(self.s.rooms.items()):
             if not point_in_polygon(pos, list(spec.polygon)):
                 continue
-            room_pos = self.s.locations[loc]
+            room_pos = self.net.locations[loc]
             back = spec.queue_slots[-1]
             direction = (back[0] - room_pos[0], back[1] - room_pos[1])
             norm = math.hypot(*direction)
@@ -536,8 +534,7 @@ class _Engine:
                 {"x": h.start[0], "y": h.start[1]} for h in s.humans
             ],
             "locations": [
-                [loc, s.locations[loc][0], s.locations[loc][1]]
-                for loc in sorted(s.locations)
+                [loc, x, y] for loc, (x, y) in sorted(s.roadways.locations.items())
             ],
             "rooms": [
                 {
@@ -566,29 +563,25 @@ class _Engine:
             self.phase_controls(partition)
             self.phase_integrate()
             self.phase_bookkeeping()
+        wall = time.perf_counter() - wall_start
         sim_time = n_ticks * self.s.control_period
         if n_ticks > 0:
             self.now = sim_time
             self.emit_state()
             end_record = {"type": tr.END, "t": self.now, "ticks": n_ticks}
             if self.include_timing:
-                end_record["wall_time"] = time.perf_counter() - wall_start
+                end_record["wall_time"] = wall
             self.emit(end_record)
-        wall = time.perf_counter() - wall_start
-        return RunResult(
-            trace=Trace(self.header(), self.events),
-            sim_time=sim_time,
-            wall_time=wall,
-            qp_samples=self.qp_samples,
-        )
+        return RunResult(Trace(self.header(), self.events), sim_time, wall)
 
 
 def run(scenario: Scenario, include_timing: bool = False) -> RunResult:
     """Execute a scenario to completion and return its trace.
 
-    ``include_timing`` adds wall-clock solve durations to trace events; they
-    vary run to run, so the byte-determinism guarantee only covers traces
-    written without it.
+    ``include_timing`` adds each cluster solve's wall-clock duration to its
+    ``qp`` record and the run's wall time to the ``end`` record; they vary
+    run to run, so the byte-determinism guarantee only covers traces written
+    without it.
     """
     return _Engine(scenario, include_timing).run()
 
@@ -603,12 +596,13 @@ def measure_travel_time(
     humans and no room queues. The result is the number of ticks until the
     robot arrives at ``loc_b``, times ``control_period``.
     """
-    if loc_a not in scenario.locations or loc_b not in scenario.locations:
-        missing = loc_a if loc_a not in scenario.locations else loc_b
+    locations = scenario.roadways.locations
+    if loc_a not in locations or loc_b not in locations:
+        missing = loc_a if loc_a not in locations else loc_b
         raise KeyError(f"unknown location {missing}")
     if loc_a == loc_b:
         return 0.0
-    start = scenario.locations[loc_a]
+    start = locations[loc_a]
     spec = replace(scenario.robots[0], start=start, heading=0.0)
     # no rooms: an idle robot inside a room would be routed out of it
     solo = replace(
@@ -630,7 +624,6 @@ def measure_travel_time(
         engine.phase_bookkeeping()
         # nothing reads a measurement's records; drop them tick by tick
         engine.events.clear()
-        engine.qp_samples.clear()
         if rt.fault:
             raise PlanningError(f"pair ({loc_a}, {loc_b}) unreachable: {rt.fault}")
         now += scenario.control_period
@@ -646,7 +639,7 @@ def collect_travel_times(scenario) -> TravelTimeGraph:
     engine's own tick phases; the pair weight is the larger of the two
     directions, the conservative choice for hard deadlines.
     """
-    loc_ids = tuple(sorted(scenario.locations))
+    loc_ids = tuple(sorted(scenario.roadways.locations))
     n = len(loc_ids)
     directed = np.zeros((n, n))
     for a in range(n):

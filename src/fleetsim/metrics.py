@@ -1,9 +1,9 @@
 """Post-run reporting computed from a trace.
 
 Everything here is derived from the trace records alone, so a report can be
-regenerated later from a trace file without re-running the scenario. Solver
-wall-clock statistics need a trace written with timing enabled (or the
-in-process sample list from a RunResult); without them those rows read NA.
+regenerated later from a trace file without re-running the scenario. The
+solver and realtime-factor rows need a trace written with timing enabled
+(``qp.duration`` and ``end.wall_time``); without it they read NA.
 """
 
 from __future__ import annotations
@@ -115,17 +115,8 @@ def _rect_distances(points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
     return np.min(np.hypot(dx, dy), axis=1)
 
 
-def compute_metrics(
-    trace: Trace,
-    wall_time: float | None = None,
-    qp_samples: list[tuple[int, float]] | None = None,
-) -> MetricsReport:
-    """Summarize a trace; see MetricsReport for what is reported.
-
-    ``wall_time`` and ``qp_samples`` supply solver timing when the trace was
-    written without it (the determinism-preserving default); timing the
-    trace holds takes precedence.
-    """
+def compute_metrics(trace: Trace) -> MetricsReport:
+    """Summarize a trace; see MetricsReport for what is reported."""
     header = trace.header
     grid = load_map(header["map"]["text"])
     bounds = _occupied_cell_bounds(grid)
@@ -140,10 +131,10 @@ def compute_metrics(
     deadlines: dict[str, float] = {}
     request_at: dict[tuple[int, int], float] = {}
     fallback_ticks: set[float] = set()
-    qp_rows: list[tuple[int, float]] = []
+    by_size: dict[int, list[float]] = {}
     min_rr = math.inf
     min_obs = math.inf
-    end_wall: float | None = None
+    wall: float | None = None
 
     for ev in trace.events:
         kind = ev["type"]
@@ -175,7 +166,7 @@ def compute_metrics(
             if ev["status"] == INFEASIBLE_FALLBACK:
                 fallback_ticks.add(ev["t"])
             if "duration" in ev:
-                qp_rows.append((len(ev["members"]), ev["duration"]))
+                by_size.setdefault(len(ev["members"]), []).append(ev["duration"])
         elif kind == tr.QUEUE:
             key = (ev["room"], ev["robot"])
             if ev["event"] == "request":
@@ -188,7 +179,7 @@ def compute_metrics(
             report.faults += 1
         elif kind == tr.END:
             report.ticks = ev["ticks"]
-            end_wall = ev.get("wall_time")
+            wall = ev.get("wall_time")
 
     if min_rr < math.inf:
         report.min_robot_distance = min_rr
@@ -197,15 +188,10 @@ def compute_metrics(
     if report.ticks > 0:
         report.fallback_fraction = len(fallback_ticks) / report.ticks
 
-    by_size: dict[int, list[float]] = {}
-    for size, seconds in qp_rows or qp_samples or []:
-        by_size.setdefault(size, []).append(seconds)
     report.qp_timing = {
         size: QPTimingStats(len(vals), sum(vals) / len(vals), max(vals))
         for size, vals in sorted(by_size.items())
     }
-
-    wall = end_wall if end_wall is not None else wall_time
     if wall is not None and wall > 0 and report.ticks > 0:
         sim_time = report.ticks * header["control_period"]
         report.realtime_factor = sim_time / wall

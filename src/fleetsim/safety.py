@@ -166,17 +166,19 @@ def _assemble(
     humans: list[HumanState],
     p: ControllerParams,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stack all CBF rows into (A, b) with A @ u >= b over stacked controls.
+    """The hard system (A, b), A @ u >= b over stacked controls: the CBF
+    rows, then the 4n box rows of ``_box_rows``.
 
-    Rows come pairs first, then each member's obstacle hits, then each member
-    against each human. Every row holds ``pair_barrier``'s or
+    CBF rows come pairs first, then each member's obstacle hits, then each
+    member against each human. Every one holds ``pair_barrier``'s or
     ``point_barrier``'s terms, computed in place with the same float operations.
     """
     n = len(members)
     hits = [obstacle_points[rid].hit_points() for rid in members]
     m = n * (n - 1) // 2 + sum(map(len, hits)) + n * len(humans)
-    A = np.zeros((m, 2 * n))
-    b = np.empty(m)
+    A = np.zeros((m + 4 * n, 2 * n))
+    b = np.empty(m + 4 * n)
+    A[m:], b[m:] = _box_rows(2 * n, p.a_max, p.omega_max)
     gain = p.alpha1 + p.alpha2
     decay = p.alpha1 * p.alpha2
     # per member: state, heading e, its normal, velocity v * e
@@ -225,13 +227,17 @@ def _assemble(
     return A, b
 
 
-def _box_rows(n_vars: int, p: ControllerParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per stacked (a, omega) variable: the upper bound row, then the lower."""
+@functools.cache
+def _box_rows(n_vars: int, a_max: float, omega_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per stacked (a, omega) variable: the upper bound row, then the lower.
+    Read-only, shared by every solve of its size and bounds."""
     A = np.zeros((2 * n_vars, n_vars))
     for var in range(n_vars):
         A[2 * var, var] = -1.0
         A[2 * var + 1, var] = 1.0
-    return A, -np.array([p.a_max, p.a_max, p.omega_max, p.omega_max] * (n_vars // 2))
+    b = -np.array([a_max, a_max, omega_max, omega_max] * (n_vars // 2))
+    A.flags.writeable = b.flags.writeable = False
+    return A, b
 
 
 @functools.cache
@@ -275,21 +281,18 @@ def solve_cluster_qp(
         u_star[2 * k] = nominals[rid].a
         u_star[2 * k + 1] = nominals[rid].omega
 
-    A_cbf, b_cbf = _assemble(members, states, obstacle_points, humans, p)
-    m = A_cbf.shape[0]
-    A_box, b_box = _box_rows(2 * n, p)
-
-    A_hard = np.vstack([A_cbf, A_box])
-    b_hard = np.concatenate([b_cbf, b_box])
-    if not (np.isfinite(A_hard).all() and np.isfinite(b_hard).all()):
+    A, b = _assemble(members, states, obstacle_points, humans, p)
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("non-finite constraints")
-    hard = solve_factored(_hard_factor(2 * n), -2.0 * u_star, A_hard, b_hard)
+    hard = solve_factored(_hard_factor(2 * n), -2.0 * u_star, A, b)
+    m = len(b) - 4 * n  # CBF rows
     if hard.status == OPTIMAL:
         return ControlDecision(
             _unpack(members, hard.x, p), [0.0] * m, FEASIBLE
         )
 
     # soft problem: append one slack variable per CBF row
+    A_cbf, A_box, b_cbf, b_box = A[:m], A[m:], b[:m], b[m:]
     H = np.diag([2.0] * (2 * n) + [2.0 * p.slack_penalty] * m)
     g = np.concatenate([-2.0 * u_star, np.zeros(m)])
     soft = solve_qp(

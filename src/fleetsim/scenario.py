@@ -86,7 +86,6 @@ class Scenario:
     map_text: str
     robots: list[RobotSpec]
     humans: list[HumanSpec]
-    locations: dict[int, Position]
     roadways: RoadwayNetwork
     rooms: dict[int, RoomSpec]
     travel_graph: TravelTimeGraph | None
@@ -104,7 +103,7 @@ class Scenario:
             loc: RoomQueue(
                 room_id=loc,
                 slots=list(spec.queue_slots),
-                room_position=self.locations[loc],
+                room_position=self.roadways.locations[loc],
             )
             for loc, spec in self.rooms.items()
         }
@@ -335,7 +334,7 @@ def load_scenario(
         if math.dist(wps[-1], locations[b]) > ROUTE_ENDPOINT_TOLERANCE:
             raise ScenarioError(f"{ctx}: does not end at location {b}")
         routes[(a, b)] = wps
-    net = RoadwayNetwork(dict(locations), routes)
+    net = RoadwayNetwork(locations, routes)
 
     rooms: dict[int, RoomSpec] = {}
     for k, entry in enumerate(_list(doc.get("rooms"), "rooms")):
@@ -423,7 +422,6 @@ def load_scenario(
         map_text=map_text,
         robots=robots,
         humans=humans,
-        locations=locations,
         roadways=net,
         rooms=rooms,
         travel_graph=graph,

@@ -87,8 +87,8 @@ def busy_fleet_scenario(n_robots: int, duration: float = 120.0) -> Scenario:
     ]
     return Scenario(
         grid=grid, costmap=costmap, map_text=map_text,
-        robots=robots, humans=[], locations=locations,
-        roadways=RoadwayNetwork(dict(locations), {}), rooms={},
+        robots=robots, humans=[],
+        roadways=RoadwayNetwork(locations, {}), rooms={},
         travel_graph=straight_line_graph(locations), task_stream=batches,
         world=WorldParams(), duration=duration, seed=0, digest="",
     )
@@ -136,8 +136,8 @@ def random_safety_scenario(seed: int, duration: float = 60.0) -> Scenario:
         tasks.append(Task(a, b, 1000.0))
     return Scenario(
         grid=grid, costmap=costmap, map_text=map_text,
-        robots=robots, humans=[], locations=locations,
-        roadways=RoadwayNetwork(dict(locations), {}), rooms={},
+        robots=robots, humans=[],
+        roadways=RoadwayNetwork(locations, {}), rooms={},
         travel_graph=straight_line_graph(locations),
         task_stream=[TaskRequest(0.0, tuple(tasks))],
         world=WorldParams(), duration=duration, seed=seed, digest="",

@@ -111,17 +111,26 @@ class TestRun:
         qp_events = [e for e in read_trace(out).events if e["type"] == "qp"]
         assert qp_events and all("duration" in e for e in qp_events)
 
-    def test_timing_counts_each_solve_once(self, tmp_path, capsys):
-        def solve_counts(text):
-            return [line for line in text.splitlines()
-                    if line.startswith("qp_solves_cluster_")]
-
-        out = tmp_path / "timed.trace"
+    @pytest.mark.parametrize("timing", [True, False], ids=["on", "off"])
+    def test_timing_counts_each_solve_once(self, tmp_path, capsys, timing):
+        """``run`` prints the report ``report`` prints for the written trace,
+        byte for byte, then one status line."""
+        out = tmp_path / "run.trace"
         assert main(["run", SMOKE, "--out", str(out), "--duration", "2",
-                     "--timing"]) == 0
-        run_counts = solve_counts(capsys.readouterr().out)
+                     *(["--timing"] if timing else [])]) == 0
+        *run_report, status = capsys.readouterr().out.splitlines(keepends=True)
         assert main(["report", str(out)]) == 0
-        assert run_counts and run_counts == solve_counts(capsys.readouterr().out)
+        assert "".join(run_report) == capsys.readouterr().out
+        assert re.fullmatch(rf"trace written to {re.escape(str(out))} "
+                            r"\(realtime factor \S+\)\n", status)
+        rows = dict(line.split() for line in run_report)
+        solves = sum(int(v) for k, v in rows.items() if k.startswith("qp_solves_cluster_"))
+        qp_records = sum(1 for e in read_trace(out).events if e["type"] == "qp")
+        if timing:
+            assert solves == qp_records > 0
+            assert rows["realtime_factor"] != "NA"
+        else:
+            assert (solves, rows["qp_mean_s"], rows["realtime_factor"]) == (0, "NA", "NA")
 
     @pytest.mark.parametrize("where", list(MALFORMED))
     def test_malformed_content_names_the_key(self, tmp_path, capsys, where):

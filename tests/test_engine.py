@@ -140,15 +140,18 @@ class TestRunShape:
         assert result.trace.header["timing"] is True
         end = [e for e in result.trace.events if e["type"] == "end"][0]
         assert end["wall_time"] > 0
+        # one clock reading: the trace and the RunResult hold the same value
+        assert end["wall_time"] == result.wall_time
         qp = [e for e in result.trace.events if e["type"] == "qp"]
         assert qp and all(e["duration"] >= 0 for e in qp)
 
-    def test_qp_samples_collected_without_timing(self, smoke_result):
+    def test_no_timing_fields_without_timing(self, smoke_result):
         _, result = smoke_result
-        assert result.qp_samples
-        assert all(size >= 1 and sec >= 0 for size, sec in result.qp_samples)
+        end = [e for e in result.trace.events if e["type"] == "end"]
+        assert len(end) == 1 and "wall_time" not in end[0]
         qp = [e for e in result.trace.events if e["type"] == "qp"]
         assert qp and all("duration" not in e for e in qp)
+        assert result.wall_time > 0
 
 
 class TestTaskFlow:
@@ -460,12 +463,79 @@ GOLDEN_DIGESTS = {
 }
 
 
+# Per record type, the first 16 hex digits of the SHA-256 over that type's
+# serialized lines, in trace order. They only say where a digest moved.
+GOLDEN_TYPE_PREFIXES = {
+    "smoke_result": {
+        "arrival": "d9ca330aa170881b", "clusters": "b564dcd5feef5d63",
+        "control": "2f1a84ce799f03a5", "end": "6cffa70593f7e9ac",
+        "header": "0ccf561962f890be", "plan": "1b6b4f8b4bb61602",
+        "qp": "0269d262f6b6609f", "state": "c981a570253cf8cf",
+        "task": "8eabfd002dd73e4b",
+    },
+    "corridors_result": {
+        "arrival": "464e2790cf6a3d9a", "clusters": "26fbea4fe9382379",
+        "control": "dd89e83e0d52e8f8", "end": "13190c56d83022a7",
+        "header": "7a255d58f1e2ecef", "plan": "40921d97ada375fa",
+        "qp": "b7045a444426543c", "state": "ee0ba9f1af6b6278",
+        "task": "d3f9013c767d2404",
+    },
+    "rooms_result": {
+        "arrival": "f2bb51183839257c", "clusters": "a84c1e802ea61b31",
+        "control": "8e403c7bf66e7035", "end": "da826fb64040c4a8",
+        "header": "ade588fd92459085", "plan": "6f6be64c2cbc83ad",
+        "qp": "a74a231f9b772b53", "queue": "b7bddb5435bfbb04",
+        "state": "f9fd613ee90d2fb1", "task": "aecdf9de7968847f",
+    },
+    "depot_result": {
+        "arrival": "484c7b843fe62ac1", "clusters": "afddac52f636c265",
+        "control": "579f608d40c13a2d", "end": "e4aad65b0dfad0ec",
+        "header": "f3010c833d32f9cf", "plan": "e51a6983f5c9b0b0",
+        "qp": "92c956d639e71d82", "state": "78cd7560ad81fc80",
+        "task": "ff3d3daeab1af2ba",
+    },
+    "busy6_result": {
+        "arrival": "1bf166b0d8235984", "clusters": "397cca9ff640e13c",
+        "control": "6bbe60c8fbcbe98a", "end": "7033ee576deaf238",
+        "header": "c5ecb943df246708", "plan": "e9c7aab858c20233",
+        "qp": "d1b82c9af037e17f", "state": "aa834fab6a0017e8",
+        "task": "f31f3cfd169506a9",
+    },
+}
+
+
+def _moved_types(records: list[dict], pinned: dict[str, str]) -> list[str]:
+    """Record types whose lines no longer hash to their pinned prefix,
+    including types that appeared or disappeared."""
+    shas = {}
+    for r in records:
+        shas.setdefault(r["type"], hashlib.sha256()).update(
+            (dumps_record(r) + "\n").encode())
+    got = {kind: sha.hexdigest()[:16] for kind, sha in shas.items()}
+    return sorted(k for k in got.keys() | pinned.keys() if got.get(k) != pinned.get(k))
+
+
 @pytest.mark.parametrize("fixture", list(GOLDEN_DIGESTS))
 def test_golden_trace_digest(fixture, request):
     _, result = request.getfixturevalue(fixture)
     records = [result.trace.header, *result.trace.events]
     text = "".join(dumps_record(r) + "\n" for r in records)
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[fixture]
+    moved = _moved_types(records, GOLDEN_TYPE_PREFIXES[fixture])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[fixture], (
+        f"trace of {fixture} moved; record types that moved: {moved}")
+    assert moved == [], "per-type prefixes are stale for an unchanged trace"
+
+
+def test_moved_types_name_the_changed_record_type(smoke_result):
+    _, result = smoke_result
+    records = [result.trace.header, *result.trace.events]
+    pinned = GOLDEN_TYPE_PREFIXES["smoke_result"]
+    assert _moved_types(records, pinned) == []
+    k = next(i for i, r in enumerate(records) if r["type"] == "qp")
+    bumped = records[:k] + [{**records[k], "rows": records[k]["rows"] + 1}] + records[k + 1:]
+    assert _moved_types(bumped, pinned) == ["qp"]
+    no_end = [r for r in records if r["type"] != "end"]
+    assert _moved_types(no_end, pinned) == ["end"]
 
 
 def test_benchmark_span_names_resolve():

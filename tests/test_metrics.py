@@ -124,9 +124,14 @@ class TestQPAndQueues:
         assert report.qp_timing[2] == QPTimingStats(2, 0.002, 0.003)
         assert report.qp_timing[1].count == 1
 
-    def test_qp_samples_argument_merges(self):
-        report = compute_metrics(Trace(make_header()), qp_samples=[(3, 0.004)])
-        assert report.qp_timing == {3: QPTimingStats(1, 0.004, 0.004)}
+    def test_qp_records_without_duration_give_no_timing(self):
+        events = [
+            {"type": "qp", "t": 0.1, "status": FEASIBLE, "members": [0, 1]},
+            {"type": "end", "t": 5.0, "ticks": 100},
+        ]
+        report = compute_metrics(Trace(make_header(), events))
+        assert report.qp_timing == {}
+        assert ("qp_mean_s", "NA") in report._rows()
 
     def test_queue_waits_pair_request_with_grant(self):
         events = [
@@ -148,11 +153,6 @@ class TestWallClock:
         report = compute_metrics(Trace(make_header(), events))
         assert report.ticks == 100
         assert report.realtime_factor == pytest.approx(100 * 0.05 / 2.0)
-
-    def test_wall_time_argument_as_fallback(self):
-        events = [{"type": "end", "t": 5.0, "ticks": 100}]
-        report = compute_metrics(Trace(make_header(), events), wall_time=10.0)
-        assert report.realtime_factor == pytest.approx(0.5)
 
     def test_no_wall_time_leaves_factor_unset(self):
         events = [{"type": "end", "t": 5.0, "ticks": 100}]
@@ -187,10 +187,13 @@ class TestRendering:
         assert body.split(",")[0] == "5"
 
     def test_csv_includes_timing_when_present(self):
-        report = compute_metrics(Trace(make_header()), qp_samples=[(2, 0.002)])
-        head = report.to_csv().split("\n")[0]
+        events = [{"type": "qp", "t": 0.1, "status": FEASIBLE, "members": [0, 1],
+                   "duration": 0.002}]
+        head, body = compute_metrics(Trace(make_header(), events)).to_csv().split("\n")[:2]
         assert "qp_mean_s_cluster_2" in head
         assert "qp_solves_cluster_2" in head
+        assert "qp_mean_s" not in head.split(",")
+        assert dict(zip(head.split(","), body.split(",")))["qp_mean_s_cluster_2"] == "0.002"
 
     def test_empty_trace_report(self):
         report = compute_metrics(Trace(make_header()))

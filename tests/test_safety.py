@@ -325,7 +325,9 @@ def _random_cluster(rng: random.Random):
 
 
 def _reference_rows(members, states, obstacle_points, humans, p):
-    """The CBF rows rebuilt one at a time from pair_barrier and point_barrier."""
+    """The hard system rebuilt one row at a time: the CBF rows from
+    pair_barrier and point_barrier, then per stacked (a, omega) variable its
+    upper and its lower box row."""
     slot = {rid: 2 * k for k, rid in enumerate(members)}
     rows, rhs = [], []
 
@@ -348,6 +350,13 @@ def _reference_rows(members, states, obstacle_points, humans, p):
         for hum in humans:
             add(point_barrier(states[rid], (hum.x, hum.y), (hum.vx, hum.vy),
                               p.r_human_safe), rid)
+    for var in range(2 * len(members)):
+        bound = p.a_max if var % 2 == 0 else p.omega_max
+        for sign in (-1.0, 1.0):
+            row = [0.0] * (2 * len(members))
+            row[var] = sign
+            rows.append(row)
+            rhs.append(-bound)
     return rows, rhs
 
 
@@ -365,6 +374,7 @@ class TestRowsAndHardPath:
             A, b = safety._assemble(members, states, obstacle_points, humans, P)
             rows, rhs = _reference_rows(members, states, obstacle_points, humans, P)
             assert A.shape == (len(rows), 2 * len(members))
+            assert A.flags.c_contiguous and A.flags.writeable
             assert [_hex(row) for row in A] == [_hex(row) for row in rows]
             assert _hex(b) == _hex(rhs)
 
@@ -374,9 +384,7 @@ class TestRowsAndHardPath:
         for _ in range(500):
             members, states, nominals, obstacle_points, humans = _random_cluster(rng)
             n = len(members)
-            A_cbf, b_cbf = safety._assemble(members, states, obstacle_points, humans, P)
-            A_box, b_box = safety._box_rows(2 * n, P)
-            A, b = np.vstack([A_cbf, A_box]), np.concatenate([b_cbf, b_box])
+            A, b = safety._assemble(members, states, obstacle_points, humans, P)
             u_star = [u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
             g = -2.0 * np.array(u_star)
             fast = safety.solve_factored(safety._hard_factor(2 * n), g, A, b)

@@ -135,7 +135,7 @@ class TestLoadScenario:
         assert sc.robots[0].start == (1.0, 1.0)
         assert sc.robots[0].heading == 0.0
         assert sc.robots[1].heading == 1.5
-        assert sc.locations == {0: (1.0, 1.0), 1: (6.0, 6.0)}
+        assert sc.roadways.locations == {0: (1.0, 1.0), 1: (6.0, 6.0)}
         assert sc.humans == [] and sc.rooms == {}
         assert sc.travel_graph.time(0, 1) == 2.5
         assert len(sc.task_stream) == 2
@@ -474,7 +474,7 @@ class TestBundledScenarios:
     ])
     def test_loads_cleanly(self, name):
         sc = load_scenario(SCENARIOS / f"{name}.yaml")
-        assert sc.robots and sc.locations and sc.travel_graph is not None
+        assert sc.robots and sc.roadways.locations and sc.travel_graph is not None
         assert sc.task_stream and sc.duration > 0
         assert len(sc.digest) == 64
 
@@ -484,4 +484,4 @@ class TestBundledScenarios:
         assert set(sc.rooms) == {0, 1}
         assert all(len(r.queue_slots) == 3 for r in sc.rooms.values())
         queues = sc.build_queues()
-        assert queues[0].room_position == sc.locations[0]
+        assert queues[0].room_position == sc.roadways.locations[0]

@@ -60,3 +60,63 @@ class TestUnusedImports:
             "__all__ = ['run']\n"
         )
         assert unused_imports(source) == []
+
+
+WALL_CLOCKS = {
+    name + suffix
+    for name in ("perf_counter", "time", "monotonic", "process_time")
+    for suffix in ("", "_ns")
+}
+
+
+def wall_clock_reads(source: str) -> list[str]:
+    """Each wall-clock function of ``time`` a module imports by name or
+    reads as an attribute of the ``time`` module, under any alias."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "time"
+    }
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            reads += [(node.lineno, a.name) for a in node.names if a.name in WALL_CLOCKS]
+        elif (isinstance(node, ast.Attribute) and node.attr in WALL_CLOCKS
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            reads.append((node.lineno, node.attr))
+    return [f"line {line}: time.{name}" for line, name in sorted(reads)]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "engine.py"], ids=lambda p: p.name)
+def test_only_the_engine_reads_a_wall_clock(path):
+    """Run timing has one source: the engine's readings, carried in the trace."""
+    assert wall_clock_reads(path.read_text()) == []
+
+
+class TestWallClockReads:
+    def test_flags_a_planted_read(self):
+        source = (
+            "import time as clock\n"
+            "from time import monotonic_ns, sleep\n"
+            "def f():\n"
+            "    sleep(0)\n"
+            "    return clock.perf_counter() - monotonic_ns()\n"
+        )
+        assert wall_clock_reads(source) == [
+            "line 2: time.monotonic_ns", "line 5: time.perf_counter",
+        ]
+
+    def test_other_names_pass(self):
+        source = (
+            "import time\n"
+            "time.sleep(0.0)\n"
+            "stamp = record.time\n"
+            "clock.perf_counter()\n"
+        )
+        assert wall_clock_reads(source) == []
+
+    def test_the_engine_is_the_reader(self):
+        engine = ROOT / "src" / "fleetsim" / "engine.py"
+        assert wall_clock_reads(engine.read_text())
