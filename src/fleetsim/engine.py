@@ -408,7 +408,7 @@ class _Engine:
                 "rows": len(decision.slack_used),
             }
             if self.include_timing:
-                record["duration"] = time.perf_counter() - t0
+                record["duration"] = tr.as_written(time.perf_counter() - t0)
             self.emit(record)
         for rid, rt in enumerate(self.robots):
             rt.control = decided[rid]
@@ -563,7 +563,8 @@ class _Engine:
             self.phase_controls(partition)
             self.phase_integrate()
             self.phase_bookkeeping()
-        wall = time.perf_counter() - wall_start
+        # rounded as written, so the in-memory trace equals the file's
+        wall = tr.as_written(time.perf_counter() - wall_start)
         sim_time = n_ticks * self.s.control_period
         if n_ticks > 0:
             self.now = sim_time

@@ -58,6 +58,9 @@ def plan(
     ``1 + cost_weight * avg(cell costs) / 254``. Lethal cells are never
     entered and diagonal moves may not cut corners past a lethal cell.
     Ties on f are broken toward larger g, then smaller cell index.
+
+    The search depends only on the start cell, the goal cell and
+    ``cost_weight``, so its result is memoized on those in ``costmap.plans``.
     """
     grid = costmap.grid
     try:
@@ -70,48 +73,97 @@ def plan(
         raise PlanningError(f"start {start} lies on a lethal cell")
     if cost[g[1], g[0]] == LETHAL_COST:
         raise PlanningError(f"goal {goal} lies on a lethal cell")
+    key = (s, g, cost_weight)
+    try:
+        path = costmap.plans[key]
+    except KeyError:
+        path = costmap.plans[key] = _search(costmap, s, g, cost_weight)
+    if path is None:
+        raise UnreachableError(f"no path from {start} to {goal}")
+    return path
 
-    width, height = grid.width, grid.height
 
-    def h(ix: int, iy: int) -> float:
-        return math.hypot(ix - g[0], iy - g[1])
+def _edge_table(costmap: Costmap, cost_weight: float) -> list:
+    """Per move in ``_MOVES`` order: ``(index offset, dx, dy, weights)``.
 
+    ``weights[idx]`` is the weight of the move out of cell ``idx``, or None
+    where it leaves the map, leaves or enters a lethal cell, or cuts a
+    corner past one. Built once per costmap and ``cost_weight``.
+    """
+    table = costmap.edge_tables.get(cost_weight)
+    if table is not None:
+        return table
+    width, height = costmap.grid.width, costmap.grid.height
+    cost = costmap.cost.ravel().tolist()
+    shared: dict[tuple[int, int, float], float] = {}
+    table = []
+    for dx, dy, length in _MOVES:
+        off = dy * width + dx
+        weights: list[float | None] = [None] * (width * height)
+        for iy in range(max(0, -dy), min(height, height - dy)):
+            row = iy * width
+            for idx in range(row + max(0, -dx), row + min(width, width - dx)):
+                c_here, c_next = cost[idx], cost[idx + off]
+                if c_here == LETHAL_COST or c_next == LETHAL_COST:
+                    continue
+                # no squeezing diagonally past a lethal cell
+                if dx and dy and (
+                    cost[idx + dx] == LETHAL_COST or cost[idx + dy * width] == LETHAL_COST
+                ):
+                    continue
+                key = (c_here, c_next, length)
+                w = shared.get(key)
+                if w is None:
+                    w = shared[key] = _edge_weight(c_here, c_next, length, cost_weight)
+                weights[idx] = w
+        table.append((off, dx, dy, weights))
+    costmap.edge_tables[cost_weight] = table
+    return table
+
+
+def _search(
+    costmap: Costmap, s: tuple[int, int], g: tuple[int, int], cost_weight: float
+) -> Path | None:
+    """A* from cell ``s`` to cell ``g``; None when ``g`` is unreachable."""
+    columns = _edge_table(costmap, cost_weight)
+    width = costmap.grid.width
+    gx, gy = g
+    hypot, heappush, heappop = math.hypot, heapq.heappush, heapq.heappop
+    inf = math.inf
     start_idx = s[1] * width + s[0]
-    open_heap: list[tuple[float, float, int]] = [(h(*s), 0.0, start_idx)]
+    goal_idx = gy * width + gx
+    open_heap: list[tuple[float, float, int]] = [
+        (hypot(s[0] - gx, s[1] - gy), 0.0, start_idx)
+    ]
     g_score: dict[int, float] = {start_idx: 0.0}
     came_from: dict[int, int] = {}
     closed: set[int] = set()
 
     while open_heap:
-        f, neg_g, idx = heapq.heappop(open_heap)
+        _, neg_g, idx = heappop(open_heap)
         if idx in closed:
             continue
         closed.add(idx)
-        iy, ix = divmod(idx, width)
-        if (ix, iy) == g:
+        if idx == goal_idx:
             return _reconstruct(costmap, came_from, idx, -neg_g)
         g_here = -neg_g
-        c_here = int(cost[iy, ix])
-        for dx, dy, length in _MOVES:
-            nx, ny = ix + dx, iy + dy
-            if not (0 <= nx < width and 0 <= ny < height):
+        iy, ix = divmod(idx, width)
+        for off, dx, dy, weights in columns:
+            w = weights[idx]
+            if w is None:
                 continue
-            c_next = int(cost[ny, nx])
-            if c_next == LETHAL_COST:
-                continue
-            if dx != 0 and dy != 0:
-                # no squeezing diagonally past a lethal cell
-                if cost[iy, nx] == LETHAL_COST or cost[ny, ix] == LETHAL_COST:
-                    continue
-            nidx = ny * width + nx
+            nidx = idx + off
             if nidx in closed:
                 continue
-            tentative = g_here + _edge_weight(c_here, c_next, length, cost_weight)
-            if tentative < g_score.get(nidx, math.inf):
+            tentative = g_here + w
+            if tentative < g_score.get(nidx, inf):
                 g_score[nidx] = tentative
                 came_from[nidx] = idx
-                heapq.heappush(open_heap, (tentative + h(nx, ny), -tentative, nidx))
-    raise UnreachableError(f"no path from {start} to {goal}")
+                heappush(
+                    open_heap,
+                    (tentative + hypot(ix + dx - gx, iy + dy - gy), -tentative, nidx),
+                )
+    return None
 
 
 def _reconstruct(costmap: Costmap, came_from: dict[int, int], idx: int, total: float) -> Path:

@@ -54,6 +54,11 @@ def _fmt(value) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__} in trace record")
 
 
+def as_written(value: float) -> float:
+    """``value`` as a written trace reads it back: 9 significant digits."""
+    return float(format(value, ".9g"))
+
+
 def dumps_record(record: dict) -> str:
     """Serialize one record to its canonical single-line form."""
     return _fmt(record)

@@ -1,6 +1,8 @@
 """Static environment: ASCII occupancy grids, inflated costmaps, ray sensing.
 
-The map is immutable after loading and safe to share across readers.
+The map is immutable after loading and safe to share across readers: the
+occupancy and cost arrays are read-only, so caches derived from them stay
+valid.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ class OccupancyGrid:
             raise MapError("resolution must be positive")
         if self.occupied.shape != (self.height, self.width):
             raise MapError("occupancy array shape does not match header")
+        self.occupied.flags.writeable = False
 
     def in_bounds(self, x: float, y: float) -> bool:
         return (
@@ -99,16 +102,18 @@ class Costmap:
     """Per-cell traversal cost on the same geometry as the source grid.
 
     255 marks lethal (occupied) cells; 0 is free space far from obstacles.
+    ``plans`` and ``edge_tables`` are the planner's caches (``planner.plan``):
+    A* results by (start cell, goal cell, cost_weight) and edge weights by
+    cost_weight.
     """
 
     grid: OccupancyGrid
     cost: np.ndarray = field(repr=False)  # uint8, shape (height, width)
+    plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    edge_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def cost_at(self, ix: int, iy: int) -> int:
-        return int(self.cost[iy, ix])
-
-    def is_lethal(self, ix: int, iy: int) -> bool:
-        return self.cost[iy, ix] == LETHAL_COST
+    def __post_init__(self) -> None:
+        self.cost.flags.writeable = False
 
 
 @dataclass(frozen=True)

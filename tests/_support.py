@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from fleetsim.navigation import RoadwayNetwork
+from fleetsim.planner import Path as PlannedPath, PlanningError, UnreachableError
 from fleetsim.scenario import RobotSpec, Scenario, WorldParams
 from fleetsim.tasking import (
     DROPOFF,
@@ -180,6 +181,74 @@ def dijkstra_cost(costmap, start_cell, goal_cell, cost_weight: float) -> float |
                 dist[nidx] = nd
                 heapq.heappush(heap, (nd, nidx))
     return None
+
+
+def reference_plan(costmap, start, goal, cost_weight: float = 3.0):
+    """The planner's A* as a plain loop over numpy cost lookups, no caches.
+
+    Same moves, edge weights, heuristic and (f, -g, index) tie-break as
+    ``planner.plan``, so paths and costs must match bit for bit.
+    """
+    grid = costmap.grid
+    try:
+        s = grid.world_to_cell(*start)
+        g = grid.world_to_cell(*goal)
+    except ValueError as exc:
+        raise PlanningError(str(exc)) from None
+    cost = costmap.cost
+    if cost[s[1], s[0]] == LETHAL_COST:
+        raise PlanningError(f"start {start} lies on a lethal cell")
+    if cost[g[1], g[0]] == LETHAL_COST:
+        raise PlanningError(f"goal {goal} lies on a lethal cell")
+
+    width, height = grid.width, grid.height
+
+    def h(ix: int, iy: int) -> float:
+        return math.hypot(ix - g[0], iy - g[1])
+
+    start_idx = s[1] * width + s[0]
+    open_heap = [(h(*s), 0.0, start_idx)]
+    g_score = {start_idx: 0.0}
+    came_from = {}
+    closed = set()
+
+    while open_heap:
+        f, neg_g, idx = heapq.heappop(open_heap)
+        if idx in closed:
+            continue
+        closed.add(idx)
+        iy, ix = divmod(idx, width)
+        if (ix, iy) == g:
+            cells = [idx]
+            while idx in came_from:
+                idx = came_from[idx]
+                cells.append(idx)
+            cells.reverse()
+            points = tuple(grid.cell_center(i % width, i // width) for i in cells)
+            return PlannedPath(points, -neg_g)
+        g_here = -neg_g
+        c_here = int(cost[iy, ix])
+        for dx, dy, length in _MOVES:
+            nx, ny = ix + dx, iy + dy
+            if not (0 <= nx < width and 0 <= ny < height):
+                continue
+            c_next = int(cost[ny, nx])
+            if c_next == LETHAL_COST:
+                continue
+            if dx != 0 and dy != 0:
+                # no squeezing diagonally past a lethal cell
+                if cost[iy, nx] == LETHAL_COST or cost[ny, ix] == LETHAL_COST:
+                    continue
+            nidx = ny * width + nx
+            if nidx in closed:
+                continue
+            avg = 0.5 * (c_here + c_next)
+            tentative = g_here + length * (1.0 + cost_weight * avg / 254.0)
+            if tentative < g_score.get(nidx, math.inf):
+                g_score[nidx] = tentative
+                came_from[nidx] = idx
+                heapq.heappush(open_heap, (tentative + h(nx, ny), -tentative, nidx))
+    raise UnreachableError(f"no path from {start} to {goal}")
 
 
 def random_costmap(rng: random.Random, size: int = 20, occupancy: float = 0.18):

@@ -17,7 +17,7 @@ from fleetsim.metrics import compute_metrics
 from fleetsim.planner import PlanningError
 from fleetsim.safety import stop_control
 from fleetsim.scenario import load_scenario
-from fleetsim.trace import dumps_record, read_trace
+from fleetsim.trace import dumps_record, read_trace, write_trace
 
 from _support import ROOT, SCENARIOS
 
@@ -144,6 +144,18 @@ class TestRunShape:
         assert end["wall_time"] == result.wall_time
         qp = [e for e in result.trace.events if e["type"] == "qp"]
         assert qp and all(e["duration"] >= 0 for e in qp)
+
+    def test_timing_fields_equal_their_written_values(self, tmp_path):
+        scenario = load_scenario(SCENARIOS / "smoke_two_robot.yaml", duration=4.0)
+        result = run(scenario, include_timing=True)
+        write_trace(tmp_path / "run.trace", result.trace)
+        back = read_trace(tmp_path / "run.trace")
+        timed = [(k, e, b) for e, b in zip(result.trace.events, back.events)
+                 for k in ("duration", "wall_time") if k in e]
+        assert len(timed) > 1
+        for key, event, read in timed:
+            assert event[key] == read[key], (key, event[key].hex())
+        assert compute_metrics(result.trace).to_text() == compute_metrics(back).to_text()
 
     def test_no_timing_fields_without_timing(self, smoke_result):
         _, result = smoke_result

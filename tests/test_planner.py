@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fleetsim import planner
 from fleetsim.planner import (
     Path,
     PlanningError,
@@ -11,9 +12,9 @@ from fleetsim.planner import (
     lookahead_point,
     plan,
 )
-from fleetsim.world import inflate
+from fleetsim.world import LETHAL_COST, inflate
 
-from _support import dijkstra_cost, grid_from_rows, random_costmap
+from _support import dijkstra_cost, grid_from_rows, random_costmap, reference_plan
 
 
 def _open_costmap(size=8):
@@ -97,7 +98,7 @@ class TestPlan:
             free = [
                 (ix, iy)
                 for iy in range(12) for ix in range(12)
-                if not cm.is_lethal(ix, iy)
+                if cm.cost[iy, ix] != LETHAL_COST
             ]
             s, g = rng.sample(free, 2)
             oracle = dijkstra_cost(cm, s, g, 3.0)
@@ -118,7 +119,106 @@ class TestPlan:
         for (ax, ay), (bx, by) in zip(cells, cells[1:]):
             assert max(abs(ax - bx), abs(ay - by)) == 1
         for ix, iy in cells:
-            assert not cm.is_lethal(ix, iy)
+            assert cm.cost[iy, ix] != LETHAL_COST
+
+
+def _outcome(fn, *args):
+    """A plan's result as exact text: float.hex of cost and points, or the error."""
+    try:
+        p = fn(*args)
+    except PlanningError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return p.total_cost.hex() + " " + " ".join(f"{x.hex()},{y.hex()}" for x, y in p.points)
+
+
+class TestMatchesReference:
+    def test_random_queries_bit_for_bit(self):
+        # random maps and endpoints, some out of bounds or on walls, a third
+        # of them repeats that the memo answers
+        rng = random.Random(13)
+        n_queries = raised = 0
+        for _ in range(40):
+            w, h = rng.randint(4, 20), rng.randint(4, 20)
+            walls = rng.choice((0.0, 0.1, 0.25))
+            rows = ["".join("#" if rng.random() < walls else "." for _ in range(w))
+                    for _ in range(h)]
+            res = rng.choice((0.25, 0.5, 1.0))
+            grid = grid_from_rows(rows, resolution=res, ox=-1.5)
+            cm = inflate(grid, rng.choice((0.0, 1.0, 1.5)), rng.choice((1.0, 3.0)), 0.3)
+            span_x, span_y = w * res, h * res
+
+            def point():
+                u = rng.uniform(-0.05, 1.05) if rng.random() < 0.05 else rng.random()
+                return (-1.5 + u * span_x, rng.random() * span_y)
+
+            queries = []
+            for _ in range(50):
+                if queries and rng.random() < 0.3:
+                    queries.append(rng.choice(queries))
+                else:
+                    queries.append((point(), point(), rng.choice((0.0, 1.0, 3.0, 7.5))))
+            for q in queries:
+                got = _outcome(plan, cm, *q)
+                assert got == _outcome(reference_plan, cm, *q), q
+                raised += "Error" in got
+                n_queries += 1
+        assert n_queries == 2000
+        assert 0 < raised < n_queries
+
+
+class TestMemo:
+    @staticmethod
+    def _count_searches(monkeypatch):
+        calls = []
+        search = planner._search
+
+        def counting(*args):
+            calls.append(args[1:])
+            return search(*args)
+
+        monkeypatch.setattr(planner, "_search", counting)
+        return calls
+
+    def test_hit_does_not_search_again(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        grid, cm = _open_costmap()
+        first = plan(cm, grid.cell_center(0, 0), grid.cell_center(5, 3))
+        # another point in the same start cell is the same query
+        again = plan(cm, (0.1, 0.1), grid.cell_center(5, 3))
+        assert again is first
+        assert len(calls) == 1
+
+    def test_repeated_unreachable_names_new_coordinates(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        grid = grid_from_rows(["..#..", "..#..", "..#.."])
+        cm = inflate(grid, 0.0, 3.0)
+        with pytest.raises(UnreachableError, match=r"\(0\.25, 0\.75\)"):
+            plan(cm, (0.25, 0.75), (2.25, 0.75))
+        with pytest.raises(UnreachableError) as info:
+            plan(cm, (0.1, 0.6), (2.4, 0.9))
+        assert str(info.value) == "no path from (0.1, 0.6) to (2.4, 0.9)"
+        assert len(calls) == 1
+
+    def test_cost_weights_cached_apart(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        grid = grid_from_rows([".......", ".......", ".......", "...#..."])
+        cm = inflate(grid, 1.0, 3.0)
+        a, b = grid.cell_center(0, 1), grid.cell_center(6, 1)
+        flat = plan(cm, a, b, cost_weight=0.0)
+        weighted = plan(cm, a, b, cost_weight=3.0)
+        assert flat.total_cost == 6.0
+        assert weighted.total_cost > flat.total_cost
+        assert plan(cm, a, b, cost_weight=0.0) is flat
+        assert len(calls) == 2
+
+    def test_costmaps_of_one_grid_do_not_share(self, monkeypatch):
+        calls = self._count_searches(monkeypatch)
+        grid = grid_from_rows(["." * 6] * 6)
+        first, second = inflate(grid, 1.0, 3.0), inflate(grid, 1.0, 3.0)
+        a, b = grid.cell_center(0, 0), grid.cell_center(5, 5)
+        assert plan(first, a, b) == plan(second, a, b)
+        assert len(calls) == 2
+        assert first.plans is not second.plans
 
 
 class TestLookaheadPoint:

@@ -91,12 +91,12 @@ class TestInflate:
         rows[4] = "....#...."
         grid = grid_from_rows(rows)
         cm = inflate(grid, 1.0, 3.0, 0.3)
-        assert cm.cost_at(4, 4) == LETHAL_COST
-        assert cm.cost_at(5, 4) == 139  # d = 0.5
-        assert cm.cost_at(5, 5) == 75  # d = sqrt(2)/2
-        assert cm.cost_at(6, 4) == 31  # d = 1.0 (on the radius)
-        assert cm.cost_at(7, 4) == 0  # d = 1.5, outside the radius
-        assert cm.cost_at(0, 0) == 0
+        assert cm.cost[4, 4] == LETHAL_COST
+        assert cm.cost[4, 5] == 139  # d = 0.5
+        assert cm.cost[5, 5] == 75  # d = sqrt(2)/2
+        assert cm.cost[4, 6] == 31  # d = 1.0 (on the radius)
+        assert cm.cost[4, 7] == 0  # d = 1.5, outside the radius
+        assert cm.cost[0, 0] == 0
 
     def test_distance_under_robot_radius_saturates(self):
         rows = ["." * 5 for _ in range(5)]
@@ -104,7 +104,7 @@ class TestInflate:
         grid = grid_from_rows(rows, resolution=0.25)
         cm = inflate(grid, 1.0, 3.0, 0.3)
         # d = 0.25 < r_robot: decay exceeds 254 and clamps
-        assert cm.cost_at(3, 2) == 254
+        assert cm.cost[2, 3] == 254
 
     def test_empty_grid_all_zero(self):
         grid = grid_from_rows(["..", ".."])
@@ -121,8 +121,16 @@ class TestInflate:
         grid = grid_from_rows(rows)
         cm = inflate(grid, 1.0, 3.0)
         assert cm.cost.dtype == np.uint8
-        assert cm.is_lethal(0, 1) and cm.is_lethal(1, 1)
-        assert not cm.is_lethal(0, 0)
+        assert cm.cost[1, 0] == LETHAL_COST and cm.cost[1, 1] == LETHAL_COST
+        assert cm.cost[0, 0] != LETHAL_COST
+
+    def test_arrays_are_read_only(self):
+        grid = grid_from_rows(["#.", ".."])
+        cm = inflate(grid, 1.0, 3.0)
+        with pytest.raises(ValueError):
+            grid.occupied[0, 0] = True
+        with pytest.raises(ValueError):
+            cm.cost[0, 0] = 7
 
 
 def _bordered(width=8, height=8):
