@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # longest RK4 substep; larger requested steps are split evenly
 MAX_SUBSTEP = 0.05
 
@@ -113,16 +111,21 @@ def step_robot(
     return RobotState(x, y, wrap_angle(theta), v)
 
 
-def _repulsion(dx: float, dy: float, radius_sum: float) -> tuple[float, float]:
-    """Exponential repulsion along (dx, dy), from the other body toward the human."""
-    # np.hypot, not math.hypot: the two differ in the last bit on some inputs
-    dist = float(np.hypot(dx, dy))
-    magnitude = min(
-        REPULSE_STRENGTH * math.exp((radius_sum - dist) / REPULSE_RANGE), FORCE_CAP
-    )
-    if dist < 1e-12:
-        return magnitude, 0.0  # overlapping bodies: push along +x
-    return magnitude * (dx / dist), magnitude * (dy / dist)
+def _hypot(x: float, y: float) -> float:
+    """C's ``hypot(x, y)``, the libm function numpy's ``np.hypot`` calls.
+
+    Complex ``abs`` calls it too, without ``np.hypot``'s per-call cost on
+    scalars; ``math.hypot`` is a different algorithm and differs in the last
+    bit on some inputs. Complex ``abs`` raises OverflowError where the result
+    overflows (``np.hypot`` gives inf), and on a nan part whenever an earlier
+    libm call left ``errno`` at ERANGE (``np.hypot`` gives nan). It answers
+    inf for an infinite part without calling ``hypot``, which gives nan when
+    the other part is a signalling nan; arithmetic makes no signalling nans.
+    """
+    try:
+        return abs(complex(x, y))
+    except OverflowError:
+        return math.nan if math.isnan(x) or math.isnan(y) else math.inf
 
 
 def step_human(
@@ -152,26 +155,38 @@ def step_human(
     if spec.waypoints:
         gx, gy = spec.waypoints[human.goal_index]
         tx, ty = gx - x, gy - y
-        dist = float(np.hypot(tx, ty))
+        dist = _hypot(tx, ty)
         if dist > 1e-12:
             wx, wy = spec.v_desired * tx / dist, spec.v_desired * ty / dist
         else:
             wx = wy = 0.0
         fx += (wx - vx) / TAU
         fy += (wy - vy) / TAU
-    sources = (
-        [(rx, ry, r_human + r_robot) for rx, ry in robot_positions]
-        + [(o.x, o.y, 2.0 * r_human) for o in other_humans]
-        + [(ox, oy, r_human) for ox, oy in obstacle_points]
-    )
-    for sx, sy, radius_sum in sources:
-        px, py = _repulsion(x - sx, y - sy, radius_sum)
-        fx += px
-        fy += py
+    # exponential repulsion along the line from each source to the human
+    exp = math.exp
+    for sources, radius_sum in (
+        (robot_positions, r_human + r_robot),
+        ([(o.x, o.y) for o in other_humans], 2.0 * r_human),
+        (obstacle_points, r_human),
+    ):
+        for sx, sy in sources:
+            dx, dy = x - sx, y - sy
+            try:  # _hypot, inlined on the hot path
+                dist = abs(complex(dx, dy))
+            except OverflowError:
+                dist = _hypot(dx, dy)
+            magnitude = REPULSE_STRENGTH * exp((radius_sum - dist) / REPULSE_RANGE)
+            if magnitude > FORCE_CAP:
+                magnitude = FORCE_CAP
+            if dist < 1e-12:  # overlapping bodies: push along +x
+                fx += magnitude
+            else:
+                fx += magnitude * (dx / dist)
+                fy += magnitude * (dy / dist)
 
     vx = vx + fx * dt
     vy = vy + fy * dt
-    speed = float(np.hypot(vx, vy))
+    speed = _hypot(vx, vy)
     cap = MAX_SPEED_FACTOR * spec.v_desired
     if speed > cap:
         vx = vx * (cap / speed)
@@ -182,6 +197,6 @@ def step_human(
     goal_index = human.goal_index
     if spec.waypoints:
         gx, gy = spec.waypoints[goal_index]
-        if float(np.hypot(gx - x, gy - y)) <= WAYPOINT_TOLERANCE:
+        if _hypot(gx - x, gy - y) <= WAYPOINT_TOLERANCE:
             goal_index = (goal_index + 1) % len(spec.waypoints)
     return HumanState(x, y, vx, vy, goal_index)

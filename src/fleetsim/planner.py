@@ -167,15 +167,20 @@ def _search(
 
 
 def _reconstruct(costmap: Costmap, came_from: dict[int, int], idx: int, total: float) -> Path:
-    grid = costmap.grid
+    grid, centers = costmap.grid, costmap.centers
     width = grid.width
     cells = [idx]
     while idx in came_from:
         idx = came_from[idx]
         cells.append(idx)
     cells.reverse()
-    points = tuple(grid.cell_center(i % width, i // width) for i in cells)
-    return Path(points, total)
+    points = []
+    for i in cells:
+        center = centers.get(i)
+        if center is None:
+            center = centers[i] = grid.cell_center(i % width, i // width)
+        points.append(center)
+    return Path(tuple(points), total)
 
 
 def lookahead_point(
@@ -193,7 +198,7 @@ def lookahead_point(
         raise ValueError("delta must be >= 0")
     px, py = position
     dists = [math.hypot(x - px, y - py) for x, y in path.points]
-    nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
+    nearest = dists.index(min(dists))  # min and index both take the first
     for i in range(nearest, len(dists)):
         if dists[i] >= delta:
             return path.points[i]

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -40,13 +41,16 @@ def solve_qp(
 
     Returns the optimum and the number of active-set steps taken, or a
     result flagged ``infeasible`` (no x satisfies the constraints) or
-    ``iteration_limit``. Raises ValueError for non-SPD H or malformed shapes.
+    ``iteration_limit``. Raises ValueError for non-SPD H, no variables or
+    malformed shapes.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
     d = g.shape[0]
     if H.shape != (d, d):
         raise ValueError("H and g have incompatible shapes")
+    if d == 0:
+        raise ValueError("the problem has no variables")
     if not np.allclose(H, H.T, atol=1e-12):
         raise ValueError("H must be symmetric")
     if A is None or len(A) == 0:
@@ -79,10 +83,12 @@ def solve_factored(
     """``solve_qp`` on a prefactored H, with no argument checks.
 
     ``chol`` is ``cho_factor(H)``; g, A and b must be finite float arrays of
-    matching shapes (A may have no rows). Callers that solve many problems
-    with one H share its factor this way.
+    matching shapes, with at least one variable (A may have no rows). Callers
+    that solve many problems with one H share its factor this way. Solves
+    call LAPACK ``dpotrs`` directly, the routine ``cho_solve`` wraps.
     """
-    x = cho_solve(chol, -g, check_finite=False)
+    c, lower = chol
+    x = dpotrs(c, -g, lower=lower)[0]
     active: list[int] = []
     lam: list[float] = []
     iterations = 0
@@ -92,9 +98,10 @@ def solve_factored(
 
     while iterations < max_iter:
         slack = A @ x - b
-        slack[active] = 0.0  # active rows are satisfied by construction
+        if active:
+            slack[active] = 0.0  # active rows are satisfied by construction
         # most violated row; argmin takes the first of equal minima
-        p = int(np.argmin(slack)) if len(slack) else -1
+        p = int(slack.argmin()) if len(slack) else -1
         if p < 0 or slack[p] >= -tol:
             return result(OPTIMAL)
         n_p = A[p]
@@ -102,10 +109,10 @@ def solve_factored(
 
         while iterations < max_iter:
             iterations += 1
-            hinv_np = cho_solve(chol, n_p, check_finite=False)
+            hinv_np = dpotrs(c, n_p, lower=lower)[0]
             if active:
                 N = A[active].T
-                hinv_N = cho_solve(chol, N, check_finite=False)
+                hinv_N = dpotrs(c, N, lower=lower)[0]
                 M = N.T @ hinv_N
                 try:
                     r = np.linalg.solve(M, N.T @ hinv_np)

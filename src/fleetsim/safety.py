@@ -17,6 +17,7 @@ every size, so it runs on a Cholesky factor cached per size.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -171,7 +172,10 @@ def _assemble(
 
     CBF rows come pairs first, then each member's obstacle hits, then each
     member against each human. Every one holds ``pair_barrier``'s or
-    ``point_barrier``'s terms, computed in place with the same float operations.
+    ``point_barrier``'s terms with the same float operations: each row's dp
+    and dv are built from plain floats, and each kind of product is one
+    ``np.vecdot`` over all rows, written into A by one indexed store per
+    member role.
     """
     n = len(members)
     hits = [obstacle_points[rid].hit_points() for rid in members]
@@ -179,51 +183,58 @@ def _assemble(
     A = np.zeros((m + 4 * n, 2 * n))
     b = np.empty(m + 4 * n)
     A[m:], b[m:] = _box_rows(2 * n, p.a_max, p.omega_max)
-    gain = p.alpha1 + p.alpha2
-    decay = p.alpha1 * p.alpha2
-    # per member: state, heading e, its normal, velocity v * e
-    kin = []
+    if not m:
+        return A, b
+    # per member: position and velocity v * e; the coefficients of a row's
+    # dots with heading e and its normal: (e, normal, 2, 2v) for the member
+    # a row constrains, (e, normal, -2, -2v) for a pair's other robot
+    kin, coef = [], []
     for rid in members:
         s = states[rid]
-        e = np.array([math.cos(s.theta), math.sin(s.theta)])
-        kin.append((s, e, np.array([-e[1], e[0]]), s.v * e))
+        cos, sin = math.cos(s.theta), math.sin(s.theta)
+        kin.append((s.x, s.y, s.v * cos, s.v * sin))
+        coef.append((cos, sin, -sin, cos, 2.0, 2.0 * s.v, -2.0, -2.0 * s.v))
 
-    # Each product stays a numpy 2-vector dot: BLAS rounds it as
-    # fma(b, d, a*c), and scalar a*c + b*d would move the trace bytes.
-    def put(row: int, k: int, dp: np.ndarray, dv: np.ndarray, c0: float, r: float) -> None:
-        s, e, normal, _ = kin[k]
-        A[row, 2 * k] = 2.0 * float(dp.dot(e))
-        A[row, 2 * k + 1] = 2.0 * s.v * float(dp.dot(normal))
-        h = float(dp.dot(dp)) - r * r
-        hdot = 2.0 * float(dp.dot(dv))
-        b[row] = -c0 - gain * hdot - decay * h
-
-    row = 0
-    for a_idx in range(n):
-        s_i, _, _, ve_i = kin[a_idx]
-        for b_idx in range(a_idx + 1, n):
-            s_j, e_j, normal_j, ve_j = kin[b_idx]
-            dp = np.array([s_i.x - s_j.x, s_i.y - s_j.y])
-            dv = ve_i - ve_j
-            put(row, a_idx, dp, dv, 2.0 * float(dv.dot(dv)), p.r_safe)
-            A[row, 2 * b_idx] = -2.0 * float(dp.dot(e_j))
-            A[row, 2 * b_idx + 1] = -2.0 * s_j.v * float(dp.dot(normal_j))
-            row += 1
+    # per CBF row: (dp, dv, r^2) and the member it constrains
+    rows, own, other = [], [], []
+    r2 = p.r_safe * p.r_safe
+    for i in range(n):
+        xi, yi, vxi, vyi = kin[i]
+        for j in range(i + 1, n):
+            xj, yj, vxj, vyj = kin[j]
+            rows.append((xi - xj, yi - yj, vxi - vxj, vyi - vyj, r2))
+            own.append(i)
+            other.append(j)
+    r2 = p.r_obstacle * p.r_obstacle
     for k, pts in enumerate(hits):
-        if not pts:
-            continue
-        s, _, _, ve = kin[k]
-        c0 = 2.0 * float(ve.dot(ve))  # static points: dv is the robot's velocity
-        for dp in np.array([s.x, s.y]) - np.array(pts):
-            put(row, k, dp, ve, c0, p.r_obstacle)
-            row += 1
+        x, y, vx, vy = kin[k]  # static points: dv is the robot's velocity
+        rows += [(x - px, y - py, vx, vy, r2) for px, py in pts]
+        own += [k] * len(pts)
+    r2 = p.r_human_safe * p.r_human_safe
     for k in range(n):
-        s, _, _, ve = kin[k]
-        for hum in humans:
-            dp = np.array([s.x - hum.x, s.y - hum.y])
-            dv = ve - np.array([hum.vx, hum.vy])
-            put(row, k, dp, dv, 2.0 * float(dv.dot(dv)), p.r_human_safe)
-            row += 1
+        x, y, vx, vy = kin[k]
+        rows += [(x - h.x, y - h.y, vx - h.vx, vy - h.vy, r2) for h in humans]
+        own += [k] * len(humans)
+
+    # Each product is a BLAS 2-vector dot, rounded as fma(b, d, a*c) like
+    # u.dot(v); np.vecdot calls that kernel once per row, while scalar
+    # a*c + b*d or einsum would move the trace bytes.
+    R = np.fromiter(itertools.chain.from_iterable(rows), float, 5 * m).reshape(m, 5)
+    coef, own = np.array(coef), np.array(own)
+    dp = R[:, None, 0:2]
+    A_cbf = A[:m].reshape(m, n, 2)  # row, member, (a, omega)
+    index = np.arange(m)
+    c = coef[own]
+    A_cbf[index, own] = c[:, 4:6] * np.vecdot(dp, c[:, 0:4].reshape(m, 2, 2))
+    if other:  # pair rows come first
+        n_pairs = len(other)
+        c = coef[other]
+        A_cbf[index[:n_pairs], other] = c[:, 6:8] * np.vecdot(
+            dp[:n_pairs], c[:, 0:4].reshape(n_pairs, 2, 2))
+    dp_dp, dp_dv = np.vecdot(dp, R[:, 0:4].reshape(m, 2, 2)).T
+    dv = R[:, 2:4]
+    b[:m] = (-2.0 * np.vecdot(dv, dv) - (p.alpha1 + p.alpha2) * (2.0 * dp_dv)
+             - (p.alpha1 * p.alpha2) * (dp_dp - R[:, 4]))
     return A, b
 
 
@@ -276,10 +287,9 @@ def solve_cluster_qp(
             raise ValueError(f"non-finite state or nominal for robot {rid}")
 
     n = len(members)
-    u_star = np.empty(2 * n)
-    for k, rid in enumerate(members):
-        u_star[2 * k] = nominals[rid].a
-        u_star[2 * k + 1] = nominals[rid].omega
+    u_star = np.array(
+        [u for rid in members for u in (nominals[rid].a, nominals[rid].omega)], dtype=float
+    )
 
     A, b = _assemble(members, states, obstacle_points, humans, p)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
@@ -315,8 +325,9 @@ def solve_cluster_qp(
 
 def _unpack(members: list[int], x: np.ndarray, p: ControllerParams) -> dict[int, Control]:
     # clip away solver-tolerance overshoot so box bounds hold exactly
+    u = x.tolist()
     return {
-        rid: Control(_clip(float(x[2 * k]), p.a_max), _clip(float(x[2 * k + 1]), p.omega_max))
+        rid: Control(_clip(u[2 * k], p.a_max), _clip(u[2 * k + 1], p.omega_max))
         for k, rid in enumerate(members)
     }
 

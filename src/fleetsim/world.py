@@ -102,15 +102,17 @@ class Costmap:
     """Per-cell traversal cost on the same geometry as the source grid.
 
     255 marks lethal (occupied) cells; 0 is free space far from obstacles.
-    ``plans`` and ``edge_tables`` are the planner's caches (``planner.plan``):
-    A* results by (start cell, goal cell, cost_weight) and edge weights by
-    cost_weight.
+    ``plans``, ``edge_tables`` and ``centers`` are the planner's caches
+    (``planner.plan``): A* results by (start cell, goal cell, cost_weight),
+    edge weights by cost_weight, and the one center tuple per flat cell index
+    that every path through the cell shares.
     """
 
     grid: OccupancyGrid
     cost: np.ndarray = field(repr=False)  # uint8, shape (height, width)
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     edge_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    centers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.cost.flags.writeable = False

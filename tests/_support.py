@@ -6,13 +6,16 @@ import heapq
 import math
 import random
 from functools import lru_cache
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from fleetsim import dynamics
+from fleetsim.dynamics import HumanSpec, HumanState
 from fleetsim.navigation import RoadwayNetwork
 from fleetsim.planner import Path as PlannedPath, PlanningError, UnreachableError
-from fleetsim.scenario import RobotSpec, Scenario, WorldParams
+from fleetsim.scenario import RobotSpec, Scenario, WorldParams, load_scenario
 from fleetsim.tasking import (
     DROPOFF,
     EXACT_MAX_ROBOTS,
@@ -93,6 +96,20 @@ def busy_fleet_scenario(n_robots: int, duration: float = 120.0) -> Scenario:
         travel_graph=straight_line_graph(locations), task_stream=batches,
         world=WorldParams(), duration=duration, seed=0, digest="",
     )
+
+
+def crowd_scenario(duration: float = 60.0) -> Scenario:
+    """The bundled rooms scenario with three pedestrians: its own, one
+    crossing the corridor and one walking along it past both queue lines.
+
+    Pedestrians repel each other, and multi-robot QPs carry pedestrian rows.
+    """
+    scenario = load_scenario(SCENARIOS / "rooms_four_robot.yaml", duration=duration)
+    return replace(scenario, digest="", humans=[
+        *scenario.humans,
+        HumanSpec((5.5, 6.0), ((4.5, 6.0), (11.0, 6.0)), 0.75),
+        HumanSpec((6.5, 4.0), ((6.5, 1.5), (6.5, 10.5)), 0.75),
+    ])
 
 
 @lru_cache(maxsize=None)
@@ -496,6 +513,72 @@ def unicycle_closed_form(x0, y0, th0, v0, a, w, t):
         return -(v0 + a * s) / w * math.cos(th0 + w * s) + a / w ** 2 * math.sin(th0 + w * s)
 
     return x0 + fx(t) - fx(0.0), y0 + fy(t) - fy(0.0), th, v
+
+
+def _reference_repulsion(dx: float, dy: float, radius_sum: float) -> tuple[float, float]:
+    dist = float(np.hypot(dx, dy))
+    magnitude = min(
+        dynamics.REPULSE_STRENGTH * math.exp((radius_sum - dist) / dynamics.REPULSE_RANGE),
+        dynamics.FORCE_CAP,
+    )
+    if dist < 1e-12:
+        return magnitude, 0.0  # overlapping bodies: push along +x
+    return magnitude * (dx / dist), magnitude * (dy / dist)
+
+
+def reference_step_human(
+    human: HumanState,
+    spec: HumanSpec,
+    robot_positions: list[tuple[float, float]],
+    other_humans: list[HumanState],
+    obstacle_points: list[tuple[float, float]],
+    dt: float,
+    r_robot: float,
+    r_human: float,
+) -> HumanState:
+    """The social-force step ``dynamics.step_human`` must match bit for bit,
+    with every distance taken by ``np.hypot``."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    x, y, vx, vy = human.x, human.y, human.vx, human.vy
+
+    fx = fy = 0.0
+    if spec.waypoints:
+        gx, gy = spec.waypoints[human.goal_index]
+        tx, ty = gx - x, gy - y
+        dist = float(np.hypot(tx, ty))
+        if dist > 1e-12:
+            wx, wy = spec.v_desired * tx / dist, spec.v_desired * ty / dist
+        else:
+            wx = wy = 0.0
+        fx += (wx - vx) / dynamics.TAU
+        fy += (wy - vy) / dynamics.TAU
+    sources = (
+        [(rx, ry, r_human + r_robot) for rx, ry in robot_positions]
+        + [(o.x, o.y, 2.0 * r_human) for o in other_humans]
+        + [(ox, oy, r_human) for ox, oy in obstacle_points]
+    )
+    for sx, sy, radius_sum in sources:
+        px, py = _reference_repulsion(x - sx, y - sy, radius_sum)
+        fx += px
+        fy += py
+
+    vx = vx + fx * dt
+    vy = vy + fy * dt
+    speed = float(np.hypot(vx, vy))
+    cap = dynamics.MAX_SPEED_FACTOR * spec.v_desired
+    if speed > cap:
+        vx = vx * (cap / speed)
+        vy = vy * (cap / speed)
+    x = x + vx * dt
+    y = y + vy * dt
+
+    goal_index = human.goal_index
+    if spec.waypoints:
+        gx, gy = spec.waypoints[goal_index]
+        if float(np.hypot(gx - x, gy - y)) <= dynamics.WAYPOINT_TOLERANCE:
+            goal_index = (goal_index + 1) % len(spec.waypoints)
+    return HumanState(x, y, vx, vy, goal_index)
 
 
 def reference_raycast(

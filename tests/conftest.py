@@ -7,7 +7,7 @@ import pytest
 from fleetsim.engine import run
 from fleetsim.scenario import load_scenario
 
-from _support import SCENARIOS, busy_fleet_scenario
+from _support import SCENARIOS, busy_fleet_scenario, crowd_scenario
 
 
 def _run_bundled(name: str):
@@ -38,4 +38,10 @@ def rooms_result():
 @pytest.fixture(scope="session")
 def busy6_result():
     scenario = busy_fleet_scenario(6)
+    return scenario, run(scenario)
+
+
+@pytest.fixture(scope="session")
+def crowd_result():
+    scenario = crowd_scenario()
     return scenario, run(scenario)

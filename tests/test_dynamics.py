@@ -1,5 +1,8 @@
 import math
+import random
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +13,13 @@ from fleetsim.dynamics import (
     HumanSpec,
     HumanState,
     RobotState,
+    _hypot,
     step_human,
     step_robot,
     wrap_angle,
 )
 
-from _support import unicycle_closed_form
+from _support import reference_step_human, unicycle_closed_form
 
 
 class TestWrapAngle:
@@ -155,3 +159,94 @@ class TestStepHuman:
         h = _human((0.99, 0.0), vel=(1.0, 0.0))
         out = _step(h, [], [], [], 0.05, waypoints=[(1.0, 0.0)])
         assert out.goal_index == 0
+
+
+# zeros, subnormals, the smallest normal, huge values whose hypot overflows
+# (1.5e308), infinities and nan
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1.0, 1e300, -1e300, 1.5e308, -1.7e308, math.inf, -math.inf, math.nan,
+)
+
+
+class TestMatchesReference:
+    def test_hypot_is_np_hypot(self):
+        rng = random.Random(3)
+
+        def draw():
+            kind = rng.random()
+            if kind < 0.3:
+                return rng.choice(SPECIAL_FLOATS)
+            if kind < 0.6:  # any bit pattern: every exponent, nan payloads
+                bits = rng.getrandbits(64)
+                if bits >> 52 & 0x7FF == 0x7FF and bits & (1 << 52) - 1:
+                    bits |= 1 << 51  # a quiet nan: no arithmetic makes signalling ones
+                return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+            return rng.uniform(-20.0, 20.0)
+
+        with np.errstate(all="ignore"):
+            for _ in range(100_000):
+                x, y = draw(), draw()
+                assert _hypot(x, y).hex() == float(np.hypot(x, y)).hex(), (x, y)
+            assert _hypot(1.5e308, -1.5e308) == np.hypot(1.5e308, -1.5e308) == math.inf
+        # an underflowing exp leaves errno at ERANGE, and complex abs then
+        # raises on a nan part
+        assert math.exp(-1000.0) == 0.0
+        assert math.isnan(_hypot(1.0, math.nan))
+        # the one difference: an infinite part beside a signalling nan
+        signalling = struct.unpack("<d", (0x7FF0000000000001).to_bytes(8, "little"))[0]
+        with np.errstate(all="ignore"):
+            assert math.isnan(np.hypot(signalling, math.inf))
+        assert _hypot(signalling, math.inf) == math.inf
+
+    def test_step_human_bit_for_bit(self):
+        """Random steps against the np.hypot oracle, by float.hex."""
+        rng = random.Random(11)
+        seen = dict.fromkeys(("coincident", "no waypoints", "capped", "wrapped"), 0)
+
+        def point():
+            return rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+
+        for _ in range(5000):
+            x, y = point()
+            waypoints = tuple(point() for _ in range(rng.choice((0, 1, 2, 3))))
+            goal = rng.randrange(len(waypoints)) if waypoints else 0
+            if waypoints and rng.random() < 0.3:  # at the last waypoint: wraps
+                goal = len(waypoints) - 1
+                x = waypoints[goal][0] + rng.uniform(-0.3, 0.3)
+            scale = rng.choice((0.0, 0.5, 4.0))
+            human = HumanState(x, y, rng.gauss(0.0, scale), rng.gauss(0.0, scale), goal)
+            spec = HumanSpec((0.0, 0.0), waypoints, rng.uniform(0.2, 1.5))
+            robots = [point() for _ in range(rng.randint(0, 4))]
+            others = [HumanState(*point(), rng.gauss(0.0, 1.0), 0.0)
+                      for _ in range(rng.randint(0, 3))]
+            obstacles = [point() for _ in range(rng.randint(0, 6))]
+            if rng.random() < 0.1:  # a body exactly on the pedestrian
+                rng.choice((robots, obstacles)).append((x, y))
+            args = (human, spec, robots, others, obstacles,
+                    rng.choice((0.01, 0.05, 0.1)), rng.uniform(0.1, 0.5),
+                    rng.uniform(0.1, 0.5))
+            got, want = step_human(*args), reference_step_human(*args)
+            assert got.goal_index == want.goal_index
+            assert [v.hex() for v in (got.x, got.y, got.vx, got.vy)] == [
+                v.hex() for v in (want.x, want.y, want.vx, want.vy)], args
+            seen["coincident"] += (x, y) in robots + obstacles
+            seen["no waypoints"] += not waypoints
+            seen["capped"] += math.isclose(
+                math.hypot(want.vx, want.vy), MAX_SPEED_FACTOR * spec.v_desired,
+                rel_tol=1e-12)
+            seen["wrapped"] += len(waypoints) > 1 and goal > want.goal_index
+        assert min(seen.values()) >= 50, seen
+
+    @pytest.mark.parametrize("position, sources", [
+        ((0.75e308, 0.75e308), [(-0.75e308, -0.75e308)]),  # the distance overflows
+        ((0.0, 0.0), [(1e3, 0.0), (math.nan, 0.0)]),  # exp underflows, then a nan part
+    ])
+    def test_step_human_extreme_sources(self, position, sources):
+        args = (HumanState(*position, 0.0, 0.0), HumanSpec(position), sources, [], [],
+                0.05, 0.3, 0.35)
+        got = step_human(*args)
+        with np.errstate(all="ignore"):
+            want = reference_step_human(*args)
+        assert [v.hex() for v in (got.x, got.y, got.vx, got.vy)] == [
+            v.hex() for v in (want.x, want.y, want.vx, want.vy)]

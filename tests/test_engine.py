@@ -461,8 +461,9 @@ class TestTravelTimeMeasurement:
             measure_travel_time(sealed_scenario, 0, 1)
 
 
-# SHA-256 of the serialized trace of each bundled scenario and of the
-# six-robot busy fleet (_support.busy_fleet_scenario). The bytes depend on
+# SHA-256 of the serialized trace of each bundled scenario, of the
+# six-robot busy fleet (_support.busy_fleet_scenario) and of the 60 s rooms
+# run with three pedestrians (_support.crowd_scenario). The bytes depend on
 # libm and BLAS rounding; these were frozen on x86-64 Linux with Python
 # 3.11.7, numpy 2.4.6 and scipy 1.17.1. On another build a mismatch may be
 # rounding rather than a behaviour change.
@@ -472,6 +473,7 @@ GOLDEN_DIGESTS = {
     "rooms_result": "3c822e72def2f103b882705f620b5d9e5889d0b33e32b58c9bf611acea617306",
     "depot_result": "8be66e15a820372ae16f3aa5645c02584855305362e488cffeb9f8a440b74deb",
     "busy6_result": "9ac10b048af9eb1bc0d7e898a00d745273abec6f2432a1258646b0d163ec39d3",
+    "crowd_result": "68b3766c83fdf7963915f4ade25b0283b3f9ecbd4c2c29e8932d4ca6c85d5ea6",
 }
 
 
@@ -512,6 +514,13 @@ GOLDEN_TYPE_PREFIXES = {
         "header": "c5ecb943df246708", "plan": "e9c7aab858c20233",
         "qp": "d1b82c9af037e17f", "state": "aa834fab6a0017e8",
         "task": "f31f3cfd169506a9",
+    },
+    "crowd_result": {
+        "arrival": "956014d1600db397", "clusters": "11bd56d21e43d2be",
+        "control": "20a7ff1598062c6e", "end": "d53d09ee257c63cf",
+        "header": "69285ecb32f1fe50", "plan": "c048eb4459642069",
+        "qp": "67d64a63830d3ec9", "queue": "013bd853291c5378",
+        "state": "3d86947f301b4df4", "task": "5513dfa07cb9b4cd",
     },
 }
 

@@ -220,6 +220,16 @@ class TestMemo:
         assert len(calls) == 2
         assert first.plans is not second.plans
 
+    def test_paths_through_a_cell_share_its_center(self):
+        grid, cm = _open_costmap()
+        there = plan(cm, grid.cell_center(0, 0), grid.cell_center(6, 0))
+        back = plan(cm, grid.cell_center(6, 0), grid.cell_center(0, 0))
+        assert there is not back
+        assert back.points == there.points[::-1]
+        assert there.points[0] == grid.cell_center(0, 0)
+        for a, b in zip(there.points, reversed(back.points)):
+            assert a is b
+
 
 class TestLookaheadPoint:
     PATH = Path(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), 2.0)
@@ -236,6 +246,21 @@ class TestLookaheadPoint:
     def test_nearest_tie_prefers_lowest_index(self):
         path = Path(((0.0, 0.0), (2.0, 0.0)), 2.0)
         assert lookahead_point(path, (1.0, 0.0), 0.5) == (0.0, 0.0)
+
+    def test_ties_match_the_keyed_scan(self):
+        # points on a coarse lattice, often repeated, put many vertices at
+        # one distance from the position
+        rng = random.Random(5)
+        lattice = [(float(x), float(y)) for x in range(3) for y in range(3)]
+        for _ in range(2000):
+            points = tuple(rng.choice(lattice) for _ in range(rng.randint(1, 8)))
+            position = (rng.choice((0.0, 0.5, 1.0)), rng.choice((0.0, 0.5, 1.0)))
+            delta = rng.choice((0.0, 0.5, 1.0, 1.5, 3.0))
+            dists = [math.hypot(x - position[0], y - position[1]) for x, y in points]
+            nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
+            scan = [points[i] for i in range(nearest, len(points)) if dists[i] >= delta]
+            expected = scan[0] if scan else points[-1]
+            assert lookahead_point(Path(points, 0.0), position, delta) == expected
 
     def test_progress_past_visited_vertices(self):
         # standing just past the middle vertex: nearest is index 1, so the

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
 from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, solve_qp
+from fleetsim.safety import _hard_factor
 
 
 def _kkt(H, g, A, b, x, tol=1e-6):
@@ -146,3 +149,30 @@ class TestRandomizedKKT:
             assert residual <= 1e-6
         # the generator must exercise both outcomes
         assert statuses[OPTIMAL] > 10 and statuses[INFEASIBLE] > 2
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_dpotrs_is_cho_solve(n):
+    """solve_factored calls LAPACK dpotrs as cho_solve does: same bytes,
+    shape and memory order, for 1-D right-hand sides, 2-D ones and the
+    transposed row selections the active set builds."""
+    rng = np.random.default_rng(n)
+    factors = [_hard_factor(n)]
+    for lower in (False, True):
+        M = rng.normal(size=(n, n))
+        factors.append(cho_factor(M @ M.T + n * np.eye(n), lower=lower))
+    for c, lower in factors:
+        for _ in range(20):
+            rows = rng.normal(size=(6, n))
+            for rhs in (rng.normal(size=n), rows[2], rng.normal(size=(n, 3)),
+                        rows[[4, 1, 3]].T):
+                got = dpotrs(c, rhs, lower=lower)[0]
+                want = cho_solve((c, lower), rhs, check_finite=False)
+                assert got.shape == want.shape
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
+def test_rejects_a_problem_without_variables():
+    with pytest.raises(ValueError, match="no variables"):
+        solve_qp(np.zeros((0, 0)), np.zeros(0))

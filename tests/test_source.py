@@ -120,3 +120,49 @@ class TestWallClockReads:
     def test_the_engine_is_the_reader(self):
         engine = ROOT / "src" / "fleetsim" / "engine.py"
         assert wall_clock_reads(engine.read_text())
+
+
+def numpy_or_math_hypot(source: str) -> list[str]:
+    """Each import of numpy, and each read of ``math.hypot`` by attribute of
+    the ``math`` module under any alias or by name."""
+    tree = ast.parse(source)
+    maths = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name == "math"
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import " + a.name) for a in node.names
+                      if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "numpy":
+                found.append((node.lineno, "from " + node.module))
+            elif node.module == "math" and any(a.name == "hypot" for a in node.names):
+                found.append((node.lineno, "math.hypot"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "hypot"
+              and isinstance(node.value, ast.Name) and node.value.id in maths):
+            found.append((node.lineno, "math.hypot"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_pedestrian_distances_take_libm_hypot():
+    """dynamics.py takes distances by C's hypot through complex abs, the
+    function np.hypot calls. math.hypot rounds differently on rare inputs,
+    so swapping either in would move pedestrian bytes only there."""
+    assert numpy_or_math_hypot((ROOT / "src" / "fleetsim" / "dynamics.py").read_text()) == []
+
+
+def test_flags_numpy_and_math_hypot():
+    source = (
+        "import math as m\n"
+        "import numpy.linalg\n"
+        "from math import hypot, exp\n"
+        "from numpy import hypot as h\n"
+        "d = m.hypot(1, 2) + math.hypot(3, 4) + m.exp(0)\n"
+    )
+    assert numpy_or_math_hypot(source) == [
+        "line 2: import numpy.linalg", "line 3: math.hypot",
+        "line 4: from numpy", "line 5: math.hypot",
+    ]
