@@ -1,11 +1,13 @@
-"""Dense strictly convex quadratic programming.
+"""Dense strictly convex quadratic programming on a diagonal Hessian.
 
 Solves ``min 0.5 x'Hx + g'x  s.t.  Ax >= b`` with a Goldfarb-Idnani dual
 active-set method. The solver starts from the unconstrained optimum and adds
 violated constraints one at a time, so it needs no feasible starting point and
-detects inconsistent constraint sets cleanly. H must be symmetric positive
-definite; problem sizes here are tiny (a few dozen rows), so every step
-re-solves small dense systems instead of updating factorizations.
+detects inconsistent constraint sets cleanly. Every QP the simulator builds has
+H = diag(h) with h > 0, so each H^-1 v is ``(v * s) * s`` with s = 1/sqrt(h),
+the bytes LAPACK ``potrs`` gives on the factor of diag(h) up to a zero's sign.
+Problems here are tiny (a few dozen rows), so every step re-solves small dense
+systems instead of updating factorizations.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -41,8 +41,8 @@ def solve_qp(
 
     Returns the optimum and the number of active-set steps taken, or a
     result flagged ``infeasible`` (no x satisfies the constraints) or
-    ``iteration_limit``. Raises ValueError for non-SPD H, no variables or
-    malformed shapes.
+    ``iteration_limit``. Raises ValueError for a non-diagonal H, a diagonal
+    that is not positive, no variables or malformed shapes.
     """
     H = np.asarray(H, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -51,8 +51,8 @@ def solve_qp(
         raise ValueError("H and g have incompatible shapes")
     if d == 0:
         raise ValueError("the problem has no variables")
-    if not np.allclose(H, H.T, atol=1e-12):
-        raise ValueError("H must be symmetric")
+    if np.triu(H, 1).any() or np.tril(H, -1).any():
+        raise ValueError("H must be diagonal")
     if A is None or len(A) == 0:
         A = np.zeros((0, d))
         b = np.zeros(0)
@@ -65,30 +65,29 @@ def solve_qp(
         raise ValueError("non-finite objective")
     if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
         raise ValueError("non-finite constraints")
-    try:
-        chol = cho_factor(H)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"H is not positive definite: {exc}") from None
-    return solve_factored(chol, g, A, b, max_iter, tol)
+    h = H.diagonal()
+    if not (h > 0).all():
+        raise ValueError("H is not positive definite")
+    return solve_diagonal(h, g, A, b, max_iter, tol)
 
 
-def solve_factored(
-    chol: tuple[np.ndarray, bool],
+def solve_diagonal(
+    h: float | np.ndarray,
     g: np.ndarray,
     A: np.ndarray,
     b: np.ndarray,
     max_iter: int = 200,
     tol: float = 1e-9,
 ) -> QPResult:
-    """``solve_qp`` on a prefactored H, with no argument checks.
+    """``solve_qp`` on ``H = diag(h)``, with no argument checks.
 
-    ``chol`` is ``cho_factor(H)``; g, A and b must be finite float arrays of
-    matching shapes, with at least one variable (A may have no rows). Callers
-    that solve many problems with one H share its factor this way. Solves
-    call LAPACK ``dpotrs`` directly, the routine ``cho_solve`` wraps.
+    ``h`` is a positive float (``H = h * I``) or a positive 1-D array; g, A
+    and b must be finite float arrays of matching shapes, with at least one
+    variable (A may have no rows).
     """
-    c, lower = chol
-    x = dpotrs(c, -g, lower=lower)[0]
+    s = np.asarray(1.0 / np.sqrt(h))  # numpy multiplies by an array faster than by a scalar
+    x = (-g * s) * s
+    hinv_A = None  # row k is H^-1 A[k], built once a step is needed: most solves take none
     active: list[int] = []
     lam: list[float] = []
     iterations = 0
@@ -106,13 +105,15 @@ def solve_factored(
             return result(OPTIMAL)
         n_p = A[p]
         lam_p = 0.0
+        if hinv_A is None:
+            hinv_A = (A * s) * s
 
         while iterations < max_iter:
             iterations += 1
-            hinv_np = dpotrs(c, n_p, lower=lower)[0]
+            hinv_np = hinv_A[p]
             if active:
                 N = A[active].T
-                hinv_N = dpotrs(c, N, lower=lower)[0]
+                hinv_N = hinv_A[active].T  # F-order: the products below round by layout
                 M = N.T @ hinv_N
                 try:
                     r = np.linalg.solve(M, N.T @ hinv_np)

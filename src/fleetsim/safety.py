@@ -10,8 +10,9 @@ hddot is linear in the stacked controls of a dynamic unicycle, so each
 constraint is one linear row of the QP. Solving is two-phase: the hard QP
 first (slack identically zero when it succeeds), then a slack-penalized QP
 only when the hard problem is infeasible; if even that fails the decision
-falls back to stop controls for every member. The hard QP's Hessian is 2I at
-every size, so it runs on a Cholesky factor cached per size.
+falls back to stop controls for every member. Both Hessians are diagonal:
+the hard QP's is 2I at every size, so it goes straight to the unchecked core
+``qp.solve_diagonal`` with h = 2.0.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor
 
 from .dynamics import Control, HumanState, RobotState, wrap_angle
-from .qp import OPTIMAL, solve_factored, solve_qp
+from .qp import OPTIMAL, solve_diagonal, solve_qp
 from .world import ObstaclePointSet
 
 FEASIBLE = "feasible"
@@ -251,14 +251,6 @@ def _box_rows(n_vars: int, a_max: float, omega_max: float) -> tuple[np.ndarray, 
     return A, b
 
 
-@functools.cache
-def _hard_factor(n_vars: int) -> tuple[np.ndarray, bool]:
-    """``cho_factor`` of the hard problem's H = 2I, shared by every solve of its size."""
-    c, lower = cho_factor(2.0 * np.eye(n_vars))
-    c.flags.writeable = False
-    return c, lower
-
-
 def _clip(value: float, limit: float) -> float:
     return min(max(value, -limit), limit)
 
@@ -294,7 +286,7 @@ def solve_cluster_qp(
     A, b = _assemble(members, states, obstacle_points, humans, p)
     if not (np.isfinite(A).all() and np.isfinite(b).all()):
         raise ValueError("non-finite constraints")
-    hard = solve_factored(_hard_factor(2 * n), -2.0 * u_star, A, b)
+    hard = solve_diagonal(2.0, -2.0 * u_star, A, b)
     m = len(b) - 4 * n  # CBF rows
     if hard.status == OPTIMAL:
         return ControlDecision(

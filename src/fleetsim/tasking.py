@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -48,13 +47,23 @@ class TaskRequest:
 
 @dataclass(frozen=True)
 class TravelTimeGraph:
-    """Symmetric positive travel times between system locations."""
+    """Symmetric positive travel times between system locations.
+
+    The graph keeps its own read-only float copy of ``weights``, and the
+    same doubles as nested lists in ``rows``, which ``time`` and the
+    schedule search read.
+    """
 
     locations: tuple[int, ...]
     weights: np.ndarray  # seconds, shape (n, n)
     index: dict[int, int] = field(init=False, repr=False, compare=False)  # id -> row
+    rows: list[list[float]] = field(init=False, repr=False, compare=False)  # rows[a][b]
+    # entry[b]: the cheapest leg into b from another location
+    entry: list[float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "weights", np.array(self.weights, dtype=float))
+        self.weights.flags.writeable = False
         n = len(self.locations)
         if self.weights.shape != (n, n):
             raise ValueError("weight matrix shape does not match locations")
@@ -74,13 +83,17 @@ class TravelTimeGraph:
         off = self.weights[~np.eye(n, dtype=bool)]
         if n > 1 and np.any(off <= 0):
             raise ValueError("off-diagonal travel times must be positive")
+        rows = self.weights.tolist()
+        entry = [min((rows[a][b] for a in range(n) if a != b), default=0.0) for b in range(n)]
         object.__setattr__(self, "index", {loc: k for k, loc in enumerate(self.locations)})
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "entry", entry)
 
     def time(self, a: int, b: int) -> float:
         index = self.index
         if a not in index or b not in index:
             raise KeyError(f"unknown location {a if a not in index else b}")
-        return float(self.weights[index[a], index[b]])
+        return self.rows[index[a]][index[b]]
 
     def to_text(self) -> str:
         header = " ".join(str(loc) for loc in self.locations)
@@ -164,21 +177,6 @@ def _check_locations(robots: dict[int, int], tasks: list[Task], g: TravelTimeGra
             raise KeyError(f"task {k} references an unknown location")
 
 
-class _Table(NamedTuple):
-    """A travel-time graph as the schedule search reads it."""
-
-    index: dict[int, int]  # location id -> row
-    rows: list[list[float]]  # rows[a][b]: the same doubles as weights[a, b]
-    entry: list[float]  # entry[b]: cheapest leg into b from another location
-
-
-def _table(g: TravelTimeGraph) -> _Table:
-    rows = g.weights.astype(float).tolist()
-    n = len(rows)
-    entry = [min((rows[a][b] for a in range(n) if a != b), default=0.0) for b in range(n)]
-    return _Table(g.index, rows, entry)
-
-
 def _bound_limit(t: float) -> float:
     """The latest a branch's time plus its lower bound may be and the branch
     still count as able to finish by ``t``.
@@ -196,7 +194,7 @@ def _best_schedule(
     now: float,
     task_ids: tuple[int, ...],
     tasks: list[Task],
-    table: _Table,
+    g: TravelTimeGraph,
     pre_picked: frozenset[int],
     forced_first: tuple[int, str] | None,
     cutoff: float,
@@ -214,7 +212,7 @@ def _best_schedule(
     way into each location it still has to visit, is already later. Each
     such location must be entered at least once, and only a stay is free.
     """
-    index, rows, entry = table
+    index, rows, entry = g.index, g.rows, g.entry
     bit = {t: 1 << i for i, t in enumerate(task_ids)}
     full = (1 << len(task_ids)) - 1
     if forced_first is not None and forced_first[0] not in bit:
@@ -341,7 +339,6 @@ def solve_exact(
     if not robot_ids:
         raise ValueError("no robots")
     n_tasks = len(tasks)
-    table = _table(g)
 
     # A robot's schedule depends only on its start location, its forced leg
     # (when that leg's task is in the set) and its task set, so robots that
@@ -361,7 +358,7 @@ def solve_exact(
             return hit[0]
         task_ids = tuple(t for t in range(n_tasks) if assigned >> t & 1)
         sched = _best_schedule(
-            robots[rid], now, task_ids, tasks, table, pre_picked, forced, cutoff,
+            robots[rid], now, task_ids, tasks, g, pre_picked, forced, cutoff,
         )
         if sched is not None:
             sched = (*sched, tuple(leg.location for leg in sched[1]))

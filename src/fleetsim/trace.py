@@ -100,15 +100,15 @@ def _record(path, n: int, line: str) -> dict:
 
 
 def read_trace(path: str | Path) -> Trace:
+    """Parse a trace one line at a time, skipping empty lines after the
+    header; ``\n``, ``\r\n`` and ``\r`` all end a line."""
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceError(f"{path}: empty trace file")
-    header = _record(path, 1, lines[0])
-    if header["type"] != HEADER:
-        raise TraceError(f"{path}: first record is not a header")
-    events = [
-        _record(path, n, line)
-        for n, line in enumerate(lines[1:], start=2) if line
-    ]
+        lines = (line.rstrip("\n") for line in fh)
+        first = next(lines, None)
+        if first is None:
+            raise TraceError(f"{path}: empty trace file")
+        header = _record(path, 1, first)
+        if header["type"] != HEADER:
+            raise TraceError(f"{path}: first record is not a header")
+        events = [_record(path, n, line) for n, line in enumerate(lines, start=2) if line]
     return Trace(header, events)

@@ -10,11 +10,14 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from fleetsim import dynamics
 from fleetsim.dynamics import HumanSpec, HumanState
 from fleetsim.navigation import RoadwayNetwork
 from fleetsim.planner import Path as PlannedPath, PlanningError, UnreachableError
+from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QPResult
 from fleetsim.scenario import RobotSpec, Scenario, WorldParams, load_scenario
 from fleetsim.tasking import (
     DROPOFF,
@@ -646,3 +649,76 @@ def _reference_trace_ray(
             return None
         if grid.occupied[iy, ix]:
             return (x + t * dx, y + t * dy)
+
+
+def reference_solve_factored(
+    H: np.ndarray,
+    g: np.ndarray,
+    A: np.ndarray,
+    b: np.ndarray,
+    max_iter: int = 200,
+    tol: float = 1e-9,
+) -> QPResult:
+    """The Goldfarb-Idnani core ``qp.solve_diagonal`` must match bit for bit,
+    on a symmetric positive definite H: every H^-1 v is a LAPACK ``dpotrs``
+    solve on ``cho_factor(H)``."""
+    c, lower = cho_factor(H)
+    x = dpotrs(c, -g, lower=lower)[0]
+    active: list[int] = []
+    lam: list[float] = []
+    iterations = 0
+
+    def result(status: str) -> QPResult:
+        return QPResult(x, status, iterations)
+
+    while iterations < max_iter:
+        slack = A @ x - b
+        if active:
+            slack[active] = 0.0
+        p = int(slack.argmin()) if len(slack) else -1
+        if p < 0 or slack[p] >= -tol:
+            return result(OPTIMAL)
+        n_p = A[p]
+        lam_p = 0.0
+
+        while iterations < max_iter:
+            iterations += 1
+            hinv_np = dpotrs(c, n_p, lower=lower)[0]
+            if active:
+                N = A[active].T
+                hinv_N = dpotrs(c, N, lower=lower)[0]
+                M = N.T @ hinv_N
+                try:
+                    r = np.linalg.solve(M, N.T @ hinv_np)
+                except np.linalg.LinAlgError:
+                    return result(INFEASIBLE)
+                z = hinv_np - hinv_N @ r
+            else:
+                r = np.zeros(0)
+                z = hinv_np
+            nz = float(n_p @ z)
+
+            s_p = float(n_p @ x - b[p])
+            t2 = -s_p / nz if nz > tol else math.inf
+            t1, blocking = math.inf, -1
+            for k in range(len(active)):
+                if r[k] > tol:
+                    ratio = lam[k] / r[k]
+                    if ratio < t1:
+                        t1, blocking = ratio, k
+            t = min(t1, t2)
+            if not math.isfinite(t):
+                return result(INFEASIBLE)
+
+            if math.isfinite(t2):
+                x = x + t * z
+            for k in range(len(active)):
+                lam[k] -= t * r[k]
+            lam_p += t
+
+            if t == t2:
+                active.append(p)
+                lam.append(lam_p)
+                break
+            del active[blocking], lam[blocking]
+    return result(ITERATION_LIMIT)

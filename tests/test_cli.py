@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -276,3 +279,22 @@ def test_readme_documents_every_flag():
         for name, sub in subparsers.choices.items()
     }
     assert documented == parsed
+
+
+def test_a_run_leaves_scipy_linalg_unloaded(tmp_path):
+    """Every QP solves on its diagonal: neither importing fleetsim, nor a run,
+    nor a checked solve loads scipy.linalg."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from fleetsim.cli import main\n"
+        "from fleetsim.qp import solve_qp\n"
+        f"main(['run', {SMOKE!r}, '--out', {str(tmp_path / 'run.trace')!r}])\n"
+        "solve_qp(np.diag([2.0, 2e4]), np.ones(2), np.ones((1, 2)), np.ones(1))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -5,7 +5,6 @@ from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
 from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, solve_qp
-from fleetsim.safety import _hard_factor
 
 
 def _kkt(H, g, A, b, x, tol=1e-6):
@@ -97,8 +96,16 @@ class TestValidation:
             solve_qp(np.eye(2), np.zeros(2), np.eye(2), np.zeros(3))
 
     def test_asymmetric_h(self):
-        with pytest.raises(ValueError, match="symmetric"):
+        with pytest.raises(ValueError, match="diagonal"):
             solve_qp(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
+
+    @pytest.mark.parametrize("H", [
+        [[2.0, 0.5], [0.5, 2.0]],  # symmetric positive definite
+        [[1.0, 0.0], [np.nan, 1.0]],
+    ])
+    def test_symmetric_non_diagonal_h(self, H):
+        with pytest.raises(ValueError, match="diagonal"):
+            solve_qp(np.array(H), np.zeros(2))
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -107,8 +114,9 @@ class TestValidation:
             solve_qp(np.eye(1), np.zeros(1), np.array([[np.inf]]), np.zeros(1))
 
     def test_not_positive_definite(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            solve_qp(-np.eye(2), np.zeros(2))
+        for h in ([-1.0, -1.0], [1.0, 0.0], [2.0, -0.0]):
+            with pytest.raises(ValueError, match="positive definite"):
+                solve_qp(np.diag(h), np.zeros(2))
 
 
 def _feasible_by_lp(A, b) -> bool:
@@ -130,8 +138,7 @@ class TestRandomizedKKT:
         for _ in range(60):
             d = int(rng.integers(1, 6))
             m = int(rng.integers(0, 11))
-            M = rng.normal(size=(d, d))
-            H = M @ M.T + np.eye(d)
+            H = np.diag(10.0 ** rng.uniform(-2.0, 4.0, size=d))
             g = rng.normal(size=d)
             A = rng.normal(size=(m, d))
             b = rng.normal(size=m)
@@ -153,11 +160,12 @@ class TestRandomizedKKT:
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_dpotrs_is_cho_solve(n):
-    """solve_factored calls LAPACK dpotrs as cho_solve does: same bytes,
-    shape and memory order, for 1-D right-hand sides, 2-D ones and the
-    transposed row selections the active set builds."""
+    """The oracle ``_support.reference_solve_factored`` calls LAPACK dpotrs
+    as cho_solve does: same bytes, shape and memory order, for 1-D
+    right-hand sides, 2-D ones and the transposed row selections the active
+    set builds."""
     rng = np.random.default_rng(n)
-    factors = [_hard_factor(n)]
+    factors = [cho_factor(2.0 * np.eye(n))]
     for lower in (False, True):
         M = rng.normal(size=(n, n))
         factors.append(cho_factor(M @ M.T + n * np.eye(n), lower=lower))
@@ -171,6 +179,38 @@ def test_dpotrs_is_cho_solve(n):
                 assert got.shape == want.shape
                 assert got.flags.f_contiguous == want.flags.f_contiguous
                 assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_scaling_twice_is_potrs_on_a_diagonal(n):
+    """solve_diagonal's H^-1 v, ``(v * s) * s`` with s = 1 / sqrt(h), gives
+    the bytes, shape and memory order of LAPACK dpotrs on the Cholesky factor
+    of diag(h), for 1-D right-hand sides, 2-D F-order ones and the transposed
+    row selections the active set builds. ``(v / sqrt(h)) / sqrt(h)`` and
+    ``v / h`` round differently. Zero entries match up to their sign, which
+    in LAPACK depends on the entries solved before them."""
+    rng = np.random.default_rng(n)
+    diagonals = [np.full(n, 2.0)]  # the hard problem
+    for penalty in (1e4, 1.0, 10.0 ** rng.uniform(-2.0, 4.0)):  # soft-style
+        k = int(rng.integers(0, n + 1))
+        diagonals.append(np.array([2.0] * (n - k) + [2.0 * penalty] * k))
+    diagonals.append(10.0 ** rng.uniform(-2.0, 4.0, size=n))
+    for h in diagonals:
+        c, lower = cho_factor(np.diag(h))
+        s = 1.0 / np.sqrt(h)
+        for _ in range(20):
+            rows = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            for rhs in (rng.normal(size=n), rows[2],
+                        np.asfortranarray(rng.normal(size=(n, 3))), rows[[4, 1, 3]].T):
+                want = dpotrs(c, rhs, lower=lower)[0]
+                scale = s if rhs.ndim == 1 else s[:, None]
+                got = (rhs * scale) * scale
+                assert got.shape == want.shape
+                assert got.flags.f_contiguous == want.flags.f_contiguous
+                assert got.tobytes() == want.tobytes()
+            v = rng.normal(size=n) * (rng.random(n) < 0.5)  # zeros of both signs
+            got, want = (v * s) * s, dpotrs(c, v, lower=lower)[0]
+            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_rejects_a_problem_without_variables():

@@ -21,7 +21,7 @@ from fleetsim.safety import (
 )
 from fleetsim.world import ObstaclePointSet
 
-from _support import unicycle_closed_form
+from _support import reference_solve_factored, unicycle_closed_form
 
 P = ControllerParams()
 NO_HITS = ObstaclePointSet((None,))
@@ -228,8 +228,8 @@ class TestSolveClusterQP:
         def always_infeasible(first, g, A=None, b=None, **kw):
             return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
 
-        # the hard problem runs on the cached factor, the soft one through solve_qp
-        monkeypatch.setattr(safety, "solve_factored", always_infeasible)
+        # the hard problem runs on the unchecked core, the soft one through solve_qp
+        monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", always_infeasible)
         states = {0: RobotState(0, 0, 0, 0.5)}
         dec = solve_cluster_qp([0], states, {0: Control(1.0, 1.0)},
@@ -239,7 +239,7 @@ class TestSolveClusterQP:
         assert dec.controls[0] == Control(-1.0, 0.0)
 
     def test_hard_failure_takes_the_soft_path(self, monkeypatch):
-        def always_infeasible(chol, g, A, b, **kw):
+        def always_infeasible(h, g, A, b, **kw):
             return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
 
         soft_calls = []
@@ -248,7 +248,7 @@ class TestSolveClusterQP:
             soft_calls.append(len(g))
             return solve_qp(H, g, A, b, **kw)
 
-        monkeypatch.setattr(safety, "solve_factored", always_infeasible)
+        monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", counted_solve_qp)
         states = {0: RobotState(0, 0, 0, 0.5)}
         hits = ObstaclePointSet(((3.0, 0.0), None))
@@ -365,7 +365,7 @@ def _hex(values):
 
 
 class TestRowsAndHardPath:
-    """The in-place row builder and the cached-factor hard solve, bit for bit."""
+    """The in-place row builder and the unchecked hard solve, bit for bit."""
 
     def test_assemble_matches_barrier_terms(self):
         rng = random.Random(21)
@@ -387,7 +387,7 @@ class TestRowsAndHardPath:
             A, b = safety._assemble(members, states, obstacle_points, humans, P)
             u_star = [u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
             g = -2.0 * np.array(u_star)
-            fast = safety.solve_factored(safety._hard_factor(2 * n), g, A, b)
+            fast = safety.solve_diagonal(2.0, g, A, b)
             checked = solve_qp(2.0 * np.eye(2 * n), g, A, b)
             assert (fast.status, fast.iterations) == (checked.status, checked.iterations)
             assert _hex(fast.x) == _hex(checked.x)
@@ -398,3 +398,54 @@ class TestRowsAndHardPath:
             outcomes.add((checked.status, checked.iterations > 0))
         # unconstrained optima, active-set steps and infeasible hard problems
         assert outcomes >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
+
+
+def _soft_system(A, b, g, n, penalty):
+    """The slack-penalized problem over a hard system (A, b) with 2n controls,
+    laid out as ``solve_cluster_qp`` builds it: the Hessian's diagonal, then
+    (g, A, b) over the controls and one slack per CBF row."""
+    m = len(b) - 4 * n
+    h = np.array([2.0] * (2 * n) + [2.0 * penalty] * m)
+    A_soft = np.block([
+        [A[:m], np.eye(m)],
+        [np.zeros((m, 2 * n)), np.eye(m)],
+        [A[m:], np.zeros((4 * n, m))],
+    ])
+    b_soft = np.concatenate([b[:m], np.zeros(m), b[m:]])
+    return h, np.concatenate([g, np.zeros(m)]), A_soft, b_soft
+
+
+def test_diagonal_core_equals_the_lapack_core():
+    """``qp.solve_diagonal`` against the Cholesky core it replaced, on the
+    hard systems ``_assemble`` builds, some with a robot at rest under the
+    stop law, and on soft-style diagonals: the same status, active-set steps
+    and x bytes, up to the sign of a zero.
+
+    LAPACK's triangular solves subtract each zero off-diagonal product, so
+    whether a -0.0 entry stays -0.0 depends on the signs of the entries
+    solved before it; ``(v * s) * s`` keeps it. Every decision and every
+    nonzero value is blind to that sign, and the trace writes both zeros
+    as ``0``.
+    """
+    rng = random.Random(23)
+    seen = {"hard": set(), "soft": set()}
+    for _ in range(1000):
+        members, states, nominals, obstacle_points, humans = _random_cluster(rng)
+        for rid in members:
+            if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
+                nominals[rid] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
+        n = len(members)
+        A, b = safety._assemble(members, states, obstacle_points, humans, P)
+        g = -2.0 * np.array([u for rid in members
+                             for u in (nominals[rid].a, nominals[rid].omega)])
+        penalty = rng.choice((P.slack_penalty, 1.0, 10.0 ** rng.uniform(-2.0, 4.0)))
+        h_soft, *soft = _soft_system(A, b, g, n, penalty)
+        for kind, h, system in (("hard", 2.0, (g, A, b)), ("soft", h_soft, soft)):
+            got = safety.solve_diagonal(h, *system)
+            want = reference_solve_factored(np.diag(np.broadcast_to(h, len(system[0]))),
+                                            *system)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            assert (got.x + 0.0).tobytes() == (want.x + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
+            seen[kind].add((got.status, got.iterations > 1))
+    assert seen["hard"] >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
+    assert seen["soft"] >= {(OPTIMAL, False), (OPTIMAL, True)}

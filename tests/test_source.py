@@ -166,3 +166,38 @@ def test_flags_numpy_and_math_hypot():
         "line 2: import numpy.linalg", "line 3: math.hypot",
         "line 4: from numpy", "line 5: math.hypot",
     ]
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Each scipy module or name a module imports, as its dotted path."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "scipy"):
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_scipy_is_ndimage_in_world_only(path):
+    """Every QP solves on its diagonal, so no module needs scipy.linalg.
+    world.py inflates obstacles with ``scipy.ndimage``; that import also
+    puts scipy's version in ``sys.modules``, where the benchmark reads it."""
+    found = scipy_imports(path.read_text())
+    assert [name for name in found if name.startswith("scipy.linalg")] == []
+    assert found == (["scipy.ndimage"] if path.name == "world.py" else [])
+
+
+def test_flags_scipy_imports():
+    source = (
+        "import scipy.linalg as la\n"
+        "from scipy import ndimage, linalg\n"
+        "from scipy.linalg.lapack import dpotrs\n"
+        "from .qp import solve_qp\n"
+        "import numpy\n"
+    )
+    assert scipy_imports(source) == [
+        "scipy.linalg", "scipy.ndimage", "scipy.linalg", "scipy.linalg.lapack.dpotrs",
+    ]

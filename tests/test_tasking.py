@@ -63,6 +63,15 @@ class TestTravelTimeGraph:
         assert again.locations == LINE.locations
         assert np.array_equal(again.weights, LINE.weights)
 
+    def test_owns_read_only_float_rows(self):
+        given = np.array([[0, 3, 4], [3, 0, 5], [4, 5, 0]])
+        g = TravelTimeGraph((7, 8, 9), given)
+        given[0, 1] = given[1, 0] = 1
+        assert g.weights.dtype == float and not g.weights.flags.writeable
+        assert g.rows == [[0.0, 3.0, 4.0], [3.0, 0.0, 5.0], [4.0, 5.0, 0.0]]
+        assert g.entry == [3.0, 3.0, 4.0]
+        assert g.time(7, 8) == 3.0 and type(g.time(9, 8)) is float
+
     @pytest.mark.parametrize("weights,fragment", [
         (np.array([[0.0, 1.0], [2.0, 0.0]]), "symmetric"),
         (np.array([[1.0, 2.0], [2.0, 0.0]]), "diagonal"),

@@ -108,6 +108,28 @@ class TestRoundTrip:
         path.write_text(path.read_text() + "\n\n")
         assert len(read_trace(path).events) == 3
 
+    @pytest.mark.parametrize("layout", ["crlf", "cr", "blank_between", "no_final_newline"])
+    def test_line_layouts_read_the_same(self, tmp_path, layout):
+        path = tmp_path / "run.trace"
+        trace = self.make_trace()
+        write_trace(path, trace)
+        text = path.read_text()
+        text = {
+            "crlf": text.replace("\n", "\r\n"),
+            "cr": text.replace("\n", "\r"),
+            "blank_between": text.replace("\n", "\n\n"),
+            "no_final_newline": text.rstrip("\n"),
+        }[layout]
+        path.write_bytes(text.encode())
+        back = read_trace(path)
+        assert (back.header, back.events) == (trace.header, trace.events)
+
+    def test_error_lines_count_blank_lines(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_bytes(b'{"type":"header"}\r\n\r\n{"type":"state"}\r\n{broken')
+        with pytest.raises(TraceError, match="line 4"):
+            read_trace(path)
+
 
 class TestReadErrors:
     def test_empty_file(self, tmp_path):
@@ -132,6 +154,18 @@ class TestReadErrors:
         path = tmp_path / "bad.trace"
         path.write_text('{"type":"header"}\n{"type":"state"}\n{broken\n')
         with pytest.raises(TraceError, match="line 3"):
+            read_trace(path)
+
+    def test_whitespace_only_line_is_an_error(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text('{"type":"header"}\n \n{"type":"state"}\n')
+        with pytest.raises(TraceError, match="line 2"):
+            read_trace(path)
+
+    def test_blank_first_line_is_a_bad_header(self, tmp_path):
+        path = tmp_path / "bad.trace"
+        path.write_text('\n{"type":"header"}\n')
+        with pytest.raises(TraceError, match="line 1"):
             read_trace(path)
 
     def test_missing_file_is_oserror(self, tmp_path):
