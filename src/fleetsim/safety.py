@@ -13,6 +13,41 @@ only when the hard problem is infeasible; if even that fails the decision
 falls back to stop controls for every member. Both Hessians are diagonal:
 the hard QP's is 2I at every size, so it goes straight to the unchecked core
 ``qp.solve_diagonal`` with h = 2.0.
+
+Most hard QPs are solved by their starting point. The filter is minimally
+invasive: when the nominal controls already meet every row, the filtered
+controls are the nominal ones, and the dual active-set solver, which starts
+from the unconstrained optimum x = ((2u) * s) * s with s = 1/sqrt(2), returns
+after zero steps. ``_nominal_decision`` tests exactly that in plain floats
+before any array is built, and returns the decision the full path would
+return, or None to fall through to it:
+
+- On a box row ``A @ x`` is exactly -x or x, so ``a_max - x`` and
+  ``x + a_max`` (likewise for omega) are the solver's slacks bit for bit,
+  tested against ``-TOL`` as it tests them.
+- A barrier row's slack is evaluated in plain floats, where ``_assemble``
+  and the solver take BLAS dots whose rounding (fma or not, summation
+  order) is the kernel's. Both evaluations expand to the same monomials in
+  the same inputs (each row's offsets dp and dv, cos and sin, 2v, x, the
+  alphas and r^2), with at most 8 roundings on any monomial (a pair row's
+  ``A @ x`` sums four nonzero products; its zero entries add exactly), so
+  each lies within gamma_8 * E of the exact slack (Higham, "Accuracy and
+  Stability of Numerical Algorithms", chap. 3), where u = 2^-53,
+  gamma_8 = 8u/(1 - 8u) < 9e-16 and E is the sum of the monomials'
+  absolute values. The row's ``mag``
+  bounds E from above, so the two evaluations differ by less than
+  1.8e-15 * mag and the test's own rounding by less than 3e-16 * mag.
+  A row is accepted only when ``slack - REL * mag >= -TOL``: with
+  REL = 1e-12 that is over 400 times the gap, so an accepted row is one
+  the solver's slack also finds satisfied. Underflow adds at most a few
+  2^-1074, far below REL * mag whenever the slack is near -TOL.
+- ``mag`` weighs each |x| by 1 plus its box bound, at least 1 and at
+  least |x|, so it also bounds each entry of the row's A and b; requiring ``mag <= MAG_MAX`` keeps both evaluations
+  finite, and a row whose A or b would overflow falls through to the full
+  path's "non-finite constraints" error.
+
+Accepted decisions therefore depend on IEEE-754 arithmetic and libm's sin
+and cos only, not on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -31,6 +66,15 @@ from .world import ObstaclePointSet
 FEASIBLE = "feasible"
 FEASIBLE_WITH_SLACK = "feasible-with-slack"
 INFEASIBLE_FALLBACK = "infeasible-fallback"
+
+# the hard solve's optimality tolerance, ``solve_diagonal``'s default
+TOL = 1e-9
+# relative margin on a barrier row's slack, over 400x the rounding gap
+# between the plain-float and the BLAS evaluation (module docstring)
+REL = 1e-12
+# largest row magnitude accepted: keeps both evaluations finite
+MAG_MAX = 1e300
+_S = 1.0 / math.sqrt(2.0)  # ``solve_diagonal``'s s for h = 2.0
 
 
 @dataclass(frozen=True)
@@ -269,14 +313,20 @@ def solve_cluster_qp(
     human barrier row plus control box bounds. Falls back to a slack-penalized
     problem (penalty slack_penalty * s^2 per row) when the hard QP is
     infeasible, and to stop controls for everyone when even that fails.
+    Nominal controls that already satisfy every row are decided by
+    ``_nominal_decision`` without building the QP.
     """
     if not members:
         raise ValueError("empty cluster")
     for rid in members:
         st = states[rid]
         nom = nominals[rid]
-        if not all(math.isfinite(u) for u in (st.x, st.y, st.theta, st.v, nom.a, nom.omega)):
+        if not all(map(math.isfinite, (st.x, st.y, st.theta, st.v, nom.a, nom.omega))):
             raise ValueError(f"non-finite state or nominal for robot {rid}")
+
+    decision = _nominal_decision(members, states, nominals, obstacle_points, humans, p)
+    if decision is not None:
+        return decision
 
     n = len(members)
     u_star = np.array(
@@ -313,6 +363,76 @@ def solve_cluster_qp(
 
     stops = {rid: stop_control(states[rid], p) for rid in members}
     return ControlDecision(stops, [], INFEASIBLE_FALLBACK)
+
+
+def _nominal_decision(
+    members: list[int],
+    states: dict[int, RobotState],
+    nominals: dict[int, Control],
+    obstacle_points: dict[int, ObstaclePointSet],
+    humans: list[HumanState],
+    p: ControllerParams,
+) -> ControlDecision | None:
+    """The hard solve's decision when its starting point, the nominal
+    controls, satisfies every row; None at the first row it cannot accept.
+    The tests and their error bound are in the module docstring."""
+    a_max, omega_max = p.a_max, p.omega_max
+    if not (a_max <= MAG_MAX and omega_max <= MAG_MAX):
+        return None  # an infinite bound makes the full path raise
+    # per member: position, velocity v * e, the gradient (gx, gy) of the
+    # row's A @ x in dp, and the weight of dp's size in mag: x is inside
+    # the box, so 1 + a_max and 1 + omega_max bound |x| and are at least 1
+    kin, controls = [], {}
+    wa, ww = 2.0 * (1.0 + a_max), 2.0 * (1.0 + omega_max)
+    for rid in members:
+        nom, s = nominals[rid], states[rid]
+        xa = ((2.0 * nom.a) * _S) * _S
+        xw = ((2.0 * nom.omega) * _S) * _S
+        if not (a_max - xa >= -TOL and xa + a_max >= -TOL
+                and omega_max - xw >= -TOL and xw + omega_max >= -TOL):
+            return None
+        controls[rid] = Control(_clip(xa, a_max), _clip(xw, omega_max))
+        cos, sin = math.cos(s.theta), math.sin(s.theta)
+        ta, tw = 2.0 * xa, (2.0 * s.v) * xw
+        kin.append((s.x, s.y, s.v * cos, s.v * sin, ta * cos - tw * sin, ta * sin + tw * cos,
+                    wa + abs(s.v) * ww))
+
+    a12, a1a2 = 2.0 * (p.alpha1 + p.alpha2), p.alpha1 * p.alpha2
+
+    def holds(dpx, dpy, dvx, dvy, lin, w, r2):
+        # slack = A @ x - b of the row, b summed as _assemble sums it
+        dvv = 2.0 * (dvx * dvx + dvy * dvy)
+        dpv = dpx * dvx + dpy * dvy
+        dpp = dpx * dpx + dpy * dpy
+        slack = lin + ((dvv + a12 * dpv) + a1a2 * (dpp - r2))
+        mag = (w * (abs(dpx) + abs(dpy)) + dvv
+               + a12 * (abs(dpx * dvx) + abs(dpy * dvy)) + a1a2 * (dpp + r2))
+        return slack - REL * mag >= -TOL and mag <= MAG_MAX
+
+    m = 0
+    r2 = p.r_human_safe * p.r_human_safe
+    for x, y, vx, vy, gx, gy, w in kin:
+        for h in humans:
+            dpx, dpy = x - h.x, y - h.y
+            if not holds(dpx, dpy, vx - h.vx, vy - h.vy, dpx * gx + dpy * gy, w, r2):
+                return None
+    m += len(kin) * len(humans)
+    r2 = p.r_safe * p.r_safe
+    for i, (xi, yi, vxi, vyi, gxi, gyi, wi) in enumerate(kin):
+        for xj, yj, vxj, vyj, gxj, gyj, wj in kin[i + 1:]:
+            dpx, dpy = xi - xj, yi - yj
+            lin = (dpx * gxi + dpy * gyi) - (dpx * gxj + dpy * gyj)
+            if not holds(dpx, dpy, vxi - vxj, vyi - vyj, lin, wi + wj, r2):
+                return None
+            m += 1
+    r2 = p.r_obstacle * p.r_obstacle
+    for rid, (x, y, vx, vy, gx, gy, w) in zip(members, kin):
+        for px, py in obstacle_points[rid].hit_points():
+            dpx, dpy = x - px, y - py
+            if not holds(dpx, dpy, vx, vy, dpx * gx + dpy * gy, w, r2):
+                return None
+            m += 1
+    return ControlDecision(controls, [0.0] * m, FEASIBLE)
 
 
 def _unpack(members: list[int], x: np.ndarray, p: ControllerParams) -> dict[int, Control]:

@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from fleetsim import dynamics
-from fleetsim.dynamics import HumanSpec, HumanState
+from fleetsim.dynamics import Control, HumanSpec, HumanState, RobotState
 from fleetsim.navigation import RoadwayNetwork
 from fleetsim.planner import Path as PlannedPath, PlanningError, UnreachableError
 from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QPResult
@@ -649,6 +649,30 @@ def _reference_trace_ray(
             return None
         if grid.occupied[iy, ix]:
             return (x + t * dx, y + t * dy)
+
+
+def random_cluster(rng: random.Random, u_max: float = 3.0):
+    """Members with shuffled ids, close enough for pair, obstacle and human
+    rows to bind, with nominal controls drawn from [-u_max, u_max]."""
+    n = rng.randint(1, 4)
+    members = rng.sample(range(6), n)
+    spread = rng.choice((0.6, 1.5, 4.0))
+    states, nominals, obstacle_points = {}, {}, {}
+    for rid in members:
+        s = RobotState(rng.uniform(0, spread), rng.uniform(0, spread),
+                       rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1))
+        states[rid] = s
+        nominals[rid] = Control(rng.uniform(-u_max, u_max), rng.uniform(-u_max, u_max))
+        points = []
+        for _ in range(rng.choice((1, 4, 16))):
+            d, ang = rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi)
+            hit = (s.x + d * math.cos(ang), s.y + d * math.sin(ang))
+            points.append(hit if rng.random() < 0.3 else None)
+        obstacle_points[rid] = ObstaclePointSet(tuple(points))
+    humans = [HumanState(rng.uniform(-1, spread + 1), rng.uniform(-1, spread + 1),
+                         rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for _ in range(rng.randint(0, 2))]
+    return members, states, nominals, obstacle_points, humans
 
 
 def reference_solve_factored(

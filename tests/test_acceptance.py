@@ -21,7 +21,13 @@ from fleetsim.metrics import _occupied_cell_bounds, _rect_distances, compute_met
 from fleetsim.navigation import RoomQueue, point_in_polygon
 from fleetsim.planner import UnreachableError, plan
 from fleetsim.qp import OPTIMAL, solve_qp
-from fleetsim.safety import FEASIBLE, INFEASIBLE_FALLBACK, ControllerParams, solve_cluster_qp
+from fleetsim.safety import (
+    FEASIBLE,
+    INFEASIBLE_FALLBACK,
+    ControllerParams,
+    _nominal_decision,
+    solve_cluster_qp,
+)
 from fleetsim.scenario import load_scenario
 from fleetsim.tasking import Task, solve_exact
 from fleetsim.trace import write_trace
@@ -59,6 +65,9 @@ def test_qp_solve_time_scaling():
     solve_qp(2 * np.eye(2), np.zeros(2), np.eye(2), -np.ones(2))
 
     scenes = {n: _qp_timing_scene(n) for n in (1, 2, 3)}
+    # every scene's nominal controls break a row, so each solve times the
+    # QP, not the plain-float shortcut for unconstrained optima
+    assert all(_nominal_decision(*args) is None for args in scenes.values())
     durations = {n: [] for n in scenes}
     # round-robin, so a swing in host speed lands on every size alike
     for _ in range(80):

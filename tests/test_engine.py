@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -18,6 +19,7 @@ from fleetsim.planner import PlanningError
 from fleetsim.safety import stop_control
 from fleetsim.scenario import load_scenario
 from fleetsim.trace import dumps_record, read_trace, write_trace
+from fleetsim.world import ObstaclePointSet
 
 from _support import ROOT, SCENARIOS
 
@@ -248,6 +250,25 @@ class TestFaults:
         assert sorted(f["robot"] for f in faults) == [0, 1]
         assert {f["error"] for f in faults} == {"safety: non-finite constraints"}
         assert {f["t"] for f in faults} == {0.0}
+        assert not list(trace.of_type("qp"))
+        assert trace.events[-1]["type"] == "end"
+
+    def test_overflowing_hit_faults_robot(self, tmp_path, monkeypatch):
+        # a finite sensed point so far off that its barrier row overflows:
+        # the nominal check refuses it and the full path's error faults
+        # the robot
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [1.0, 2.0]}},
+            "locations": [[1.0, 2.0], [7.0, 2.0]],
+            "duration": 1,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        far = ObstaclePointSet(((1e308, 0.0),))
+        monkeypatch.setattr(engine, "raycast", lambda *args: far)
+        with np.errstate(over="ignore"):
+            trace = run(load_scenario(path)).trace
+        faults = list(trace.of_type("fault"))
+        assert [(f["robot"], f["t"], f["error"]) for f in faults] == [
+            (0, 0.0, "safety: non-finite constraints")]
         assert not list(trace.of_type("qp"))
         assert trace.events[-1]["type"] == "end"
 

@@ -1,11 +1,14 @@
+import inspect
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import fleetsim.safety as safety
 from fleetsim.dynamics import Control, HumanState, RobotState
+from fleetsim.engine import run
 from fleetsim.qp import INFEASIBLE, OPTIMAL, QPResult, solve_qp
 from fleetsim.safety import (
     FEASIBLE,
@@ -21,7 +24,12 @@ from fleetsim.safety import (
 )
 from fleetsim.world import ObstaclePointSet
 
-from _support import reference_solve_factored, unicycle_closed_form
+from _support import (
+    busy_fleet_scenario,
+    random_cluster,
+    reference_solve_factored,
+    unicycle_closed_form,
+)
 
 P = ControllerParams()
 NO_HITS = ObstaclePointSet((None,))
@@ -228,7 +236,9 @@ class TestSolveClusterQP:
         def always_infeasible(first, g, A=None, b=None, **kw):
             return QPResult(np.zeros(len(g)), INFEASIBLE, 0)
 
-        # the hard problem runs on the unchecked core, the soft one through solve_qp
+        # the hard problem runs on the unchecked core, the soft one through
+        # solve_qp; the nominal check would accept these controls before either
+        monkeypatch.setattr(safety, "_nominal_decision", lambda *args: None)
         monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", always_infeasible)
         states = {0: RobotState(0, 0, 0, 0.5)}
@@ -248,6 +258,7 @@ class TestSolveClusterQP:
             soft_calls.append(len(g))
             return solve_qp(H, g, A, b, **kw)
 
+        monkeypatch.setattr(safety, "_nominal_decision", lambda *args: None)
         monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", counted_solve_qp)
         states = {0: RobotState(0, 0, 0, 0.5)}
@@ -301,29 +312,6 @@ class TestSolveClusterQP:
         assert dec.controls[1].a < 1.0
 
 
-def _random_cluster(rng: random.Random):
-    """Members with shuffled ids, close enough for pair, obstacle and human rows to bind."""
-    n = rng.randint(1, 4)
-    members = rng.sample(range(6), n)
-    spread = rng.choice((0.6, 1.5, 4.0))
-    states, nominals, obstacle_points = {}, {}, {}
-    for rid in members:
-        s = RobotState(rng.uniform(0, spread), rng.uniform(0, spread),
-                       rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1))
-        states[rid] = s
-        nominals[rid] = Control(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        points = []
-        for _ in range(rng.choice((1, 4, 16))):
-            d, ang = rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi)
-            hit = (s.x + d * math.cos(ang), s.y + d * math.sin(ang))
-            points.append(hit if rng.random() < 0.3 else None)
-        obstacle_points[rid] = ObstaclePointSet(tuple(points))
-    humans = [HumanState(rng.uniform(-1, spread + 1), rng.uniform(-1, spread + 1),
-                         rng.uniform(-1, 1), rng.uniform(-1, 1))
-              for _ in range(rng.randint(0, 2))]
-    return members, states, nominals, obstacle_points, humans
-
-
 def _reference_rows(members, states, obstacle_points, humans, p):
     """The hard system rebuilt one row at a time: the CBF rows from
     pair_barrier and point_barrier, then per stacked (a, omega) variable its
@@ -370,7 +358,7 @@ class TestRowsAndHardPath:
     def test_assemble_matches_barrier_terms(self):
         rng = random.Random(21)
         for _ in range(500):
-            members, states, _, obstacle_points, humans = _random_cluster(rng)
+            members, states, _, obstacle_points, humans = random_cluster(rng)
             A, b = safety._assemble(members, states, obstacle_points, humans, P)
             rows, rhs = _reference_rows(members, states, obstacle_points, humans, P)
             assert A.shape == (len(rows), 2 * len(members))
@@ -382,7 +370,7 @@ class TestRowsAndHardPath:
         rng = random.Random(22)
         outcomes = set()
         for _ in range(500):
-            members, states, nominals, obstacle_points, humans = _random_cluster(rng)
+            members, states, nominals, obstacle_points, humans = random_cluster(rng)
             n = len(members)
             A, b = safety._assemble(members, states, obstacle_points, humans, P)
             u_star = [u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
@@ -430,7 +418,7 @@ def test_diagonal_core_equals_the_lapack_core():
     rng = random.Random(23)
     seen = {"hard": set(), "soft": set()}
     for _ in range(1000):
-        members, states, nominals, obstacle_points, humans = _random_cluster(rng)
+        members, states, nominals, obstacle_points, humans = random_cluster(rng)
         for rid in members:
             if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
                 nominals[rid] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
@@ -449,3 +437,142 @@ def test_diagonal_core_equals_the_lapack_core():
             seen[kind].add((got.status, got.iterations > 1))
     assert seen["hard"] >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
     assert seen["soft"] >= {(OPTIMAL, False), (OPTIMAL, True)}
+
+
+def _decision_hex(dec):
+    return (dec.qp_status, _hex(dec.slack_used),
+            [(rid, c.a.hex(), c.omega.hex()) for rid, c in dec.controls.items()])
+
+
+def _full_path(monkeypatch, *args):
+    """``solve_cluster_qp`` with the nominal check refusing every system."""
+    with monkeypatch.context() as m:
+        m.setattr(safety, "_nominal_decision", lambda *a: None)
+        return solve_cluster_qp(*args)
+
+
+def _one_row_at(rng, kind, delta):
+    """A system with one barrier row, of ``kind``, whose exact slack at the
+    nominal controls is -TOL + delta (up to a few ulps), with the nominal
+    controls inside the box; only the first member's a is nonzero."""
+    while True:
+        theta, v = rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1)
+        s = RobotState(rng.uniform(-1, 1), rng.uniform(-1, 1), theta, v)
+        d, ang = rng.uniform(0.6, 2.5), rng.uniform(-math.pi, math.pi)
+        q = (s.x + d * math.cos(ang), s.y + d * math.sin(ang))
+        states, hits, humans = {0: s}, {0: NO_HITS}, []
+        if kind == "hit":
+            terms = point_barrier(s, q, (0.0, 0.0), P.r_obstacle)
+            hits = {0: ObstaclePointSet((q, None))}
+        elif kind == "human":
+            vel = (rng.uniform(-1, 1), rng.uniform(-1, 1))
+            terms = point_barrier(s, q, vel, P.r_human_safe)
+            humans = [HumanState(q[0], q[1], *vel)]
+        else:
+            states[1] = RobotState(q[0], q[1], rng.uniform(-math.pi, math.pi),
+                                   rng.uniform(-1, 1))
+            hits[1] = NO_HITS
+            terms = pair_barrier(s, states[1], P.r_safe)
+        rhs = (-terms.c0 - (P.alpha1 + P.alpha2) * terms.hdot
+               - P.alpha1 * P.alpha2 * terms.h)
+        if abs(terms.coef_i[0]) < 0.5:
+            continue
+        a = (-safety.TOL + delta + rhs) / terms.coef_i[0]
+        if abs(a) > 0.9 * P.a_max:
+            continue
+        nominals = {k: Control(0.0, 0.0) for k in states}
+        nominals[0] = Control(a, 0.0)
+        x = ((2.0 * a) * safety._S) * safety._S
+        # the row's slack at x: the reference terms, summed without rounding
+        exact = Fraction(terms.coef_i[0]) * Fraction(x) - Fraction(rhs)
+        return list(states), states, nominals, hits, humans, exact
+
+
+class TestNominalCheck:
+    """The plain-float shortcut for hard QPs solved by their starting point."""
+
+    def test_tolerance_is_the_solvers(self):
+        tol = inspect.signature(safety.solve_diagonal).parameters["tol"].default
+        assert safety.TOL == tol
+        assert safety._S == float(1.0 / np.sqrt(2.0))
+
+    def test_accepted_decisions_equal_the_full_path(self, monkeypatch):
+        rng = random.Random(31)
+        seen = {"accepted": 0, "refused": 0}
+        for _ in range(2000):
+            members, states, nominals, hits, humans = random_cluster(
+                rng, u_max=rng.choice((0.5, 2.0, 3.0)))
+            if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
+                nominals[members[0]] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
+            args = (members, states, nominals, hits, humans, P)
+            shortcut = safety._nominal_decision(*args)
+            full = _full_path(monkeypatch, *args)
+            if shortcut is None:
+                seen["refused"] += 1
+                continue
+            seen["accepted"] += 1
+            assert _decision_hex(shortcut) == _decision_hex(full)
+        assert seen["accepted"] >= 200 and seen["refused"] >= 200
+
+    @pytest.mark.parametrize("kind", ["hit", "human", "pair"])
+    def test_refuses_rows_at_the_threshold(self, kind, monkeypatch):
+        rng = random.Random(f"{kind}32")
+        for _ in range(300):
+            delta = rng.uniform(-0.9e-13, 0.9e-13)
+            *args, exact = _one_row_at(rng, kind, delta)
+            assert abs(exact + Fraction(safety.TOL)) <= 1e-13
+            assert safety._nominal_decision(*args, P) is None
+        # a margin far above the rounding gap is accepted, far below refused
+        for delta, accepted in ((1e-7, True), (-1e-7, False)):
+            *args, _ = _one_row_at(rng, kind, delta)
+            dec = safety._nominal_decision(*args, P)
+            assert (dec is not None) == accepted
+            if accepted:
+                assert _decision_hex(dec) == _decision_hex(_full_path(monkeypatch, *args, P))
+
+    def test_overflowing_row_raises_through_the_full_path(self):
+        states = {0: RobotState(0.0, 0.0, 0.0, 0.0)}
+        hits = {0: ObstaclePointSet(((1e308, 0.0),))}
+        args = ([0], states, {0: Control(0.0, 0.0)}, hits, [], P)
+        assert safety._nominal_decision(*args) is None
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite constraints"):
+            solve_cluster_qp(*args)
+
+    def test_huge_but_finite_row_falls_through(self, monkeypatch):
+        # |dp|^2 = 1e300: every entry is finite, mag is over MAG_MAX
+        states = {0: RobotState(0.0, 0.0, 0.0, 0.0)}
+        hits = {0: ObstaclePointSet(((1e150, 0.0),))}
+        args = ([0], states, {0: Control(0.5, 0.0)}, hits, [], P)
+        assert safety._nominal_decision(*args) is None
+        assert solve_cluster_qp(*args).qp_status == FEASIBLE
+
+    def test_non_finite_nominal_raises_before_the_check(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(safety, "_nominal_decision", lambda *a: calls.append(a))
+        states = {0: RobotState(0, 0, 0, 0.0)}
+        with pytest.raises(ValueError, match="non-finite state or nominal"):
+            solve_cluster_qp([0], states, {0: Control(0.0, math.inf)}, {0: NO_HITS}, [], P)
+        assert calls == []
+
+    def test_non_finite_box_bound_falls_through(self):
+        p = ControllerParams(a_max=math.inf)
+        args = ([0], {0: RobotState(0, 0, 0, 0.0)}, {0: Control(0.1, 0.0)}, {0: NO_HITS}, [], p)
+        assert safety._nominal_decision(*args) is None
+        with pytest.raises(ValueError, match="non-finite constraints"):
+            solve_cluster_qp(*args)
+
+    def test_busy_fleet_takes_the_shortcut(self, monkeypatch):
+        # 2 235 of 2 286 solves (97.8 %) when this floor was set
+        counts = {"solves": 0, "accepted": 0}
+        check = safety._nominal_decision
+
+        def counted(*args):
+            dec = check(*args)
+            counts["solves"] += 1
+            counts["accepted"] += dec is not None
+            return dec
+
+        monkeypatch.setattr(safety, "_nominal_decision", counted)
+        run(busy_fleet_scenario(6, duration=20.0))
+        assert counts["solves"] > 2000
+        assert counts["accepted"] >= 0.9 * counts["solves"]
