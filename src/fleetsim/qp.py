@@ -1,131 +1,121 @@
-"""Dense strictly convex quadratic programming on a diagonal Hessian.
+"""Strictly convex quadratic programming on a diagonal Hessian, in plain floats.
 
 Solves ``min 0.5 x'Hx + g'x  s.t.  Ax >= b`` with a Goldfarb-Idnani dual
 active-set method. The solver starts from the unconstrained optimum and adds
 violated constraints one at a time, so it needs no feasible starting point and
 detects inconsistent constraint sets cleanly. Every QP the simulator builds has
-H = diag(h) with h > 0, so each H^-1 v is ``(v * s) * s`` with s = 1/sqrt(h),
-the bytes LAPACK ``potrs`` gives on the factor of diag(h) up to a zero's sign.
-Problems here are tiny (a few dozen rows), so every step re-solves small dense
-systems instead of updating factorizations.
+H = diag(h) with h > 0, so each H^-1 v is ``v / h``. Problems here are tiny (a
+few dozen rows), so every step re-solves the small active-set system by
+Gaussian elimination with partial pivoting instead of updating a factorization.
+
+The arithmetic is Python floats in a fixed order: a dot product sums its
+products left to right in increasing index order, and no product is fused into
+an add, so results depend on IEEE-754 arithmetic only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from collections.abc import Iterable, Sequence
+from typing import NamedTuple
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
 
+# a constraint row: (variable, coefficient) pairs in increasing variable order
+Row = Sequence[tuple[int, float]]
 
-@dataclass(frozen=True)
-class QPResult:
-    x: np.ndarray
+
+class QPResult(NamedTuple):
+    x: list[float]
     status: str
     iterations: int
+    active: tuple[int, ...] = ()  # the rows held with equality, in the order added
 
 
-def solve_qp(
-    H: np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-    max_iter: int = 200,
-    tol: float = 1e-9,
-) -> QPResult:
+def solve_qp(H, g, A=None, b=None, max_iter: int = 200, tol: float = 1e-9) -> QPResult:
     """Solve ``min 0.5 x'Hx + g'x`` subject to ``Ax >= b``.
 
-    Returns the optimum and the number of active-set steps taken, or a
-    result flagged ``infeasible`` (no x satisfies the constraints) or
+    H and A are dense matrices given as sequences of rows, g and b as
+    sequences. Returns the optimum and the number of active-set steps taken,
+    or a result flagged ``infeasible`` (no x satisfies the constraints) or
     ``iteration_limit``. Raises ValueError for a non-diagonal H, a diagonal
     that is not positive, no variables or malformed shapes.
     """
-    H = np.asarray(H, dtype=float)
-    g = np.asarray(g, dtype=float)
-    d = g.shape[0]
-    if H.shape != (d, d):
+    g = [float(v) for v in g]
+    H = [[float(v) for v in row] for row in H]
+    d = len(g)
+    if len(H) != d or any(len(row) != d for row in H):
         raise ValueError("H and g have incompatible shapes")
     if d == 0:
         raise ValueError("the problem has no variables")
-    if np.triu(H, 1).any() or np.tril(H, -1).any():
+    if any(v for i, row in enumerate(H) for j, v in enumerate(row) if i != j):
         raise ValueError("H must be diagonal")
-    if A is None or len(A) == 0:
-        A = np.zeros((0, d))
-        b = np.zeros(0)
-    else:
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if A.shape != (b.shape[0], d):
-            raise ValueError("A and b have incompatible shapes")
-    if not np.all(np.isfinite(H)) or not np.all(np.isfinite(g)):
+    A = [] if A is None else [[float(v) for v in row] for row in A]
+    b = [float(v) for v in b] if A else []
+    if len(b) != len(A) or any(len(row) != d for row in A):
+        raise ValueError("A and b have incompatible shapes")
+    h = [H[i][i] for i in range(d)]
+    if not all(map(math.isfinite, h + g)):
         raise ValueError("non-finite objective")
-    if not np.all(np.isfinite(A)) or not np.all(np.isfinite(b)):
+    if not all(map(math.isfinite, b + [v for row in A for v in row])):
         raise ValueError("non-finite constraints")
-    h = H.diagonal()
-    if not (h > 0).all():
+    if not all(v > 0 for v in h):
         raise ValueError("H is not positive definite")
-    return solve_diagonal(h, g, A, b, max_iter, tol)
+    rows = [[(j, v) for j, v in enumerate(row) if v] for row in A]
+    return solve_diagonal(h, g, rows, b, max_iter, tol)
 
 
 def solve_diagonal(
-    h: float | np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
+    h: Sequence[float],
+    g: Sequence[float],
+    rows: Sequence[Row],
+    b: Sequence[float],
     max_iter: int = 200,
     tol: float = 1e-9,
 ) -> QPResult:
-    """``solve_qp`` on ``H = diag(h)``, with no argument checks.
-
-    ``h`` is a positive float (``H = h * I``) or a positive 1-D array; g, A
-    and b must be finite float arrays of matching shapes, with at least one
-    variable (A may have no rows).
-    """
-    s = np.asarray(1.0 / np.sqrt(h))  # numpy multiplies by an array faster than by a scalar
-    x = (-g * s) * s
-    hinv_A = None  # row k is H^-1 A[k], built once a step is needed: most solves take none
+    """``solve_qp`` on ``H = diag(h)`` and sparse rows, with no argument
+    checks: h positive, g, the coefficients and b finite, at least one
+    variable (there may be no rows)."""
+    x = [-gv / hv for gv, hv in zip(g, h)]
     active: list[int] = []
     lam: list[float] = []
     iterations = 0
 
-    def result(status: str) -> QPResult:
-        return QPResult(x, status, iterations)
-
     while iterations < max_iter:
-        slack = A @ x - b
-        if active:
-            slack[active] = 0.0  # active rows are satisfied by construction
-        # most violated row; argmin takes the first of equal minima
-        p = int(slack.argmin()) if len(slack) else -1
-        if p < 0 or slack[p] >= -tol:
-            return result(OPTIMAL)
-        n_p = A[p]
+        # most violated row, the first of equal minima; active rows hold
+        p, worst = -1, -tol
+        for k, row in enumerate(rows):
+            s = 0.0
+            for v, c in row:
+                s += c * x[v]
+            s -= b[k]
+            if s < worst and k not in active:
+                p, worst = k, s
+        if p < 0:
+            return QPResult(x, OPTIMAL, iterations, tuple(active))
+        n_p = rows[p]
         lam_p = 0.0
-        if hinv_A is None:
-            hinv_A = (A * s) * s
 
         while iterations < max_iter:
             iterations += 1
-            hinv_np = hinv_A[p]
+            hinv_np = _hinv(n_p, h)
             if active:
-                N = A[active].T
-                hinv_N = hinv_A[active].T  # F-order: the products below round by layout
-                M = N.T @ hinv_N
-                try:
-                    r = np.linalg.solve(M, N.T @ hinv_np)
-                except np.linalg.LinAlgError:
-                    return result(INFEASIBLE)
-                z = hinv_np - hinv_N @ r
+                # r solves (N' H^-1 N) r = N' H^-1 n_p over the active rows N,
+                # and z = H^-1 n_p - (H^-1 N) r
+                hinv_N = [_hinv(rows[k], h) for k in active]
+                r = _gauss([[_dot(rows[k], col) for col in hinv_N] for k in active],
+                           [_dot(rows[k], hinv_np) for k in active])
+                if r is None:
+                    return QPResult(x, INFEASIBLE, iterations, tuple(active))
+                z = [hv - _dot(enumerate(col), r) for hv, col in zip(hinv_np, zip(*hinv_N))]
             else:
-                r = np.zeros(0)
+                r = []
                 z = hinv_np
-            nz = float(n_p @ z)
+            nz = _dot(n_p, z)
 
-            s_p = float(n_p @ x - b[p])
+            s_p = _dot(n_p, x) - b[p]
             t2 = -s_p / nz if nz > tol else math.inf
             t1, blocking = math.inf, -1
             for k in range(len(active)):
@@ -136,10 +126,10 @@ def solve_diagonal(
             t = min(t1, t2)
             if not math.isfinite(t):
                 # cannot move and nothing to drop: constraints inconsistent
-                return result(INFEASIBLE)
+                return QPResult(x, INFEASIBLE, iterations, tuple(active))
 
             if math.isfinite(t2):
-                x = x + t * z
+                x = [xv + t * zv for xv, zv in zip(x, z)]
             for k in range(len(active)):
                 lam[k] -= t * r[k]
             lam_p += t
@@ -149,4 +139,42 @@ def solve_diagonal(
                 lam.append(lam_p)
                 break
             del active[blocking], lam[blocking]
-    return result(ITERATION_LIMIT)
+    return QPResult(x, ITERATION_LIMIT, iterations, tuple(active))
+
+
+def _dot(pairs: Iterable[tuple[int, float]], vec: Sequence[float]) -> float:
+    s = 0.0
+    for v, c in pairs:
+        s += c * vec[v]
+    return s
+
+
+def _hinv(row: Row, h: Sequence[float]) -> list[float]:
+    """H^-1 row as a dense vector."""
+    out = [0.0] * len(h)
+    for v, c in row:
+        out[v] = c / h[v]
+    return out
+
+
+def _gauss(M: list[list[float]], y: list[float]) -> list[float] | None:
+    """The solution of ``M r = y`` by Gaussian elimination with partial
+    pivoting (the first of equal pivots), or None when a pivot is zero."""
+    q = len(y)
+    M = [row + [yv] for row, yv in zip(M, y)]
+    for col in range(q):
+        piv = max(range(col, q), key=lambda i: abs(M[i][col]))
+        if M[piv][col] == 0.0:
+            return None
+        M[col], M[piv] = M[piv], M[col]
+        for row in M[col + 1:]:
+            f = row[col] / M[col][col]
+            for j in range(col + 1, q + 1):
+                row[j] -= f * M[col][j]
+    r = [0.0] * q
+    for i in reversed(range(q)):
+        s = M[i][q]
+        for j in range(i + 1, q):
+            s -= M[i][j] * r[j]
+        r[i] = s / M[i][i]
+    return r

@@ -20,12 +20,12 @@ from fleetsim.engine import run
 from fleetsim.metrics import _occupied_cell_bounds, _rect_distances, compute_metrics
 from fleetsim.navigation import RoomQueue, point_in_polygon
 from fleetsim.planner import UnreachableError, plan
-from fleetsim.qp import OPTIMAL, solve_qp
+from fleetsim.qp import OPTIMAL, solve_diagonal, solve_qp
 from fleetsim.safety import (
     FEASIBLE,
     INFEASIBLE_FALLBACK,
     ControllerParams,
-    _nominal_decision,
+    _rows,
     solve_cluster_qp,
 )
 from fleetsim.scenario import load_scenario
@@ -60,14 +60,17 @@ def _qp_timing_scene(n: int):
 
 def test_qp_solve_time_scaling():
     """1/2/3-agent solves average under 50 ms, ordered by size, no warm-up."""
-    # warm generic numpy machinery on an unrelated problem so the first
-    # measured cluster solve reflects this solver, not library cold start
+    # warm the solver on an unrelated problem so the first measured cluster
+    # solve reflects this solver, not cold start
     solve_qp(2 * np.eye(2), np.zeros(2), np.eye(2), -np.ones(2))
 
     scenes = {n: _qp_timing_scene(n) for n in (1, 2, 3)}
-    # every scene's nominal controls break a row, so each solve times the
-    # QP, not the plain-float shortcut for unconstrained optima
-    assert all(_nominal_decision(*args) is None for args in scenes.values())
+    # every scene's nominal controls break a row, so each solve takes
+    # active-set steps, not only the first scan for unconstrained optima
+    for members, states, nominals, obstacles, humans, params in scenes.values():
+        rows, b = _rows(members, states, obstacles, humans, params)
+        g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+        assert solve_diagonal([2.0] * len(g), g, rows, b).iterations >= 1
     durations = {n: [] for n in scenes}
     # round-robin, so a swing in host speed lands on every size alike
     for _ in range(80):
@@ -301,7 +304,7 @@ def test_qp_matches_grid_search():
         result = solve_qp(2 * np.eye(4), np.zeros(4), A, b)
         assert result.status == OPTIMAL, f"instance {k}"
         assert float((A @ result.x - b).min()) >= -1e-8
-        objective = float(result.x @ result.x)
+        objective = float(np.dot(result.x, result.x))
 
         axis = np.arange(-box, box + 1e-12, 0.01)
         mesh = np.meshgrid(axis, axis, axis, axis, indexing="ij")

@@ -2,8 +2,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
+import warnings
 
-import numpy as np
 import pytest
 import yaml
 
@@ -255,8 +258,7 @@ class TestFaults:
 
     def test_overflowing_hit_faults_robot(self, tmp_path, monkeypatch):
         # a finite sensed point so far off that its barrier row overflows:
-        # the nominal check refuses it and the full path's error faults
-        # the robot
+        # the row builder's error faults the robot, with no warning printed
         path = write_open_scenario(tmp_path, {
             "agents": {"a": {"start": [1.0, 2.0]}},
             "locations": [[1.0, 2.0], [7.0, 2.0]],
@@ -264,7 +266,8 @@ class TestFaults:
         }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
         far = ObstaclePointSet(((1e308, 0.0),))
         monkeypatch.setattr(engine, "raycast", lambda *args: far)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trace = run(load_scenario(path)).trace
         faults = list(trace.of_type("fault"))
         assert [(f["robot"], f["t"], f["error"]) for f in faults] == [
@@ -404,7 +407,7 @@ class TestRoomCoordination:
         assert len(completed) == 6
         text = "".join(dumps_record(r) + "\n" for r in [trace.header, *trace.events])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "67c56bb0495cbfe1ec475ba97592ceeff0a622829d43feafca2bf286fc2f1516"
+            "20965c8d35298f1b5172f45d1844934f4aef9c0a3387bbf7028eb6d5b83ade0c"
         )
 
     def test_faulted_holder_leaves_its_queue(self):
@@ -485,15 +488,15 @@ class TestTravelTimeMeasurement:
 # SHA-256 of the serialized trace of each bundled scenario, of the
 # six-robot busy fleet (_support.busy_fleet_scenario) and of the 60 s rooms
 # run with three pedestrians (_support.crowd_scenario). The bytes depend on
-# libm and BLAS rounding; these were frozen on x86-64 Linux with Python
-# 3.11.7, numpy 2.4.6 and scipy 1.17.1. On another build a mismatch may be
-# rounding rather than a behaviour change.
+# IEEE-754 arithmetic and libm (sin, cos, atan2, exp, hypot); these were
+# frozen on x86-64 Linux with glibc and Python 3.11.7. On another libm a
+# mismatch may be rounding rather than a behaviour change.
 GOLDEN_DIGESTS = {
-    "smoke_result": "51dc5d8cc06958d5071b43ec8c28188551683508fe435c080bc2c2195d584d8b",
-    "corridors_result": "1fa2fdc2f236ee5b86834f485162a1efaa0283459fc422d08d9d32551e89c63e",
-    "rooms_result": "3c822e72def2f103b882705f620b5d9e5889d0b33e32b58c9bf611acea617306",
-    "depot_result": "8be66e15a820372ae16f3aa5645c02584855305362e488cffeb9f8a440b74deb",
-    "busy6_result": "9ac10b048af9eb1bc0d7e898a00d745273abec6f2432a1258646b0d163ec39d3",
+    "smoke_result": "1a92d8e812d6a3bf777c17253af496f4dfaf715d3ced1c209a3aabcf25c9b7ef",
+    "corridors_result": "c147c00bf22d981dcf8434d7eb214633853105221c34ec4348bb884dd35376a0",
+    "rooms_result": "12a4f783333b7cfb291baa260bb58660beb5de48972bb2974d9e7962d4ab2d85",
+    "depot_result": "99d2ad284f654c587ffd716ca5d69a9249fb2144714043e63ec900554a2e9a07",
+    "busy6_result": "66da33c8c3240da2dc1372199c1a98c38ddfd62a9605bd5f530f390fc3ac1d58",
     "crowd_result": "68b3766c83fdf7963915f4ade25b0283b3f9ecbd4c2c29e8932d4ca6c85d5ea6",
 }
 
@@ -503,35 +506,35 @@ GOLDEN_DIGESTS = {
 GOLDEN_TYPE_PREFIXES = {
     "smoke_result": {
         "arrival": "d9ca330aa170881b", "clusters": "b564dcd5feef5d63",
-        "control": "2f1a84ce799f03a5", "end": "6cffa70593f7e9ac",
+        "control": "fc27533b0fa3be8b", "end": "6cffa70593f7e9ac",
         "header": "0ccf561962f890be", "plan": "1b6b4f8b4bb61602",
         "qp": "0269d262f6b6609f", "state": "c981a570253cf8cf",
         "task": "8eabfd002dd73e4b",
     },
     "corridors_result": {
         "arrival": "464e2790cf6a3d9a", "clusters": "26fbea4fe9382379",
-        "control": "dd89e83e0d52e8f8", "end": "13190c56d83022a7",
+        "control": "81066e9c0892a63b", "end": "13190c56d83022a7",
         "header": "7a255d58f1e2ecef", "plan": "40921d97ada375fa",
         "qp": "b7045a444426543c", "state": "ee0ba9f1af6b6278",
         "task": "d3f9013c767d2404",
     },
     "rooms_result": {
         "arrival": "f2bb51183839257c", "clusters": "a84c1e802ea61b31",
-        "control": "8e403c7bf66e7035", "end": "da826fb64040c4a8",
+        "control": "ca5ccb123dbab069", "end": "da826fb64040c4a8",
         "header": "ade588fd92459085", "plan": "6f6be64c2cbc83ad",
         "qp": "a74a231f9b772b53", "queue": "b7bddb5435bfbb04",
-        "state": "f9fd613ee90d2fb1", "task": "aecdf9de7968847f",
+        "state": "a2d3cb0cc6e57b96", "task": "aecdf9de7968847f",
     },
     "depot_result": {
         "arrival": "484c7b843fe62ac1", "clusters": "afddac52f636c265",
-        "control": "579f608d40c13a2d", "end": "e4aad65b0dfad0ec",
+        "control": "42de05ae1cd4d560", "end": "e4aad65b0dfad0ec",
         "header": "f3010c833d32f9cf", "plan": "e51a6983f5c9b0b0",
         "qp": "92c956d639e71d82", "state": "78cd7560ad81fc80",
         "task": "ff3d3daeab1af2ba",
     },
     "busy6_result": {
         "arrival": "1bf166b0d8235984", "clusters": "397cca9ff640e13c",
-        "control": "6bbe60c8fbcbe98a", "end": "7033ee576deaf238",
+        "control": "0964658e06c59905", "end": "7033ee576deaf238",
         "header": "c5ecb943df246708", "plan": "e9c7aab858c20233",
         "qp": "d1b82c9af037e17f", "state": "aa834fab6a0017e8",
         "task": "f31f3cfd169506a9",
@@ -566,6 +569,29 @@ def test_golden_trace_digest(fixture, request):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[fixture], (
         f"trace of {fixture} moved; record types that moved: {moved}")
     assert moved == [], "per-type prefixes are stale for an unchanged trace"
+
+
+def test_golden_digest_holds_under_another_blas_kernel(busy6_result):
+    """No byte depends on the BLAS kernel: a busy-fleet run in a process
+    whose OpenBLAS takes its Prescott kernel writes this process's trace."""
+    _, result = busy6_result
+    records = [result.trace.header, *result.trace.events]
+    here = hashlib.sha256("".join(dumps_record(r) + "\n" for r in records).encode())
+    code = (
+        "import hashlib\n"
+        "from _support import busy_fleet_scenario\n"
+        "from fleetsim.engine import run\n"
+        "from fleetsim.trace import dumps_record\n"
+        "trace = run(busy_fleet_scenario(6)).trace\n"
+        "text = ''.join(dumps_record(r) + '\\n' for r in [trace.header, *trace.events])\n"
+        "print(hashlib.sha256(text.encode()).hexdigest())\n"
+    )
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "tests"),
+         *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.split() == [here.hexdigest()]
 
 
 def test_moved_types_name_the_changed_record_type(smoke_result):

@@ -4,7 +4,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
-from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, solve_qp
+from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, _gauss, solve_qp
 
 
 def _kkt(H, g, A, b, x, tol=1e-6):
@@ -32,7 +32,8 @@ class TestAnalyticCases:
         assert res.x == pytest.approx([1.0, 2.0])
         active, _, residual = _kkt(H, g, np.zeros((0, 2)), np.zeros(0), res.x)
         assert active == () and residual <= 1e-9
-        assert 0.5 * res.x @ H @ res.x + g @ res.x == pytest.approx(-9.0)
+        x = np.array(res.x)
+        assert 0.5 * x @ H @ x + g @ x == pytest.approx(-9.0)
 
     def test_single_active_constraint_1d(self):
         # min x^2 - 4x subject to x <= 1: optimum x = 1, multiplier 2
@@ -76,6 +77,7 @@ class TestAnalyticCases:
                        np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.0])
+        assert res.active == (0,)  # the first of equally violated rows
 
     def test_infeasible_detected(self):
         res = solve_qp(np.array([[2.0]]), np.array([0.0]),
@@ -211,6 +213,16 @@ def test_scaling_twice_is_potrs_on_a_diagonal(n):
             v = rng.normal(size=n) * (rng.random(n) < 0.5)  # zeros of both signs
             got, want = (v * s) * s, dpotrs(c, v, lower=lower)[0]
             assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+def test_gauss_pivots_and_reports_a_zero_pivot():
+    assert _gauss([[0.0, 1.0], [1.0, 0.0]], [2.0, 3.0]) == [3.0, 2.0]
+    assert _gauss([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0]) is None
+    rng = np.random.default_rng(5)
+    for q in range(1, 8):
+        M = rng.normal(size=(q, q)) + q * np.eye(q)
+        y = rng.normal(size=q)
+        assert _gauss(M.tolist(), y.tolist()) == pytest.approx(np.linalg.solve(M, y), rel=1e-12)
 
 
 def test_rejects_a_problem_without_variables():

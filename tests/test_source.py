@@ -122,6 +122,19 @@ class TestWallClockReads:
         assert wall_clock_reads(engine.read_text())
 
 
+def numpy_imports(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each import of numpy or of a numpy submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, "import " + a.name) for a in node.names
+                      if a.name.split(".")[0] == "numpy"]
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "numpy"):
+            found.append((node.lineno, "from " + node.module))
+    return found
+
+
 def numpy_or_math_hypot(source: str) -> list[str]:
     """Each import of numpy, and each read of ``math.hypot`` by attribute of
     the ``math`` module under any alias or by name."""
@@ -131,15 +144,10 @@ def numpy_or_math_hypot(source: str) -> list[str]:
         for node in ast.walk(tree) if isinstance(node, ast.Import)
         for alias in node.names if alias.name == "math"
     }
-    found = []
+    found = numpy_imports(source)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, "import " + a.name) for a in node.names
-                      if a.name.split(".")[0] == "numpy"]
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module.split(".")[0] == "numpy":
-                found.append((node.lineno, "from " + node.module))
-            elif node.module == "math" and any(a.name == "hypot" for a in node.names):
+        if isinstance(node, ast.ImportFrom) and node.module == "math":
+            if any(a.name == "hypot" for a in node.names):
                 found.append((node.lineno, "math.hypot"))
         elif (isinstance(node, ast.Attribute) and node.attr == "hypot"
               and isinstance(node.value, ast.Name) and node.value.id in maths):
@@ -166,6 +174,13 @@ def test_flags_numpy_and_math_hypot():
         "line 2: import numpy.linalg", "line 3: math.hypot",
         "line 4: from numpy", "line 5: math.hypot",
     ]
+
+
+@pytest.mark.parametrize("name", ["safety.py", "qp.py"])
+def test_the_qp_imports_no_numpy(name):
+    """The CBF-QP runs in plain floats, so its bytes follow IEEE-754
+    arithmetic and libm, not the BLAS kernel numpy would call."""
+    assert numpy_imports((ROOT / "src" / "fleetsim" / name).read_text()) == []
 
 
 def scipy_imports(source: str) -> list[str]:
