@@ -12,8 +12,6 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 
-import numpy as np
-
 from . import trace as tr
 from .coordination import (
     Cluster,
@@ -641,10 +639,7 @@ def collect_travel_times(scenario) -> TravelTimeGraph:
     directions, the conservative choice for hard deadlines.
     """
     loc_ids = tuple(sorted(scenario.roadways.locations))
+    d = [[measure_travel_time(scenario, a, b) if a != b else 0.0 for b in loc_ids]
+         for a in loc_ids]
     n = len(loc_ids)
-    directed = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            if a != b:
-                directed[a, b] = measure_travel_time(scenario, loc_ids[a], loc_ids[b])
-    return TravelTimeGraph(loc_ids, np.maximum(directed, directed.T))
+    return TravelTimeGraph(loc_ids, [[max(d[a][b], d[b][a]) for b in range(n)] for a in range(n)])

@@ -4,9 +4,12 @@ Solves ``min 0.5 x'Hx + g'x  s.t.  Ax >= b`` with a Goldfarb-Idnani dual
 active-set method. The solver starts from the unconstrained optimum and adds
 violated constraints one at a time, so it needs no feasible starting point and
 detects inconsistent constraint sets cleanly. Every QP the simulator builds has
-H = diag(h) with h > 0, so each H^-1 v is ``v / h``. Problems here are tiny (a
+H = diag(h) with h > 0, given as h, so each H^-1 v is ``v / h``, and sparse
+rows of A, given as (variable, coefficient) pairs. Problems here are tiny (a
 few dozen rows), so every step re-solves the small active-set system by
 Gaussian elimination with partial pivoting instead of updating a factorization.
+Each step's scan re-checks every row, the active ones too, so an optimum is
+returned only when every row holds to within ``TOL``.
 
 The arithmetic is Python floats in a fixed order: a dot product sums its
 products left to right in increasing index order, and no product is fused into
@@ -22,6 +25,8 @@ from typing import NamedTuple
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 ITERATION_LIMIT = "iteration_limit"
+MAX_ITER = 200  # active-set steps before a solve reports ITERATION_LIMIT
+TOL = 1e-9  # the violation a scan ignores; smaller step divisors count as zero
 
 # a constraint row: (variable, coefficient) pairs in increasing variable order
 Row = Sequence[tuple[int, float]]
@@ -34,64 +39,59 @@ class QPResult(NamedTuple):
     active: tuple[int, ...] = ()  # the rows held with equality, in the order added
 
 
-def solve_qp(H, g, A=None, b=None, max_iter: int = 200, tol: float = 1e-9) -> QPResult:
-    """Solve ``min 0.5 x'Hx + g'x`` subject to ``Ax >= b``.
+def solve_qp(h: Sequence[float], g: Sequence[float], rows: Sequence[Row] = (),
+             b: Sequence[float] = ()) -> QPResult:
+    """Solve ``min 0.5 x' diag(h) x + g'x`` subject to ``rows x >= b``.
 
-    H and A are dense matrices given as sequences of rows, g and b as
-    sequences. Returns the optimum and the number of active-set steps taken,
-    or a result flagged ``infeasible`` (no x satisfies the constraints) or
-    ``iteration_limit``. Raises ValueError for a non-diagonal H, a diagonal
-    that is not positive, no variables or malformed shapes.
+    Returns the optimum and the number of active-set steps taken, or a
+    result flagged ``infeasible`` (no x satisfies the constraints) or
+    ``iteration_limit``. Raises ValueError for no variables, lengths that do
+    not match, a row whose variables are not strictly increasing indices of
+    x, a non-finite entry or a diagonal that is not positive.
     """
+    h = [float(v) for v in h]
     g = [float(v) for v in g]
-    H = [[float(v) for v in row] for row in H]
     d = len(g)
-    if len(H) != d or any(len(row) != d for row in H):
+    if len(h) != d:
         raise ValueError("H and g have incompatible shapes")
     if d == 0:
         raise ValueError("the problem has no variables")
-    if any(v for i, row in enumerate(H) for j, v in enumerate(row) if i != j):
-        raise ValueError("H must be diagonal")
-    A = [] if A is None else [[float(v) for v in row] for row in A]
-    b = [float(v) for v in b] if A else []
-    if len(b) != len(A) or any(len(row) != d for row in A):
+    rows = [[(v, float(c)) for v, c in row] for row in rows]
+    b = [float(v) for v in b]
+    if len(b) != len(rows):
         raise ValueError("A and b have incompatible shapes")
-    h = [H[i][i] for i in range(d)]
+    for row in rows:
+        variables = [-1] + [v for v, _ in row] + [d]
+        if not all(u < v for u, v in zip(variables, variables[1:])):
+            raise ValueError("a row's variables must be strictly increasing indices of x")
     if not all(map(math.isfinite, h + g)):
         raise ValueError("non-finite objective")
-    if not all(map(math.isfinite, b + [v for row in A for v in row])):
+    if not all(map(math.isfinite, b + [c for row in rows for _, c in row])):
         raise ValueError("non-finite constraints")
     if not all(v > 0 for v in h):
         raise ValueError("H is not positive definite")
-    rows = [[(j, v) for j, v in enumerate(row) if v] for row in A]
-    return solve_diagonal(h, g, rows, b, max_iter, tol)
+    return solve_diagonal(h, g, rows, b)
 
 
-def solve_diagonal(
-    h: Sequence[float],
-    g: Sequence[float],
-    rows: Sequence[Row],
-    b: Sequence[float],
-    max_iter: int = 200,
-    tol: float = 1e-9,
-) -> QPResult:
-    """``solve_qp`` on ``H = diag(h)`` and sparse rows, with no argument
-    checks: h positive, g, the coefficients and b finite, at least one
-    variable (there may be no rows)."""
+def solve_diagonal(h: Sequence[float], g: Sequence[float], rows: Sequence[Row],
+                   b: Sequence[float]) -> QPResult:
+    """``solve_qp`` with no argument checks: h positive, g, the coefficients
+    and b finite, at least one variable (there may be no rows)."""
+    max_iter, tol = MAX_ITER, TOL
     x = [-gv / hv for gv, hv in zip(g, h)]
     active: list[int] = []
     lam: list[float] = []
     iterations = 0
 
     while iterations < max_iter:
-        # most violated row, the first of equal minima; active rows hold
+        # most violated row, the first of equal minima; active rows too
         p, worst = -1, -tol
         for k, row in enumerate(rows):
             s = 0.0
             for v, c in row:
                 s += c * x[v]
             s -= b[k]
-            if s < worst and k not in active:
+            if s < worst:
                 p, worst = k, s
         if p < 0:
             return QPResult(x, OPTIMAL, iterations, tuple(active))

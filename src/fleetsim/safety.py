@@ -15,6 +15,8 @@ when the hard problem is infeasible; if even that fails the decision falls
 back to stop controls for every member. The hard QP's Hessian is 2I, so it
 goes straight to the unchecked core ``qp.solve_diagonal``, which starts at
 the nominal controls: when they meet every row, its first scan returns them.
+The soft problem hands the same sparse rows, each with its slack, to the
+checked entry ``qp.solve_qp``.
 A decision depends on IEEE-754 arithmetic and libm's sin and cos only.
 """
 
@@ -215,21 +217,14 @@ def solve_cluster_qp(
         return ControlDecision(_unpack(members, hard.x, p), [0.0] * m, FEASIBLE)
 
     # soft problem: one slack variable per CBF row, which it relaxes, kept
-    # nonnegative; dense for the checked entry
-    d = n + m
-
-    def dense(*pairs: tuple[int, float]) -> list[float]:
-        out = [0.0] * d
-        for var, c in pairs:
-            out[var] = c
-        return out
-
+    # nonnegative; the rows without their zero coefficients
+    rows = [[pair for pair in row if pair[1]] for row in rows]
     soft = solve_qp(
-        [dense((var, 2.0 if var < n else 2.0 * p.slack_penalty)) for var in range(d)],
+        [2.0] * n + [2.0 * p.slack_penalty] * m,
         g + [0.0] * m,
-        [dense(*row, (n + k, 1.0)) for k, row in enumerate(rows[:m])]  # CBF rows + slack
-        + [dense((n + k, 1.0)) for k in range(m)]                     # slack >= 0
-        + [dense(*row) for row in rows[m:]],                          # box bounds
+        [row + [(n + k, 1.0)] for k, row in enumerate(rows[:m])]  # CBF rows + slack
+        + [[(n + k, 1.0)] for k in range(m)]                     # slack >= 0
+        + rows[m:],                                               # box bounds
         b[:m] + [0.0] * m + b[m:],
     )
     if soft.status == OPTIMAL:

@@ -215,10 +215,6 @@ def _best_schedule(
     index, rows, entry = g.index, g.rows, g.entry
     bit = {t: 1 << i for i, t in enumerate(task_ids)}
     full = (1 << len(task_ids)) - 1
-    if forced_first is not None and forced_first[0] not in bit:
-        # the forced task is not assigned here (partial assignments during
-        # search); its absence only shortens the schedule, keeping bounds valid
-        forced_first = None
     order = sorted(
         [(tasks[t].start, PICKUP, t) for t in task_ids]
         + [(tasks[t].end, DROPOFF, t) for t in task_ids]
@@ -231,7 +227,7 @@ def _best_schedule(
     ]
     first = None
     if forced_first is not None:
-        # the robot's in-progress leg stays its first
+        # the robot's in-progress leg (its task is in task_ids) stays its first
         first = [leg for leg, (_, stage, t) in zip(legs, order) if (t, stage) == forced_first]
 
     def remaining(picked: int, done: int) -> tuple[list, int]:

@@ -85,17 +85,6 @@ class OccupancyGrid:
         """``occupied`` as one byte per cell, cell (ix, iy) at ``iy * width + ix``."""
         return self.occupied.tobytes()
 
-    def to_text(self) -> str:
-        """Serialize back to the map file format (top line = max-y row)."""
-        header = (
-            f"map {self.width} {self.height} {self.resolution:g} "
-            f"{self.origin_x:g} {self.origin_y:g}"
-        )
-        rows = []
-        for iy in range(self.height - 1, -1, -1):
-            rows.append("".join("#" if c else "." for c in self.occupied[iy]))
-        return "\n".join([header] + rows) + "\n"
-
 
 @dataclass(frozen=True)
 class Costmap:

@@ -18,6 +18,7 @@ from fleetsim.dynamics import Control, HumanSpec, HumanState, RobotState
 from fleetsim.navigation import RoadwayNetwork
 from fleetsim.planner import Path as PlannedPath, PlanningError, UnreachableError
 from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QPResult
+from fleetsim.safety import ControllerParams
 from fleetsim.scenario import RobotSpec, Scenario, WorldParams, load_scenario
 from fleetsim.tasking import (
     DROPOFF,
@@ -675,6 +676,64 @@ def random_cluster(rng: random.Random, u_max: float = 3.0):
     return members, states, nominals, obstacle_points, humans
 
 
+def near_dependent_cluster():
+    """The solve_cluster_qp arguments of a three-robot cluster from a seed-1
+    rooms_crowd run (perfbench/workloads.py), the 5 483rd call of the run:
+    9, 7 and 8 wall hits, 3 pedestrians, 48 rows. Robot 1 moves at 0.0015
+    m/s, so its omega coefficients are near zero and the active set (1, 3,
+    32, 2, 42, 47, 39) is near-dependent. A scan that skips active rows
+    returns that set as optimal with pair row 1 violated by 0.28."""
+    members = [1, 2, 3]
+    states = {
+        1: RobotState(4.499521165510837, 2.264011104640521, 3.0995563421438774,
+                      0.0014867800887132672),
+        2: RobotState(6.02205243288903, 1.8332039282522024, 0.9510653805180551,
+                      -0.029714707583967825),
+        3: RobotState(5.296936006646442, 2.1999305053868077, 2.3533380966356914,
+                      0.0027208966549107797),
+    }
+    nominals = {
+        1: Control(-0.0029735601774265345, 0.0),
+        2: Control(0.05942941516793565, 0.0),
+        3: Control(0.7729822967576017, 1.262101534393878e-12),
+    }
+    hits = {
+        1: ((4.0, 2.285021508874514), (4.0, 2.0812963734540686), (4.0, 1.8048146464897505),
+            (3.6803762467588603, 0.5), (4.425324937321291, 0.4999999999999998),
+            (5.144760721005343, 0.5000000000000002), (6.121129432221975, 0.5),
+            (3.8645315669541915, 4.0), (4.0, 2.4959712229531843)),
+        2: ((3.9999999999999996, 2.300327703071085), (3.887819790764558, 0.5),
+            (5.070807559287586, 0.4999999999999998), (5.714062767814548, 0.5000000000000002),
+            (6.244963671555745, 0.5), (6.854872941405757, 0.4999999999999998),
+            (7.890585723983348, 0.5)),
+        3: ((3.50712066383982, 4.0), (4.0, 2.2036350751147653), (4.0, 1.6670570662598),
+            (3.5872663147380113, 0.5), (4.587106210133703, 0.4999999999999998),
+            (5.292080322898274, 0.5), (5.995388212491726, 0.5), (6.9871828050902565, 0.5)),
+    }
+    humans = [
+        HumanState(8.159222928376177, 6.063544674274321, -0.009361828303825839,
+                   -0.7973104812106904, 1),
+        HumanState(6.319064722912167, 5.97766009548229, 0.7366378481015062,
+                   -0.0014783301666346912, 1),
+        HumanState(6.818377469336435, 1.5528128519723536, -0.10766991315141283,
+                   -0.08895082952083062, 0),
+    ]
+    obstacle_points = {rid: ObstaclePointSet(points) for rid, points in hits.items()}
+    return members, states, nominals, obstacle_points, humans, ControllerParams()
+
+
+def row_violation(rows, b, x) -> float:
+    """How far the worst row of ``rows x >= b`` falls below its bound (0.0
+    when every row holds), each dot summed as ``qp.solve_diagonal`` does."""
+    worst = 0.0
+    for row, bk in zip(rows, b):
+        s = 0.0
+        for v, c in row:
+            s += c * x[v]
+        worst = max(worst, bk - s)
+    return worst
+
+
 def reference_solve_factored(
     H: np.ndarray,
     g: np.ndarray,
@@ -847,6 +906,12 @@ def reference_assemble(members, states, obstacle_points, humans, p):
     b[:m] = (-2.0 * np.vecdot(dv, dv) - (p.alpha1 + p.alpha2) * (2.0 * dp_dv)
              - (p.alpha1 * p.alpha2) * (dp_dp - R[:, 4]))
     return A, b
+
+
+def sparse_rows(A) -> list[list[tuple[int, float]]]:
+    """A dense constraint matrix as ``qp.solve_qp`` rows: the nonzero
+    (variable, coefficient) pairs of each row."""
+    return [[(j, float(c)) for j, c in enumerate(row) if c] for row in A]
 
 
 def reference_soft_system(A, b, g, n, penalty):

@@ -40,6 +40,7 @@ from _support import (
     enumerate_best_makespan,
     random_costmap,
     random_safety_scenario,
+    sparse_rows,
     straight_line_graph,
     unicycle_closed_form,
 )
@@ -62,7 +63,7 @@ def test_qp_solve_time_scaling():
     """1/2/3-agent solves average under 50 ms, ordered by size, no warm-up."""
     # warm the solver on an unrelated problem so the first measured cluster
     # solve reflects this solver, not cold start
-    solve_qp(2 * np.eye(2), np.zeros(2), np.eye(2), -np.ones(2))
+    solve_qp([2.0, 2.0], [0.0, 0.0], [[(0, 1.0)], [(1, 1.0)]], [-1.0, -1.0])
 
     scenes = {n: _qp_timing_scene(n) for n in (1, 2, 3)}
     # every scene's nominal controls break a row, so each solve takes
@@ -283,7 +284,7 @@ def test_qp_matches_grid_search():
         box = 1.2
         A = np.vstack([row, np.eye(2), -np.eye(2)])
         b = np.array([rhs, -box, -box, -box, -box])
-        result = solve_qp(2 * np.eye(2), -2 * nominal, A, b)
+        result = solve_qp([2.0] * 2, -2 * nominal, sparse_rows(A), b)
         assert result.status == OPTIMAL, f"instance {k}"
         assert float((A @ result.x - b).min()) >= -1e-8
         objective = float(np.sum((result.x - nominal) ** 2))
@@ -301,7 +302,7 @@ def test_qp_matches_grid_search():
         box = 0.1
         A = np.vstack([rows, np.eye(4), -np.eye(4)])
         b = np.concatenate([rhs, -box * np.ones(8)])
-        result = solve_qp(2 * np.eye(4), np.zeros(4), A, b)
+        result = solve_qp([2.0] * 4, np.zeros(4), sparse_rows(A), b)
         assert result.status == OPTIMAL, f"instance {k}"
         assert float((A @ result.x - b).min()) >= -1e-8
         objective = float(np.dot(result.x, result.x))

@@ -286,11 +286,10 @@ def test_a_run_leaves_scipy_linalg_unloaded(tmp_path):
     nor a checked solve loads scipy.linalg."""
     code = (
         "import sys\n"
-        "import numpy as np\n"
         "from fleetsim.cli import main\n"
         "from fleetsim.qp import solve_qp\n"
         f"main(['run', {SMOKE!r}, '--out', {str(tmp_path / 'run.trace')!r}])\n"
-        "solve_qp(np.diag([2.0, 2e4]), np.ones(2), np.ones((1, 2)), np.ones(1))\n"
+        "solve_qp([2.0, 2e4], [1.0, 1.0], [[(0, 1.0), (1, 1.0)]], [1.0])\n"
         "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

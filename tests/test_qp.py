@@ -1,10 +1,18 @@
+import random
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
-from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, _gauss, solve_qp
+import fleetsim.qp as qp
+import fleetsim.safety as safety
+from fleetsim.qp import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, _gauss, solve_diagonal, solve_qp
+
+from _support import near_dependent_cluster, random_cluster, row_violation, sparse_rows
+
+P = safety.ControllerParams()
 
 
 def _kkt(H, g, A, b, x, tol=1e-6):
@@ -27,7 +35,7 @@ class TestAnalyticCases:
     def test_unconstrained(self):
         H = np.array([[2.0, 0.0], [0.0, 4.0]])
         g = np.array([-2.0, -8.0])
-        res = solve_qp(H, g)
+        res = solve_qp(np.diag(H), g)
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.0, 2.0])
         active, _, residual = _kkt(H, g, np.zeros((0, 2)), np.zeros(0), res.x)
@@ -39,7 +47,7 @@ class TestAnalyticCases:
         # min x^2 - 4x subject to x <= 1: optimum x = 1, multiplier 2
         H, g = np.array([[2.0]]), np.array([-4.0])
         A, b = np.array([[-1.0]]), np.array([-1.0])
-        res = solve_qp(H, g, A, b)
+        res = solve_qp(np.diag(H), g, sparse_rows(A), b)
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.0])
         active, lam, residual = _kkt(H, g, A, b, res.x)
@@ -50,7 +58,7 @@ class TestAnalyticCases:
         # min |x - (1,1)|^2 subject to x1 + x2 >= 3: projection onto the line
         H, g = 2.0 * np.eye(2), np.array([-2.0, -2.0])
         A, b = np.array([[1.0, 1.0]]), np.array([3.0])
-        res = solve_qp(H, g, A, b)
+        res = solve_qp(np.diag(H), g, sparse_rows(A), b)
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.5, 1.5])
         active, lam, residual = _kkt(H, g, A, b, res.x)
@@ -60,65 +68,67 @@ class TestAnalyticCases:
     def test_inactive_constraint_ignored(self):
         H, g = np.array([[2.0]]), np.array([-4.0])
         A, b = np.array([[1.0]]), np.array([0.0])
-        res = solve_qp(H, g, A, b)
+        res = solve_qp(np.diag(H), g, sparse_rows(A), b)
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([2.0])
         active, _, residual = _kkt(H, g, A, b, res.x)
         assert active == () and residual <= 1e-9
 
     def test_pinched_to_equality(self):
-        res = solve_qp(np.array([[2.0]]), np.array([-10.0]),
-                       np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+        res = solve_qp([2.0], [-10.0], [[(0, 1.0)], [(0, -1.0)]], [1.0, -1.0])
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.0])
 
     def test_duplicate_rows_tolerated(self):
-        res = solve_qp(np.array([[2.0]]), np.array([0.0]),
-                       np.array([[1.0], [1.0]]), np.array([1.0, 1.0]))
+        res = solve_qp([2.0], [0.0], [[(0, 1.0)], [(0, 1.0)]], [1.0, 1.0])
         assert res.status == OPTIMAL
         assert res.x == pytest.approx([1.0])
         assert res.active == (0,)  # the first of equally violated rows
 
     def test_infeasible_detected(self):
-        res = solve_qp(np.array([[2.0]]), np.array([0.0]),
-                       np.array([[1.0], [-1.0]]), np.array([2.0, -1.0]))
+        res = solve_qp([2.0], [0.0], [[(0, 1.0)], [(0, -1.0)]], [2.0, -1.0])
         assert res.status == INFEASIBLE
 
-    def test_iteration_limit_reported(self):
-        res = solve_qp(np.array([[2.0]]), np.array([-4.0]),
-                       np.array([[-1.0]]), np.array([-1.0]), max_iter=1)
+    def test_iteration_limit_reported(self, monkeypatch):
+        # one step adds the row; the scan that would confirm it is the second
+        monkeypatch.setattr(qp, "MAX_ITER", 1)
+        res = solve_qp([2.0], [-4.0], [[(0, -1.0)]], [-1.0])
         assert res.status == ITERATION_LIMIT
 
 
 class TestValidation:
     def test_shape_mismatches(self):
         with pytest.raises(ValueError, match="incompatible"):
-            solve_qp(np.eye(2), np.zeros(3))
+            solve_qp([1.0, 1.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="incompatible"):
-            solve_qp(np.eye(2), np.zeros(2), np.eye(2), np.zeros(3))
+            solve_qp([1.0, 1.0], [0.0, 0.0], [[(0, 1.0)], [(1, 1.0)]], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="incompatible"):
+            solve_qp([1.0, 1.0], [0.0, 0.0], [[(0, 1.0)], [(1, 1.0)]], [0.0])
 
-    def test_asymmetric_h(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            solve_qp(np.array([[1.0, 0.5], [0.0, 1.0]]), np.zeros(2))
-
-    @pytest.mark.parametrize("H", [
-        [[2.0, 0.5], [0.5, 2.0]],  # symmetric positive definite
-        [[1.0, 0.0], [np.nan, 1.0]],
+    @pytest.mark.parametrize("row", [
+        [(2, 1.0)],               # past the last variable
+        [(-1, 1.0)],              # before the first
+        [(0, 1.0), (0, 2.0)],     # repeated
+        [(1, 1.0), (0, 2.0)],     # decreasing
     ])
-    def test_symmetric_non_diagonal_h(self, H):
-        with pytest.raises(ValueError, match="diagonal"):
-            solve_qp(np.array(H), np.zeros(2))
+    def test_malformed_rows(self, row):
+        with pytest.raises(ValueError, match="strictly increasing indices"):
+            solve_qp([1.0, 1.0], [0.0, 0.0], [[(0, 1.0)], row], [0.0, 0.0])
 
     def test_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
-            solve_qp(np.eye(1), np.array([np.nan]))
+            solve_qp([1.0], [np.nan])
         with pytest.raises(ValueError, match="non-finite"):
-            solve_qp(np.eye(1), np.zeros(1), np.array([[np.inf]]), np.zeros(1))
+            solve_qp([np.inf], [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_qp([1.0], [0.0], [[(0, np.inf)]], [0.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_qp([1.0], [0.0], [[(0, 1.0)]], [np.nan])
 
     def test_not_positive_definite(self):
         for h in ([-1.0, -1.0], [1.0, 0.0], [2.0, -0.0]):
             with pytest.raises(ValueError, match="positive definite"):
-                solve_qp(np.diag(h), np.zeros(2))
+                solve_qp(h, [0.0, 0.0])
 
 
 def _feasible_by_lp(A, b) -> bool:
@@ -144,7 +154,7 @@ class TestRandomizedKKT:
             g = rng.normal(size=d)
             A = rng.normal(size=(m, d))
             b = rng.normal(size=m)
-            res = solve_qp(H, g, A, b)
+            res = solve_qp(np.diag(H), g, sparse_rows(A), b)
             assert res.status in statuses
             statuses[res.status] += 1
             if res.status == INFEASIBLE:
@@ -227,4 +237,20 @@ def test_gauss_pivots_and_reports_a_zero_pivot():
 
 def test_rejects_a_problem_without_variables():
     with pytest.raises(ValueError, match="no variables"):
-        solve_qp(np.zeros((0, 0)), np.zeros(0))
+        solve_qp([], [])
+
+
+def test_an_optimum_holds_every_row():
+    """The scan re-checks active rows too. On the near-dependent cluster, a
+    scan that skipped them returned optimal with a row violated by 0.28."""
+    rng = random.Random(41)
+    clusters = [near_dependent_cluster()] + [(*random_cluster(rng), P) for _ in range(300)]
+    steps = 0
+    for members, states, nominals, hits, humans, p in clusters:
+        rows, b = safety._rows(members, states, hits, humans, p)
+        g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+        res = solve_diagonal([2.0] * len(g), g, rows, b)
+        steps += res.iterations
+        if res.status == OPTIMAL:
+            assert row_violation(rows, b, res.x) <= 1e-9
+    assert steps > 0

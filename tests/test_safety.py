@@ -21,6 +21,7 @@ from fleetsim.safety import (
 from fleetsim.world import ObstaclePointSet
 
 from _support import (
+    near_dependent_cluster,
     pair_barrier,
     point_barrier,
     random_cluster,
@@ -28,6 +29,8 @@ from _support import (
     reference_soft_system,
     reference_solve_diagonal,
     reference_solve_factored,
+    row_violation,
+    sparse_rows,
     unicycle_closed_form,
 )
 
@@ -233,7 +236,7 @@ class TestSolveClusterQP:
             assert abs(u.a) <= P.a_max and abs(u.omega) <= P.omega_max
 
     def test_solver_failure_falls_back_to_stops(self, monkeypatch):
-        def always_infeasible(first, g, A=None, b=None, **kw):
+        def always_infeasible(h, g, rows, b):
             return QPResult([0.0] * len(g), INFEASIBLE, 0)
 
         # the hard problem runs on the unchecked core, the soft one through
@@ -248,14 +251,14 @@ class TestSolveClusterQP:
         assert dec.controls[0] == Control(-1.0, 0.0)
 
     def test_hard_failure_takes_the_soft_path(self, monkeypatch):
-        def always_infeasible(h, g, rows, b, **kw):
+        def always_infeasible(h, g, rows, b):
             return QPResult([0.0] * len(g), INFEASIBLE, 0)
 
         soft_calls = []
 
-        def counted_solve_qp(H, g, A=None, b=None, **kw):
+        def counted_solve_qp(h, g, rows, b):
             soft_calls.append(len(g))
-            return solve_qp(H, g, A, b, **kw)
+            return solve_qp(h, g, rows, b)
 
         monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", counted_solve_qp)
@@ -388,7 +391,7 @@ class TestRowsAndHardPath:
             rows, b = safety._rows(members, states, obstacle_points, humans, P)
             g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
             fast = solve_diagonal([2.0] * (2 * n), g, rows, b)
-            checked = solve_qp(2.0 * np.eye(2 * n), g, _dense(rows, 2 * n), b)
+            checked = solve_qp([2.0] * (2 * n), g, rows, b)
             assert (fast.status, fast.iterations, fast.active) == (
                 checked.status, checked.iterations, checked.active)
             assert _hex(fast.x) == _hex(checked.x)
@@ -399,6 +402,20 @@ class TestRowsAndHardPath:
             outcomes.add((checked.status, checked.iterations > 0))
         # unconstrained optima, active-set steps and infeasible hard problems
         assert outcomes >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
+
+
+def test_a_feasible_decision_holds_every_row():
+    """A ``feasible`` decision's controls satisfy every ``_rows`` row to
+    within 1e-9. On the near-dependent cluster a hard solve that skipped
+    active rows in its scan gave a feasible decision breaking pair row 1 by
+    0.28; its hard solve now ends infeasible, and the soft problem decides."""
+    members, states, nominals, hits, humans, p = near_dependent_cluster()
+    dec = solve_cluster_qp(members, states, nominals, hits, humans, p)
+    assert dec.qp_status in (FEASIBLE, FEASIBLE_WITH_SLACK)
+    if dec.qp_status == FEASIBLE:
+        rows, b = safety._rows(members, states, hits, humans, p)
+        u = [c for rid in members for c in (dec.controls[rid].a, dec.controls[rid].omega)]
+        assert row_violation(rows, b, u) <= 1e-9
 
 
 def test_diagonal_core_equals_the_lapack_core():
@@ -465,13 +482,14 @@ def test_plain_float_path_matches_the_numpy_path(monkeypatch):
         del soft_args[:]
         solve_cluster_qp(members, states, nominals, hits, humans, P)
         if soft_args:  # the layout solve_cluster_qp hands to solve_qp
-            H, *system = soft_args[0]
-            for got, want in zip((np.diag(H), *system), soft):
+            h, g_soft, rows_soft, b_soft = soft_args[0]
+            assert rows_soft == sparse_rows(soft[2])  # no zero coefficients
+            for got, want in zip((h, g_soft, b_soft), (soft[0], soft[1], soft[3])):
                 assert np.array_equal(got, want)
         for kind, got, want in (
             ("hard", solve_diagonal([2.0] * (2 * n), g, rows, b),
              reference_solve_diagonal(2.0, np.array(g), A, b_ref)),
-            ("soft", solve_qp(np.diag(soft[0]), *soft[1:]),
+            ("soft", solve_qp(soft[0], soft[1], sparse_rows(soft[2]), soft[3]),
              reference_solve_diagonal(*soft_ref)),
         ):
             assert got.status == want.status

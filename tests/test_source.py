@@ -176,10 +176,11 @@ def test_flags_numpy_and_math_hypot():
     ]
 
 
-@pytest.mark.parametrize("name", ["safety.py", "qp.py"])
+@pytest.mark.parametrize("name", ["safety.py", "qp.py", "engine.py"])
 def test_the_qp_imports_no_numpy(name):
     """The CBF-QP runs in plain floats, so its bytes follow IEEE-754
-    arithmetic and libm, not the BLAS kernel numpy would call."""
+    arithmetic and libm, not the BLAS kernel numpy would call. The engine
+    around it, travel tables included, needs no numpy either."""
     assert numpy_imports((ROOT / "src" / "fleetsim" / name).read_text()) == []
 
 
