@@ -222,8 +222,8 @@ def render_trace(
     Samples run from t = 0 to the trace duration inclusive in steps of
     ``every`` seconds.
     """
-    if every <= 0:
-        raise ValueError("every must be positive")
+    if not every > 0:
+        raise ValueError(f"every must be positive, got {every}")
     if not 0 < meters_per_pixel < math.inf:
         raise ValueError(f"meters_per_pixel must be positive and finite, got {meters_per_pixel}")
     out = Path(out_dir)

@@ -10,8 +10,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
 
 from fleetsim import dynamics
 from fleetsim.dynamics import Control, HumanSpec, HumanState, RobotState
@@ -734,79 +732,6 @@ def row_violation(rows, b, x) -> float:
     return worst
 
 
-def reference_solve_factored(
-    H: np.ndarray,
-    g: np.ndarray,
-    A: np.ndarray,
-    b: np.ndarray,
-    max_iter: int = 200,
-    tol: float = 1e-9,
-) -> QPResult:
-    """The Goldfarb-Idnani core ``qp.solve_diagonal`` must match bit for bit,
-    on a symmetric positive definite H: every H^-1 v is a LAPACK ``dpotrs``
-    solve on ``cho_factor(H)``."""
-    c, lower = cho_factor(H)
-    x = dpotrs(c, -g, lower=lower)[0]
-    active: list[int] = []
-    lam: list[float] = []
-    iterations = 0
-
-    def result(status: str) -> QPResult:
-        return QPResult(x, status, iterations)
-
-    while iterations < max_iter:
-        slack = A @ x - b
-        if active:
-            slack[active] = 0.0
-        p = int(slack.argmin()) if len(slack) else -1
-        if p < 0 or slack[p] >= -tol:
-            return result(OPTIMAL)
-        n_p = A[p]
-        lam_p = 0.0
-
-        while iterations < max_iter:
-            iterations += 1
-            hinv_np = dpotrs(c, n_p, lower=lower)[0]
-            if active:
-                N = A[active].T
-                hinv_N = dpotrs(c, N, lower=lower)[0]
-                M = N.T @ hinv_N
-                try:
-                    r = np.linalg.solve(M, N.T @ hinv_np)
-                except np.linalg.LinAlgError:
-                    return result(INFEASIBLE)
-                z = hinv_np - hinv_N @ r
-            else:
-                r = np.zeros(0)
-                z = hinv_np
-            nz = float(n_p @ z)
-
-            s_p = float(n_p @ x - b[p])
-            t2 = -s_p / nz if nz > tol else math.inf
-            t1, blocking = math.inf, -1
-            for k in range(len(active)):
-                if r[k] > tol:
-                    ratio = lam[k] / r[k]
-                    if ratio < t1:
-                        t1, blocking = ratio, k
-            t = min(t1, t2)
-            if not math.isfinite(t):
-                return result(INFEASIBLE)
-
-            if math.isfinite(t2):
-                x = x + t * z
-            for k in range(len(active)):
-                lam[k] -= t * r[k]
-            lam_p += t
-
-            if t == t2:
-                active.append(p)
-                lam.append(lam_p)
-                break
-            del active[blocking], lam[blocking]
-    return result(ITERATION_LIMIT)
-
-
 @dataclass(frozen=True)
 class BarrierTerms:
     """One second-order barrier row: h, hdot, the control-free part of hddot,
@@ -847,65 +772,6 @@ def pair_barrier(s_i: RobotState, s_j: RobotState, r: float) -> BarrierTerms:
     t = point_barrier(s_i, (s_j.x, s_j.y), s_j.v * e_j, r)
     coef_j = (-2.0 * float(dp @ e_j), -2.0 * s_j.v * float(dp @ n_j))
     return BarrierTerms(t.h, t.hdot, t.c0, t.coef_i, coef_j)
-
-
-def reference_assemble(members, states, obstacle_points, humans, p):
-    """The numpy row builder ``safety._rows`` must match to rounding: the
-    hard system (A, b), ``A @ u >= b``, as dense arrays. Each kind of
-    product is one ``np.vecdot`` over all rows, which rounds a 2-vector dot
-    as the BLAS kernel does (fma(b, d, a*c) on x86-64 OpenBLAS)."""
-    n = len(members)
-    hits = [obstacle_points[rid].hit_points() for rid in members]
-    m = n * (n - 1) // 2 + sum(map(len, hits)) + n * len(humans)
-    A = np.zeros((m + 4 * n, 2 * n))
-    b = np.empty(m + 4 * n)
-    for var in range(2 * n):
-        A[m + 2 * var, var], A[m + 2 * var + 1, var] = -1.0, 1.0
-    b[m:] = -np.array([p.a_max, p.a_max, p.omega_max, p.omega_max] * n)
-    if not m:
-        return A, b
-    kin, coef = [], []
-    for rid in members:
-        s = states[rid]
-        cos, sin = math.cos(s.theta), math.sin(s.theta)
-        kin.append((s.x, s.y, s.v * cos, s.v * sin))
-        coef.append((cos, sin, -sin, cos, 2.0, 2.0 * s.v, -2.0, -2.0 * s.v))
-    rows, own, other = [], [], []
-    r2 = p.r_safe * p.r_safe
-    for i in range(n):
-        xi, yi, vxi, vyi = kin[i]
-        for j in range(i + 1, n):
-            xj, yj, vxj, vyj = kin[j]
-            rows.append((xi - xj, yi - yj, vxi - vxj, vyi - vyj, r2))
-            own.append(i)
-            other.append(j)
-    r2 = p.r_obstacle * p.r_obstacle
-    for k, pts in enumerate(hits):
-        x, y, vx, vy = kin[k]
-        rows += [(x - px, y - py, vx, vy, r2) for px, py in pts]
-        own += [k] * len(pts)
-    r2 = p.r_human_safe * p.r_human_safe
-    for k in range(n):
-        x, y, vx, vy = kin[k]
-        rows += [(x - h.x, y - h.y, vx - h.vx, vy - h.vy, r2) for h in humans]
-        own += [k] * len(humans)
-    R = np.array(rows, dtype=float).reshape(m, 5)
-    coef, own = np.array(coef), np.array(own)
-    dp = R[:, None, 0:2]
-    A_cbf = A[:m].reshape(m, n, 2)
-    index = np.arange(m)
-    c = coef[own]
-    A_cbf[index, own] = c[:, 4:6] * np.vecdot(dp, c[:, 0:4].reshape(m, 2, 2))
-    if other:
-        n_pairs = len(other)
-        c = coef[other]
-        A_cbf[index[:n_pairs], other] = c[:, 6:8] * np.vecdot(
-            dp[:n_pairs], c[:, 0:4].reshape(n_pairs, 2, 2))
-    dp_dp, dp_dv = np.vecdot(dp, R[:, 0:4].reshape(m, 2, 2)).T
-    dv = R[:, 2:4]
-    b[:m] = (-2.0 * np.vecdot(dv, dv) - (p.alpha1 + p.alpha2) * (2.0 * dp_dv)
-             - (p.alpha1 * p.alpha2) * (dp_dp - R[:, 4]))
-    return A, b
 
 
 def sparse_rows(A) -> list[list[tuple[int, float]]]:

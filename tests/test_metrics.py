@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from fleetsim.metrics import MetricsReport, QPTimingStats, compute_metrics
+from fleetsim.metrics import QPTimingStats, compute_metrics
 from fleetsim.safety import FEASIBLE, INFEASIBLE_FALLBACK
 from fleetsim.trace import Trace
 

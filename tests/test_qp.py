@@ -2,8 +2,6 @@ import random
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.lapack import dpotrs
 from scipy.optimize import linprog, nnls
 
 import fleetsim.qp as qp
@@ -168,61 +166,6 @@ class TestRandomizedKKT:
             assert residual <= 1e-6
         # the generator must exercise both outcomes
         assert statuses[OPTIMAL] > 10 and statuses[INFEASIBLE] > 2
-
-
-@pytest.mark.parametrize("n", range(2, 13))
-def test_dpotrs_is_cho_solve(n):
-    """The oracle ``_support.reference_solve_factored`` calls LAPACK dpotrs
-    as cho_solve does: same bytes, shape and memory order, for 1-D
-    right-hand sides, 2-D ones and the transposed row selections the active
-    set builds."""
-    rng = np.random.default_rng(n)
-    factors = [cho_factor(2.0 * np.eye(n))]
-    for lower in (False, True):
-        M = rng.normal(size=(n, n))
-        factors.append(cho_factor(M @ M.T + n * np.eye(n), lower=lower))
-    for c, lower in factors:
-        for _ in range(20):
-            rows = rng.normal(size=(6, n))
-            for rhs in (rng.normal(size=n), rows[2], rng.normal(size=(n, 3)),
-                        rows[[4, 1, 3]].T):
-                got = dpotrs(c, rhs, lower=lower)[0]
-                want = cho_solve((c, lower), rhs, check_finite=False)
-                assert got.shape == want.shape
-                assert got.flags.f_contiguous == want.flags.f_contiguous
-                assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("n", range(1, 25))
-def test_scaling_twice_is_potrs_on_a_diagonal(n):
-    """solve_diagonal's H^-1 v, ``(v * s) * s`` with s = 1 / sqrt(h), gives
-    the bytes, shape and memory order of LAPACK dpotrs on the Cholesky factor
-    of diag(h), for 1-D right-hand sides, 2-D F-order ones and the transposed
-    row selections the active set builds. ``(v / sqrt(h)) / sqrt(h)`` and
-    ``v / h`` round differently. Zero entries match up to their sign, which
-    in LAPACK depends on the entries solved before them."""
-    rng = np.random.default_rng(n)
-    diagonals = [np.full(n, 2.0)]  # the hard problem
-    for penalty in (1e4, 1.0, 10.0 ** rng.uniform(-2.0, 4.0)):  # soft-style
-        k = int(rng.integers(0, n + 1))
-        diagonals.append(np.array([2.0] * (n - k) + [2.0 * penalty] * k))
-    diagonals.append(10.0 ** rng.uniform(-2.0, 4.0, size=n))
-    for h in diagonals:
-        c, lower = cho_factor(np.diag(h))
-        s = 1.0 / np.sqrt(h)
-        for _ in range(20):
-            rows = rng.normal(size=(6, n)) * 10.0 ** rng.uniform(-3.0, 3.0)
-            for rhs in (rng.normal(size=n), rows[2],
-                        np.asfortranarray(rng.normal(size=(n, 3))), rows[[4, 1, 3]].T):
-                want = dpotrs(c, rhs, lower=lower)[0]
-                scale = s if rhs.ndim == 1 else s[:, None]
-                got = (rhs * scale) * scale
-                assert got.shape == want.shape
-                assert got.flags.f_contiguous == want.flags.f_contiguous
-                assert got.tobytes() == want.tobytes()
-            v = rng.normal(size=n) * (rng.random(n) < 0.5)  # zeros of both signs
-            got, want = (v * s) * s, dpotrs(c, v, lower=lower)[0]
-            assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
 def test_gauss_pivots_and_reports_a_zero_pivot():

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from fleetsim.render import HUMAN_COLOR, ROOM_COLOR, render_trace
@@ -66,6 +68,11 @@ class TestFrameSampling:
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
             render_trace(make_trace(), tmp_path, every=0.0)
+
+    def test_nan_interval_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="every must be positive, got nan"):
+            render_trace(make_trace(), tmp_path / "out", every=math.nan)
+        assert not (tmp_path / "out").exists()
 
     def test_creates_output_directory(self, tmp_path):
         out = tmp_path / "a" / "b"

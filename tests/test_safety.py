@@ -25,10 +25,8 @@ from _support import (
     pair_barrier,
     point_barrier,
     random_cluster,
-    reference_assemble,
     reference_soft_system,
     reference_solve_diagonal,
-    reference_solve_factored,
     row_violation,
     sparse_rows,
     unicycle_closed_form,
@@ -418,51 +416,15 @@ def test_a_feasible_decision_holds_every_row():
         assert row_violation(rows, b, u) <= 1e-9
 
 
-def test_diagonal_core_equals_the_lapack_core():
-    """The numpy oracle ``_support.reference_solve_diagonal`` against the
-    Cholesky core it replaced, on the hard systems
-    ``_support.reference_assemble`` builds, some with a robot at rest under
-    the stop law, and on soft-style diagonals: the same status, active-set
-    steps and x bytes, up to the sign of a zero.
-
-    LAPACK's triangular solves subtract each zero off-diagonal product, so
-    whether a -0.0 entry stays -0.0 depends on the signs of the entries
-    solved before it; ``(v * s) * s`` keeps it. Every decision and every
-    nonzero value is blind to that sign, and the trace writes both zeros
-    as ``0``.
-    """
-    rng = random.Random(23)
-    seen = {"hard": set(), "soft": set()}
-    for _ in range(1000):
-        members, states, nominals, obstacle_points, humans = random_cluster(rng)
-        for rid in members:
-            if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
-                nominals[rid] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
-        n = len(members)
-        A, b = reference_assemble(members, states, obstacle_points, humans, P)
-        g = -2.0 * np.array([u for rid in members
-                             for u in (nominals[rid].a, nominals[rid].omega)])
-        penalty = rng.choice((P.slack_penalty, 1.0, 10.0 ** rng.uniform(-2.0, 4.0)))
-        h_soft, *soft = reference_soft_system(A, b, g, n, penalty)
-        for kind, h, system in (("hard", 2.0, (g, A, b)), ("soft", h_soft, soft)):
-            got = reference_solve_diagonal(h, *system)
-            want = reference_solve_factored(np.diag(np.broadcast_to(h, len(system[0]))),
-                                            *system)
-            assert (got.status, got.iterations) == (want.status, want.iterations)
-            assert (got.x + 0.0).tobytes() == (want.x + 0.0).tobytes()  # -0.0 + 0.0 is 0.0
-            seen[kind].add((got.status, got.iterations > 1))
-    assert seen["hard"] >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
-    assert seen["soft"] >= {(OPTIMAL, False), (OPTIMAL, True)}
-
-
 def test_plain_float_path_matches_the_numpy_path(monkeypatch):
     """The plain-float rows and core against the numpy path they replaced
-    (``_support.reference_assemble`` and ``reference_solve_diagonal``) on
-    random clusters, solved hard and soft as ``solve_cluster_qp`` lays them
-    out: the same status, and on an optimum the same active-set steps,
-    active set and x to rounding. An infeasible hard problem may stop after
-    a different number of steps: its last active sets are near-dependent,
-    so either path's steps there follow its rounding."""
+    (the rows ``_reference_rows`` rebuilds from the barrier terms, and
+    ``_support.reference_solve_diagonal``) on random clusters, solved hard
+    and soft as ``solve_cluster_qp`` lays them out: the same status, and on
+    an optimum the same active-set steps, active set and x to rounding. An
+    infeasible hard problem may stop after a different number of steps: its
+    last active sets are near-dependent, so either path's steps there
+    follow its rounding."""
     rng = random.Random(24)
     seen = set()
     soft_args = []
@@ -475,7 +437,7 @@ def test_plain_float_path_matches_the_numpy_path(monkeypatch):
         n = len(members)
         g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
         rows, b = safety._rows(members, states, hits, humans, P)
-        A, b_ref = reference_assemble(members, states, hits, humans, P)
+        A, b_ref = map(np.array, _reference_rows(members, states, hits, humans, P))
         soft = reference_soft_system(np.array(_dense(rows, 2 * n)), np.array(b), np.array(g),
                                      n, P.slack_penalty)
         soft_ref = reference_soft_system(A, b_ref, np.array(g), n, P.slack_penalty)
@@ -501,7 +463,7 @@ def test_plain_float_path_matches_the_numpy_path(monkeypatch):
                     ("hard", INFEASIBLE, True), ("soft", OPTIMAL, True)}
 
 
-class TestNominalCheck:
+class TestFirstScanAcceptsNominal:
     """Nominal controls that already satisfy every row: the hard solve
     starts at them, so its first scan decides the cluster."""
 
@@ -517,7 +479,7 @@ class TestNominalCheck:
             if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
                 nominals[members[0]] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
             u = [c for rid in members for c in (nominals[rid].a, nominals[rid].omega)]
-            A, b = reference_assemble(members, states, hits, humans, P)
+            A, b = map(np.array, _reference_rows(members, states, hits, humans, P))
             oracle = reference_solve_diagonal(2.0, -2.0 * np.array(u), A, b)
             rows, b = safety._rows(members, states, hits, humans, P)
             hard = solve_diagonal([2.0] * len(u), [-2.0 * c for c in u], rows, b)
@@ -546,7 +508,7 @@ class TestNominalCheck:
             with pytest.raises(ValueError, match="non-finite constraints"):
                 solve_cluster_qp([0], states, {0: Control(0.0, 0.0)}, hits, [], P)
 
-    def test_huge_but_finite_row_falls_through(self):
+    def test_huge_but_finite_row_is_accepted(self):
         # |dp|^2 = 1e300: every entry is finite, and the row holds
         states = {0: RobotState(0.0, 0.0, 0.0, 0.0)}
         hits = {0: ObstaclePointSet(((1e150, 0.0),))}
@@ -554,7 +516,7 @@ class TestNominalCheck:
         assert dec.qp_status == FEASIBLE
         assert dec.controls[0] == Control(0.5, 0.0)
 
-    def test_non_finite_box_bound_falls_through(self):
+    def test_non_finite_box_bound_raises(self):
         p = ControllerParams(a_max=math.inf)
         with pytest.raises(ValueError, match="non-finite constraints"):
             solve_cluster_qp([0], {0: RobotState(0, 0, 0, 0.0)}, {0: Control(0.1, 0.0)},

@@ -1,4 +1,5 @@
-"""Static checks on the package source, with the standard library only."""
+"""Static checks on the package source and the tests, with the standard
+library only."""
 
 import ast
 
@@ -7,6 +8,7 @@ import pytest
 from _support import ROOT
 
 MODULES = sorted((ROOT / "src" / "fleetsim").glob("*.py"))
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,7 +41,7 @@ def unused_imports(source: str) -> list[str]:
     ]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_FILES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
