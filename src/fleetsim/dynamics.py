@@ -73,20 +73,23 @@ def step_robot(
     control: Control,
     dt: float,
     v_max: float = 1.0,
+    ticks: int = 1,
+    starts: list | None = None,
 ) -> RobotState:
-    """Advance the unicycle by dt under constant control.
+    """Advance the unicycle by ``ticks`` steps of dt under constant control.
 
     Steps longer than MAX_SUBSTEP are split into equal RK4 substeps. After
-    each substep the speed is clamped to [-v_max, v_max] and the heading is
-    renormalized, so the returned state always satisfies both bounds.
+    each substep the speed is clamped to [-v_max, v_max]; at the end of each
+    step the heading is wrapped to (-pi, pi]. The result equals, bit for bit,
+    that of ``ticks`` chained one-step calls, and a step that starts from a
+    non-finite state raises as its own call would. ``starts``, when given,
+    receives each step's start state as an (x, y, theta, v) tuple, the
+    raising step's included.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    values = (state.x, state.y, state.theta, state.v, control.a, control.omega, dt)
-    if not all(math.isfinite(u) for u in values):
-        raise ValueError("non-finite state or control")
-
-    n_sub = max(1, math.ceil(dt / MAX_SUBSTEP - 1e-12))
+    # a non-finite dt raises in the first step's check, as in a one-step call
+    n_sub = max(1, math.ceil(dt / MAX_SUBSTEP - 1e-12)) if dt < math.inf else 1
     h = dt / n_sub
     half = 0.5 * h
     sixth = h / 6.0
@@ -97,18 +100,25 @@ def step_robot(
     # midpoints move theta and v by the same half step
     d_theta = sixth * (omega + 2.0 * omega + 2.0 * omega + omega)
     d_v = sixth * (a + 2.0 * a + 2.0 * a + a)
-    for _ in range(n_sub):
-        mid_theta = theta + half * omega
-        mid_v = v + half * a
-        end_theta = theta + h * omega
-        end_v = v + h * a
-        k2x = mid_v * math.cos(mid_theta)
-        k2y = mid_v * math.sin(mid_theta)
-        x += sixth * (v * math.cos(theta) + 2.0 * k2x + 2.0 * k2x + end_v * math.cos(end_theta))
-        y += sixth * (v * math.sin(theta) + 2.0 * k2y + 2.0 * k2y + end_v * math.sin(end_theta))
-        theta += d_theta
-        v = min(max(v + d_v, -v_max), v_max)
-    return RobotState(x, y, wrap_angle(theta), v)
+    cos, sin, isfinite = math.cos, math.sin, math.isfinite
+    for _ in range(ticks):
+        if starts is not None:
+            starts.append((x, y, theta, v))
+        if not all(map(isfinite, (x, y, theta, v, a, omega, dt))):
+            raise ValueError("non-finite state or control")
+        for _ in range(n_sub):
+            mid_theta = theta + half * omega
+            mid_v = v + half * a
+            end_theta = theta + h * omega
+            end_v = v + h * a
+            k2x = mid_v * cos(mid_theta)
+            k2y = mid_v * sin(mid_theta)
+            x += sixth * (v * cos(theta) + 2.0 * k2x + 2.0 * k2x + end_v * cos(end_theta))
+            y += sixth * (v * sin(theta) + 2.0 * k2y + 2.0 * k2y + end_v * sin(end_theta))
+            theta += d_theta
+            v = min(max(v + d_v, -v_max), v_max)
+        theta = wrap_angle(theta)
+    return RobotState(x, y, theta, v)
 
 
 def _hypot(x: float, y: float) -> float:

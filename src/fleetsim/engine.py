@@ -429,25 +429,31 @@ class _Engine:
             else:
                 hits = []
             human_obstacles.append(hits)
-        for _ in range(n_sub):
-            # humans see the robot positions from the start of the substep
-            if self.humans:
-                robot_positions = [rt.position() for rt in self.robots]
-                bodies = self.s.robots[0].params  # sizes robot and pedestrian bodies
+        # robots never read pedestrians: each robot integrates its period in
+        # one call, then pedestrians step over the robots' substep starts
+        dt, starts, faults = self.s.tick_dt, [], []
+        for rt in self.robots:
+            starts.append(walk := [])
+            while len(walk) < n_sub:
+                try:
+                    rt.state = step_robot(rt.state, rt.control, dt, rt.params.v_max,
+                                          n_sub - len(walk), walk)
+                except ValueError as exc:  # as per-substep calls: the state stays
+                    rt.state, rt.control = RobotState(*walk[-1]), Control(0.0, 0.0)
+                    faults.append((len(walk) - 1, rt.rid, f"dynamics: {exc}"))
+        if self.humans:
+            bodies = self.s.robots[0].params  # sizes robot and pedestrian bodies
+            for i in range(n_sub):
+                robot_positions = [w[i][:2] for w in starts]
                 self.humans = [
                     step_human(
-                        h, spec, robot_positions, self.humans[:i] + self.humans[i + 1:],
-                        human_obstacles[i], self.s.tick_dt, bodies.r_robot, bodies.r_human,
+                        h, spec, robot_positions, self.humans[:j] + self.humans[j + 1:],
+                        human_obstacles[j], dt, bodies.r_robot, bodies.r_human,
                     )
-                    for i, (h, spec) in enumerate(zip(self.humans, self.s.humans))
+                    for j, (h, spec) in enumerate(zip(self.humans, self.s.humans))
                 ]
-            for rt in self.robots:
-                try:
-                    rt.state = step_robot(
-                        rt.state, rt.control, self.s.tick_dt, rt.params.v_max
-                    )
-                except ValueError as exc:
-                    self._fault(rt, f"dynamics: {exc}")
+        for _, rid, message in sorted(faults):  # substep order, then robot order
+            self._fault(self.robots[rid], message)
 
     def phase_bookkeeping(self) -> None:
         for rid, rt in enumerate(self.robots):

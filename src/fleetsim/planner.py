@@ -10,10 +10,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .world import Costmap, LETHAL_COST
 
 SQRT2 = math.sqrt(2.0)
+CHUNK = 8  # path vertices per bounding circle of lookahead_point's scan
 
 # (dx, dy, base length in cells)
 _MOVES = (
@@ -39,6 +41,18 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    @cached_property
+    def chunks(self) -> tuple[tuple[int, float, float, float], ...]:
+        """Per run of CHUNK vertices: its first index and a circle (cx, cy, r)
+        that holds every vertex of the run, r rounded up."""
+        out = []
+        for first in range(0, len(self.points), CHUNK):
+            xs, ys = zip(*self.points[first:first + CHUNK])
+            cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
+            r = max(math.hypot(x - cx, y - cy) for x, y in zip(xs, ys))
+            out.append((first, cx, cy, r * (1.0 + 1e-9)))
+        return tuple(out)
 
 
 def _edge_weight(cost_a: int, cost_b: int, length: float, cost_weight: float) -> float:
@@ -190,16 +204,30 @@ def lookahead_point(
 
     Finds the path vertex nearest to ``position`` (lowest index on ties), then
     scans forward from it for the first vertex at least ``delta`` away from
-    ``position``. Falls back to the final vertex when none qualifies.
+    ``position``. Falls back to the final vertex when none qualifies. The
+    search skips a run of vertices (``Path.chunks``) whose bounding circle,
+    less a rounding margin, lies strictly farther than the nearest so far.
     """
-    if not path.points:
+    points = path.points
+    if not points:
         raise ValueError("empty path")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     px, py = position
-    dists = [math.hypot(x - px, y - py) for x, y in path.points]
-    nearest = dists.index(min(dists))  # min and index both take the first
-    for i in range(nearest, len(dists)):
-        if dists[i] >= delta:
-            return path.points[i]
-    return path.points[-1]
+    hypot = math.hypot
+    n = len(points)
+    x, y = points[0]
+    best, nearest = hypot(x - px, y - py), 0
+    for first, cx, cy, r in path.chunks:
+        if hypot(cx - px, cy - py) * (1.0 - 1e-9) - r > best:
+            continue
+        for i in range(first, min(first + CHUNK, n)):
+            x, y = points[i]
+            d = hypot(x - px, y - py)
+            if d < best:
+                best, nearest = d, i
+    for i in range(nearest, n):
+        x, y = points[i]
+        if hypot(x - px, y - py) >= delta:
+            return points[i]
+    return points[-1]

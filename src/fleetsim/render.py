@@ -234,7 +234,7 @@ def render_trace(
     n_frames = int(math.floor(duration / every + 1e-9)) + 1
     written = []
     for k in range(n_frames):
-        t = k * every
+        t = k * every if k else 0.0  # 0 * inf is nan
         playback.advance_to(t)
         svg = render_frame(playback, grid, t, meters_per_pixel)
         path = out / f"frame_{k:05d}.svg"

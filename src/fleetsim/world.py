@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import ndimage
@@ -79,6 +79,11 @@ class OccupancyGrid:
             # the transform of an all-free grid measures to nothing
             return np.full((self.height, self.width), math.inf)
         return ndimage.distance_transform_edt(~self.occupied) * self.resolution
+
+    @cached_property
+    def clearance_flat(self) -> list[float]:
+        """``clearance`` as one float per cell, cell (ix, iy) at ``iy * width + ix``."""
+        return self.clearance.ravel().tolist()
 
     @cached_property
     def occupied_flat(self) -> bytes:
@@ -206,10 +211,10 @@ def raycast(
     boundary. A ray with no occupied cell within ``max_range`` contributes
     ``None``.
 
-    A pose whose cell center lies farther than ``max_range + resolution*sqrt(2)``
-    from every occupied cell center casts no ray: any point of a cell is within
-    ``resolution*sqrt(2)/2`` of its center, so no occupied cell has a point
-    within ``max_range`` of the pose.
+    A ray entering a cell at distance t stops with ``None`` once the cell's
+    clearance exceeds ``max_range - t + resolution*sqrt(2)``: every point of a
+    cell lies within ``resolution*sqrt(2)/2`` of its center, so no occupied
+    cell is left within ``max_range``. At t = 0 this skips the whole pose.
     """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
@@ -217,10 +222,12 @@ def raycast(
         raise MapError(f"sensing pose ({x}, {y}) is outside the map bounds")
     ix0, iy0 = grid.world_to_cell(x, y)
     res = grid.resolution
-    # the relative margin keeps distance-transform rounding from skipping a hit
-    if grid.clearance[iy0, ix0] > (max_range + res * math.sqrt(2.0)) * (1.0 + 1e-9):
-        return ObstaclePointSet((None,) * n_rays)
     width, height = grid.width, grid.height
+    clearance = grid.clearance_flat
+    reach = max_range + res * math.sqrt(2.0)
+    # the relative margin keeps distance-transform rounding from skipping a hit
+    if clearance[iy0 * width + ix0] > reach * (1.0 + 1e-9):
+        return ObstaclePointSet((None,) * n_rays)
     occupied = grid.occupied_flat
     if occupied[iy0 * width + ix0]:
         # surrounded: the sensing pose itself sits on an occupied cell
@@ -228,8 +235,8 @@ def raycast(
     ox, oy = grid.origin_x, grid.origin_y
     inf = math.inf
     points: list[tuple[float, float] | None] = []
-    for k in range(n_rays):
-        angle = heading + 2.0 * math.pi * k / n_rays
+    for offset in _ray_offsets(n_rays):
+        angle = heading + offset
         dx, dy = math.cos(angle), math.sin(angle)
         ix, iy = ix0, iy0
         step_x = 1 if dx > 0 else -1
@@ -266,8 +273,16 @@ def raycast(
                 iy += step_y
             if t > max_range or not (0 <= ix < width and 0 <= iy < height):
                 break
-            if occupied[iy * width + ix]:
+            cell = iy * width + ix
+            if occupied[cell]:
                 hit = (x + t * dx, y + t * dy)
                 break
+            if clearance[cell] > (reach - t) * (1.0 + 1e-9):
+                break  # no occupied cell is left within reach of the ray
         points.append(hit)
     return ObstaclePointSet(tuple(points))
+
+
+@lru_cache(maxsize=None)
+def _ray_offsets(n_rays: int) -> tuple[float, ...]:
+    return tuple(2.0 * math.pi * k / n_rays for k in range(n_rays))

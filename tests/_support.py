@@ -517,6 +517,49 @@ def unicycle_closed_form(x0, y0, th0, v0, a, w, t):
     return x0 + fx(t) - fx(0.0), y0 + fy(t) - fy(0.0), th, v
 
 
+def reference_step_robot(
+    state: RobotState, control: Control, dt: float, v_max: float = 1.0
+) -> RobotState:
+    """One step of the unicycle as a plain RK4 loop: the four stages written
+    out, the speed clamped after each substep and the heading wrapped once,
+    on return. ``dynamics.step_robot`` must match chained calls bit for bit."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    values = (state.x, state.y, state.theta, state.v, control.a, control.omega, dt)
+    if not all(math.isfinite(u) for u in values):
+        raise ValueError("non-finite state or control")
+    n_sub = max(1, math.ceil(dt / dynamics.MAX_SUBSTEP - 1e-12))
+    h = dt / n_sub
+    x, y, theta, v = state.x, state.y, state.theta, state.v
+    a, w = control.a, control.omega
+
+    def f(th, vel):
+        return vel * math.cos(th), vel * math.sin(th), w, a
+
+    for _ in range(n_sub):
+        k1 = f(theta, v)
+        k2 = f(theta + 0.5 * h * w, v + 0.5 * h * a)
+        k3 = f(theta + 0.5 * h * w, v + 0.5 * h * a)
+        k4 = f(theta + h * w, v + h * a)
+        x += h / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        y += h / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        theta += h / 6.0 * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        v = min(max(v + h / 6.0 * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]), -v_max), v_max)
+    return RobotState(x, y, dynamics.wrap_angle(theta), v)
+
+
+def reference_lookahead_point(points, position, delta):
+    """The tracking target by a full scan: every vertex's distance, the first
+    nearest, then the first vertex from it at least ``delta`` away."""
+    px, py = position
+    dists = [math.hypot(x - px, y - py) for x, y in points]
+    nearest = dists.index(min(dists))
+    for i in range(nearest, len(dists)):
+        if dists[i] >= delta:
+            return points[i]
+    return points[-1]
+
+
 def _reference_repulsion(dx: float, dy: float, radius_sum: float) -> tuple[float, float]:
     dist = float(np.hypot(dx, dy))
     magnitude = min(
@@ -604,12 +647,22 @@ def _reference_trace_ray(
     grid: OccupancyGrid, x: float, y: float, angle: float, max_range: float
 ) -> tuple[float, float] | None:
     """Amanatides-Woo traversal; returns the entry point of the first occupied cell."""
-    res = grid.resolution
-    dx, dy = math.cos(angle), math.sin(angle)
     ix, iy = grid.world_to_cell(x, y)
     if grid.occupied[iy, ix]:
         return (x, y)  # surrounded: the sensing pose itself sits on an occupied cell
+    for t, ix, iy in reference_ray_cells(grid, x, y, angle, max_range):
+        if grid.occupied[iy, ix]:
+            return (x + t * math.cos(angle), y + t * math.sin(angle))
+    return None
 
+
+def reference_ray_cells(grid: OccupancyGrid, x: float, y: float, angle: float,
+                        max_range: float):
+    """Yield ``(t, ix, iy)`` for each cell the ray enters, in order, at entry
+    distance ``t``, up to ``max_range`` and the map's edge."""
+    res = grid.resolution
+    dx, dy = math.cos(angle), math.sin(angle)
+    ix, iy = grid.world_to_cell(x, y)
     step_x = 1 if dx > 0 else -1
     step_y = 1 if dy > 0 else -1
     inf = math.inf
@@ -643,11 +696,10 @@ def _reference_trace_ray(
             ix += step_x
             iy += step_y
         if t > max_range:
-            return None
+            return
         if not (0 <= ix < grid.width and 0 <= iy < grid.height):
-            return None
-        if grid.occupied[iy, ix]:
-            return (x + t * dx, y + t * dy)
+            return
+        yield t, ix, iy
 
 
 def random_cluster(rng: random.Random, u_max: float = 3.0):

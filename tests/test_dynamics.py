@@ -19,7 +19,7 @@ from fleetsim.dynamics import (
     wrap_angle,
 )
 
-from _support import reference_step_human, unicycle_closed_form
+from _support import reference_step_human, reference_step_robot, unicycle_closed_form
 
 
 class TestWrapAngle:
@@ -95,6 +95,79 @@ class TestStepRobot:
         out = step_robot(RobotState(x, y, th, v), Control(a, w), dt, v_max=1.0)
         assert -1.0 <= out.v <= 1.0
         assert -math.pi < out.theta <= math.pi
+
+
+def _hex(state):
+    return tuple(v.hex() for v in (state.x, state.y, state.theta, state.v))
+
+
+class TestStepRobotTicks:
+    """``step_robot(..., ticks=n)`` against n chained one-step calls of the
+    written-out RK4 in ``_support``, bit for bit."""
+
+    def test_random_states(self):
+        rng = random.Random(22)
+        wraps = clamps = 0
+        for k in range(2400):
+            theta = rng.choice((
+                rng.uniform(-math.pi, math.pi),
+                math.pi - rng.random() * 1e-3,  # about to wrap at +pi
+                -math.pi + rng.random() * 1e-3,  # about to wrap at -pi
+            ))
+            v_max = rng.choice((0.5, 1.0, 2.0))
+            s0 = RobotState(rng.uniform(-50, 50), rng.uniform(-50, 50), theta,
+                            rng.uniform(-v_max, v_max))
+            c = Control(rng.uniform(-3.0, 3.0), rng.choice((-4.0, 4.0)) * rng.random())
+            dt = rng.choice((0.01, 0.02, 0.05, 0.07, 0.2))
+            ticks = rng.randint(1, 8)
+            chained = s0
+            for _ in range(ticks):
+                before = chained
+                chained = reference_step_robot(chained, c, dt, v_max)
+                wraps += abs(chained.theta - before.theta) > math.pi
+                clamps += abs(chained.v) == v_max
+            assert _hex(step_robot(s0, c, dt, v_max, ticks)) == _hex(chained), k
+        assert wraps > 200 and clamps > 200
+
+    def test_one_tick_is_the_reference_step(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            s0 = RobotState(*(rng.uniform(-3, 3) for _ in range(4)))
+            c = Control(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            dt = rng.uniform(0.001, 0.3)
+            assert _hex(step_robot(s0, c, dt, 1.5)) == _hex(
+                reference_step_robot(s0, c, dt, 1.5))
+
+    def test_starts_and_the_raising_tick(self):
+        # x overflows in the third tick: the fourth raises, as its own call
+        top = RobotState(math.nextafter(1.7976931348623157e308, 0.0) - 2e292,
+                         0.0, 0.0, 1e294)
+        starts = []
+        with pytest.raises(ValueError, match="non-finite state or control"):
+            step_robot(top, Control(0.0, 0.0), 0.01, 1e300, 5, starts)
+        chained = [top]
+        for _ in range(3):
+            chained.append(reference_step_robot(chained[-1], Control(0.0, 0.0), 0.01, 1e300))
+        assert math.isinf(chained[-1].x)
+        assert [tuple(v.hex() for v in s) for s in starts] == [_hex(s) for s in chained]
+
+    def test_starts_are_the_chained_states(self):
+        s0, c = RobotState(0.1, 0.2, 3.1, 0.9), Control(0.7, 1.9)
+        starts = []
+        end = step_robot(s0, c, 0.01, 1.0, 6, starts)
+        chained = [s0]
+        for _ in range(6):
+            chained.append(reference_step_robot(chained[-1], c, 0.01, 1.0))
+        assert [tuple(v.hex() for v in s) for s in starts] == [_hex(s) for s in chained[:-1]]
+        assert _hex(end) == _hex(chained[-1])
+
+    def test_non_finite_control_or_dt_raises_at_the_first_tick(self):
+        for c, dt in ((Control(math.nan, 0.0), 0.01), (Control(0.0, math.inf), 0.01),
+                      (Control(0.0, 0.0), math.inf), (Control(0.0, 0.0), math.nan)):
+            starts = []
+            with pytest.raises(ValueError, match="non-finite state or control"):
+                step_robot(RobotState(0.0, 0.0, 0.0, 0.0), c, dt, 1.0, 3, starts)
+            assert starts == [(0.0, 0.0, 0.0, 0.0)]
 
 
 def _human(pos, vel=(0.0, 0.0), index=0):

@@ -15,7 +15,7 @@ import fleetsim.safety as safety
 import fleetsim.scenario as scenario_module
 import fleetsim.tasking as tasking
 from fleetsim.cli import main
-from fleetsim.dynamics import RobotState
+from fleetsim.dynamics import Control, RobotState
 from fleetsim.engine import measure_travel_time, run
 from fleetsim.metrics import compute_metrics
 from fleetsim.planner import PlanningError
@@ -274,6 +274,59 @@ class TestFaults:
             (0, 0.0, "safety: non-finite constraints")]
         assert not list(trace.of_type("qp"))
         assert trace.events[-1]["type"] == "end"
+
+    def test_dynamics_faults_keep_their_substep_order(self, tmp_path):
+        """Two robots' states overflow inside one control period.
+
+        Robot 0's first RK4 substep of the period takes x to inf; robot 1's
+        speed (its v_max is 1e300) takes x to inf in its third substep. Each
+        later substep starting from a non-finite state raises, and each raise
+        is a `dynamics` fault record, in substep order, then robot order: 4
+        for robot 0 and 2 for robot 1 in that tick, 5 each on every later
+        tick. A faulted robot's state stays where it was.
+        """
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [1.0, 2.0]},
+                       "b": {"start": [5.0, 2.0], "params": {"v_max": 1.0e+300}}},
+            "locations": [[1.0, 2.0], [7.0, 2.0]],
+            "duration": 1,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        scenario = load_scenario(path)
+        eng = engine._Engine(scenario, include_timing=False)
+        top = sys.float_info.max
+        planted = [RobotState(1.79e308, 1.0, 0.0, 1e308),
+                   RobotState(top - 2 * math.ulp(top), 2.0, 0.0, 1e294)]
+        integrated = []
+        stream_pos = 0
+        for k in range(3):
+            eng.now = k * scenario.control_period
+            stream_pos = eng.phase_arrivals(stream_pos)
+            eng.phase_queues()
+            eng.phase_replan()
+            eng.phase_controls(eng.phase_clusters())
+            if k == 0:
+                for rt, state in zip(eng.robots, planted):
+                    rt.state = state
+                eng.robots[1].control = Control(0.0, 0.0)
+            start = len(eng.events)
+            eng.phase_integrate()
+            integrated.append([(e["type"], e["t"], e["robot"], e["error"])
+                               for e in eng.events[start:]])
+            eng.phase_bookkeeping()
+        error = "dynamics: non-finite state or control"
+        assert integrated == [
+            [("fault", 0.0, r, error) for r in (0, 0, 0, 1, 0, 1)],
+            [("fault", 0.05, r, error) for r in (0, 1) * 5],
+            [("fault", 0.1, r, error) for r in (0, 1) * 5],
+        ]
+        states = [[v.hex() for v in (rt.state.x, rt.state.y, rt.state.theta, rt.state.v)]
+                  for rt in eng.robots]
+        assert states == [
+            ["inf", "0x1.0000000000000p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+            ["inf", "0x1.0000000000000p+1", "0x0.0p+0", "0x1.90d56b873f4c7p+976"],
+        ]
+        assert all(rt.control == Control(0.0, 0.0) and rt.fault == error
+                   for rt in eng.robots)
 
     def test_faulted_robot_task_goes_to_the_robot_left(self, tmp_path):
         """A robot that faults leaves the fleet: its task is re-solved at once.

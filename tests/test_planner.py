@@ -5,6 +5,7 @@ import pytest
 
 from fleetsim import planner
 from fleetsim.planner import (
+    CHUNK,
     Path,
     PlanningError,
     SQRT2,
@@ -14,7 +15,13 @@ from fleetsim.planner import (
 )
 from fleetsim.world import LETHAL_COST, inflate
 
-from _support import dijkstra_cost, grid_from_rows, random_costmap, reference_plan
+from _support import (
+    dijkstra_cost,
+    grid_from_rows,
+    random_costmap,
+    reference_lookahead_point,
+    reference_plan,
+)
 
 
 def _open_costmap(size=8):
@@ -253,7 +260,7 @@ class TestLookaheadPoint:
         rng = random.Random(5)
         lattice = [(float(x), float(y)) for x in range(3) for y in range(3)]
         for _ in range(2000):
-            points = tuple(rng.choice(lattice) for _ in range(rng.randint(1, 8)))
+            points = tuple(rng.choice(lattice) for _ in range(rng.randint(1, 120)))
             position = (rng.choice((0.0, 0.5, 1.0)), rng.choice((0.0, 0.5, 1.0)))
             delta = rng.choice((0.0, 0.5, 1.0, 1.5, 3.0))
             dists = [math.hypot(x - position[0], y - position[1]) for x, y in points]
@@ -261,6 +268,37 @@ class TestLookaheadPoint:
             scan = [points[i] for i in range(nearest, len(points)) if dists[i] >= delta]
             expected = scan[0] if scan else points[-1]
             assert lookahead_point(Path(points, 0.0), position, delta) == expected
+
+    def test_pruned_scan_matches_the_full_scan(self):
+        # lattice walks that fold back on themselves: vertices in far chunks
+        # tie with, or beat, the nearest of an earlier chunk
+        rng = random.Random(6)
+        pruned = 0
+        for _ in range(3000):
+            x, y = rng.randrange(10), rng.randrange(10)
+            points = []
+            for _ in range(rng.randint(1, 120)):
+                x = min(max(x + rng.choice((-1, 0, 1)), 0), 9)
+                y = min(max(y + rng.choice((-1, 0, 1)), 0), 9)
+                points.append((0.5 * x, 0.5 * y))
+            path = Path(tuple(points), 0.0)
+            position = (0.25 * rng.randrange(-2, 22), 0.25 * rng.randrange(-2, 22))
+            delta = rng.choice((0.0, 0.5, 1.0, 2.0))
+            assert lookahead_point(path, position, delta) == reference_lookahead_point(
+                points, position, delta)
+            best = min(math.hypot(px - position[0], py - position[1]) for px, py in points)
+            pruned += any(math.hypot(cx - position[0], cy - position[1]) - r > best
+                          for _, cx, cy, r in path.chunks)
+        assert pruned > 1000
+
+    def test_chunk_circles_hold_their_vertices(self):
+        rng = random.Random(7)
+        points = tuple((rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(100))
+        chunks = Path(points, 0.0).chunks
+        assert [first for first, *_ in chunks] == list(range(0, 100, CHUNK))
+        for first, cx, cy, r in chunks:
+            for px, py in points[first:first + CHUNK]:
+                assert math.hypot(px - cx, py - cy) <= r
 
     def test_progress_past_visited_vertices(self):
         # standing just past the middle vertex: nearest is index 1, so the

@@ -65,6 +65,12 @@ class TestFrameSampling:
         files = render_trace(make_trace(), tmp_path, every=3.0)
         assert [f.name for f in files] == ["frame_00000.svg"]
 
+    def test_infinite_interval_draws_the_first_frame(self, tmp_path):
+        (inf_frame,) = render_trace(make_trace(), tmp_path / "inf", every=math.inf)
+        (first,) = render_trace(make_trace(), tmp_path / "three", every=3.0)
+        assert inf_frame.read_text() == first.read_text()
+        assert "t = 0.00 s" in inf_frame.read_text()
+
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
             render_trace(make_trace(), tmp_path, every=0.0)

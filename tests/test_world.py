@@ -13,7 +13,7 @@ from fleetsim.world import (
     raycast,
 )
 
-from _support import SCENARIOS, grid_from_rows, reference_raycast
+from _support import SCENARIOS, grid_from_rows, reference_ray_cells, reference_raycast
 
 
 class TestLoadMap:
@@ -229,7 +229,7 @@ class TestRaycastMatchesReference:
     def test_random_poses_on_bundled_maps(self):
         rng = random.Random(7)
         grids = _bundled_grids()
-        for k in range(1000):
+        for k in range(2000):
             grid = grids[k % len(grids)]
             x = grid.origin_x + rng.random() * grid.width * grid.resolution
             y = grid.origin_y + rng.random() * grid.height * grid.resolution
@@ -258,6 +258,39 @@ class TestRaycastMatchesReference:
                 hits = len(raycast(grid, x, y, heading, 16, max_range))
                 hits_beyond_range += clearance > max_range and hits > 0
         assert skipped > 0 and hits_beyond_range > 0
+
+    @pytest.mark.parametrize("max_range", [1.0, 2.0, 3.0])
+    def test_rays_crossing_a_cell_near_the_exit_bound(self, max_range):
+        # poses with a ray that enters, at distance t, a cell whose clearance
+        # lies within one cell of max_range - t + res * sqrt(2): the cells
+        # just above the bound must end in nothing, and some just below it
+        # still lead to a hit
+        rng = random.Random(int(max_range * 10))
+        grids = _bundled_grids()
+        poses = above = below_then_hit = 0
+        while poses < 250:
+            grid = grids[rng.randrange(len(grids))]
+            res = grid.resolution
+            x = grid.origin_x + rng.random() * grid.width * res
+            y = grid.origin_y + rng.random() * grid.height * res
+            heading = rng.uniform(-math.pi, math.pi)
+            near = False
+            for k in range(16):
+                angle = heading + 2.0 * math.pi * k / 16
+                below = 0
+                for t, ix, iy in reference_ray_cells(grid, x, y, angle, max_range):
+                    if grid.occupied[iy, ix]:
+                        below_then_hit += below
+                        break
+                    gap = grid.clearance[iy, ix] - (max_range - t + res * math.sqrt(2.0))
+                    if abs(gap) <= res:
+                        near = True
+                        above += gap > 0
+                        below += gap <= 0
+            if near:
+                poses += 1
+                _assert_matches_reference(grid, x, y, heading, 16, max_range)
+        assert above > 0 and below_then_hit > 0
 
     def test_skip_bound_is_tight_at_a_corner(self):
         # one wall cell (4, 4); the pose sits at its cell's corner nearest the
