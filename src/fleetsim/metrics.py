@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import cached_property
 
 from . import trace as tr
+from .dynamics import _hypot
 from .safety import INFEASIBLE_FALLBACK
 from .trace import Trace
 from .world import load_map
@@ -95,31 +95,136 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _occupied_cell_bounds(grid) -> np.ndarray | None:
-    """(N, 4) array of x_lo, x_hi, y_lo, y_hi for every occupied cell."""
-    iy, ix = np.nonzero(grid.occupied)
-    if len(ix) == 0:
-        return None
-    res = grid.resolution
-    x_lo = grid.origin_x + ix * res
-    y_lo = grid.origin_y + iy * res
-    return np.stack([x_lo, x_lo + res, y_lo, y_lo + res], axis=1)
+def _gap(v: float, lo: float, hi: float) -> float:
+    """Distance from ``v`` to ``[lo, hi]`` along one axis; nan for a nan ``v``."""
+    if v < lo:
+        return lo - v
+    if v > hi:
+        return v - hi
+    return 0.0 if v == v else v
 
 
-def _rect_distances(points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """Min distance from each point to the nearest solid cell rectangle."""
-    x = points[:, 0:1]
-    y = points[:, 1:2]
-    dx = np.maximum(0.0, np.maximum(bounds[:, 0] - x, x - bounds[:, 1]))
-    dy = np.maximum(0.0, np.maximum(bounds[:, 2] - y, y - bounds[:, 3]))
-    return np.min(np.hypot(dx, dy), axis=1)
+def _ring(r: int) -> list[tuple[int, int]]:
+    """Cell offsets at Chebyshev distance ``r``."""
+    if r == 0:
+        return [(0, 0)]
+    return ([(dx, dy) for dy in (-r, r) for dx in range(-r, r + 1)]
+            + [(dx, dy) for dx in (-r, r) for dy in range(1 - r, r)])
+
+
+class _Walls:
+    """Distance from a point to the nearest occupied cell of a grid.
+
+    Cell (ix, iy) is the rectangle ``[x_lo, x_lo + res] x [y_lo, y_lo + res]``
+    with ``x_lo = origin_x + ix * res``, and a point's distance to it is
+    ``_hypot`` of the point's gap to it along each axis. ``nearest`` looks
+    its candidates up in a table per query cell: occupied cells in order of
+    a lower bound on their distance from anywhere in the query cell, shaded
+    down to cover the rounding of cell edges and of the point's cell index.
+    The scan stops once the bound reaches the minimum so far.
+    """
+
+    def __init__(self, grid) -> None:
+        self.width, self.height = grid.width, grid.height
+        self.res, self.ox, self.oy = grid.resolution, grid.origin_x, grid.origin_y
+        self.occupied = grid.occupied_flat
+        extent = max(abs(self.ox), abs(self.oy), abs(self.ox + self.width * self.res),
+                     abs(self.oy + self.height * self.res))
+        self.slack = 1e-9 * (extent + self.res)
+        # flat query cell -> (bound the table is complete below, candidates)
+        self.tables: dict[int, tuple[float, list]] = {}
+
+    @cached_property
+    def everywhere(self) -> list:
+        """The candidates for a point off the map: every occupied cell, with
+        no bound."""
+        return [(-math.inf, *self._rect(i % self.width, i // self.width))
+                for i, cell in enumerate(self.occupied) if cell]
+
+    def _rect(self, ix: int, iy: int) -> tuple[float, float, float, float]:
+        x_lo = self.ox + ix * self.res
+        y_lo = self.oy + iy * self.res
+        return x_lo, x_lo + self.res, y_lo, y_lo + self.res
+
+    def _under(self, cells: float) -> float:
+        """A distance under ``cells`` cell widths by more than any rounding."""
+        return cells * self.res * (1.0 - 1e-9) - self.slack
+
+    def _table(self, qx: int, qy: int, bound: float) -> tuple[float, list]:
+        """The occupied cells around cell (qx, qy), sorted by lower bound:
+        every one whose bound is under ``bound``, or under how far any point
+        of the cell can be from its nearest occupied cell.
+
+        A cell r rings out (Chebyshev) is at least r - 1 cell widths from
+        the query cell; one dx, dy cells over is at most hypot(dx, dy) from
+        any of its points.
+        """
+        reach = math.inf
+        found = []
+        for r in range(max(qx, qy, self.width - 1 - qx, self.height - 1 - qy) + 1):
+            below = self._under(r - 1)
+            if below >= reach:
+                complete = math.inf
+                break
+            if below >= bound:
+                complete = below
+                break
+            for dx, dy in _ring(r):
+                ix, iy = qx + dx, qy + dy
+                if (0 <= ix < self.width and 0 <= iy < self.height
+                        and self.occupied[iy * self.width + ix]):
+                    gap = _hypot(max(abs(dx) - 1, 0), max(abs(dy) - 1, 0))
+                    found.append((self._under(gap), *self._rect(ix, iy)))
+                    far = _hypot(dx, dy) * self.res * (1.0 + 1e-9) + self.slack
+                    reach = min(reach, far)
+        else:
+            complete = math.inf
+        found.sort()
+        return complete, found
+
+    def nearest(self, x: float, y: float, best: float) -> float:
+        """The least of ``best`` and the distance from (x, y), or nan where
+        ``np.min`` over the distances to every occupied cell gives nan."""
+        fx = (x - self.ox) / self.res
+        fy = (y - self.oy) / self.res
+        if 0.0 <= fx < self.width and 0.0 <= fy < self.height:
+            qx, qy = int(fx), int(fy)
+            key = qy * self.width + qx
+            table = self.tables.get(key)
+            if table is None or best > table[0]:
+                table = self.tables[key] = self._table(qx, qy, best)
+            candidates = table[1]
+        else:
+            candidates = self.everywhere
+        for bound, x_lo, x_hi, y_lo, y_hi in candidates:
+            if bound >= best:
+                break
+            d = _hypot(_gap(x, x_lo, x_hi), _gap(y, y_lo, y_hi))
+            if d < best:
+                best = d
+            elif d != d:
+                return d
+        return best
+
+
+def _nearest_pair(points: list[tuple[float, float]], best: float) -> float:
+    """The least of ``best`` and each pairwise distance, or nan if a pair's
+    distance is nan."""
+    for i, (x, y) in enumerate(points):
+        for u, v in points[i + 1:]:
+            d = _hypot(x - u, y - v)
+            if d < best:
+                best = d
+            elif d != d:
+                return d
+    return best
 
 
 def compute_metrics(trace: Trace) -> MetricsReport:
     """Summarize a trace; see MetricsReport for what is reported."""
     header = trace.header
     grid = load_map(header["map"]["text"])
-    bounds = _occupied_cell_bounds(grid)
+    walls = _Walls(grid) if any(grid.occupied_flat) else None
     n_robots = len(header["robots"])
 
     report = MetricsReport(
@@ -139,14 +244,20 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     for ev in trace.events:
         kind = ev["type"]
         if kind == tr.STATE:
-            pts = np.array([[r[1], r[2]] for r in ev["robots"]], dtype=float)
-            if len(pts) >= 2:
-                diffs = pts[:, None, :] - pts[None, :, :]
-                d = np.hypot(diffs[..., 0], diffs[..., 1])
-                iu = np.triu_indices(len(pts), k=1)
-                min_rr = min(min_rr, float(d[iu].min()))
-            if bounds is not None and len(pts):
-                min_obs = min(min_obs, float(_rect_distances(pts, bounds).min()))
+            # a state whose distances include nan adds nothing, as in the
+            # numpy report this fold replaces, where min(m, nan) kept m
+            points = [(float(r[1]), float(r[2])) for r in ev["robots"]]
+            d = _nearest_pair(points, min_rr)
+            if d < min_rr:
+                min_rr = d
+            if walls is not None:
+                d = min_obs
+                for x, y in points:
+                    d = walls.nearest(x, y, d)
+                    if d != d:
+                        break
+                if d < min_obs:
+                    min_obs = d
         elif kind == tr.TASK:
             event = ev["event"]
             if event == "arrival":

@@ -626,6 +626,46 @@ def reference_step_human(
     return HumanState(x, y, vx, vy, goal_index)
 
 
+def occupied_cell_bounds(grid: OccupancyGrid) -> np.ndarray | None:
+    """(N, 4) array of x_lo, x_hi, y_lo, y_hi for every occupied cell."""
+    iy, ix = np.nonzero(grid.occupied)
+    if len(ix) == 0:
+        return None
+    res = grid.resolution
+    x_lo = grid.origin_x + ix * res
+    y_lo = grid.origin_y + iy * res
+    return np.stack([x_lo, x_lo + res, y_lo, y_lo + res], axis=1)
+
+
+def rect_distances(points: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Min distance from each point to the nearest solid cell rectangle."""
+    x = points[:, 0:1]
+    y = points[:, 1:2]
+    dx = np.maximum(0.0, np.maximum(bounds[:, 0] - x, x - bounds[:, 1]))
+    dy = np.maximum(0.0, np.maximum(bounds[:, 2] - y, y - bounds[:, 3]))
+    return np.min(np.hypot(dx, dy), axis=1)
+
+
+def reference_distance_minima(grid: OccupancyGrid, states) -> tuple[float | None, float | None]:
+    """``min_robot_distance`` and ``min_obstacle_distance`` over ``state``
+    records, as ``metrics.compute_metrics`` computed them with numpy arrays
+    per record; ``compute_metrics`` must match them bit for bit."""
+    bounds = occupied_cell_bounds(grid)
+    min_rr = math.inf
+    min_obs = math.inf
+    for ev in states:
+        pts = np.array([[r[1], r[2]] for r in ev["robots"]], dtype=float)
+        if len(pts) >= 2:
+            diffs = pts[:, None, :] - pts[None, :, :]
+            d = np.hypot(diffs[..., 0], diffs[..., 1])
+            iu = np.triu_indices(len(pts), k=1)
+            min_rr = min(min_rr, float(d[iu].min()))
+        if bounds is not None and len(pts):
+            min_obs = min(min_obs, float(rect_distances(pts, bounds).min()))
+    return (min_rr if min_rr < math.inf else None,
+            min_obs if min_obs < math.inf else None)
+
+
 def reference_raycast(
     grid: OccupancyGrid,
     x: float,

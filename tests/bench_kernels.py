@@ -1,4 +1,5 @@
-"""Microbenchmarks of the per-tick kernels, with pytest-benchmark.
+"""Microbenchmarks of the per-tick kernels and of the trace pipeline, with
+pytest-benchmark.
 
 Not part of the test suite (the file name does not match ``test_*.py``); run
 it by name:
@@ -6,8 +7,9 @@ it by name:
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -p no:cacheprovider
 
 Inputs are fixed: poses on the bundled depot map, one control period of the
-default scenario timing (tick_dt 0.01 s, control_period 0.05 s), and a
-50-vertex path planned across that map.
+default scenario timing (tick_dt 0.01 s, control_period 0.05 s), a
+50-vertex path planned across that map, and the trace of the six-robot busy
+fleet (``_support.busy_fleet_scenario(6)``, 120 s, about 21 000 records).
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import random
 import pytest
 
 from fleetsim.dynamics import Control, RobotState, step_robot
+from fleetsim.engine import run
+from fleetsim.metrics import compute_metrics
 from fleetsim.planner import Path, lookahead_point, plan
+from fleetsim.trace import dumps_record, read_trace, write_trace
 from fleetsim.world import inflate, load_map, raycast
 
-from _support import SCENARIOS
+from _support import SCENARIOS, busy_fleet_scenario
 
 pytest.importorskip("pytest_benchmark")
 
@@ -91,3 +96,35 @@ def test_lookahead_point_on_a_50_vertex_path(benchmark, depot_grid):
             lookahead_point(path, position, 0.5)
 
     benchmark(look_all)
+
+
+@pytest.fixture(scope="module")
+def busy6_trace():
+    return run(busy_fleet_scenario(6)).trace
+
+
+@pytest.fixture(scope="module")
+def busy6_file(busy6_trace, tmp_path_factory):
+    path = tmp_path_factory.mktemp("busy6") / "busy6.trace"
+    write_trace(path, busy6_trace)
+    return path
+
+
+@pytest.mark.parametrize("kind", ["state", "control", "clusters", "qp", "plan"])
+def test_dumps_record(benchmark, busy6_trace, kind):
+    """Every record of one bulk type in the busy6 trace."""
+    records = [e for e in busy6_trace.events if e["type"] == kind]
+    benchmark(lambda: [dumps_record(r) for r in records])
+
+
+def test_write_trace(benchmark, busy6_trace, tmp_path):
+    benchmark(write_trace, tmp_path / "busy6.trace", busy6_trace)
+
+
+def test_read_trace(benchmark, busy6_file):
+    benchmark(read_trace, busy6_file)
+
+
+def test_compute_metrics(benchmark, busy6_file):
+    """On the trace as read back, as ``fleetsim report`` takes it."""
+    benchmark(compute_metrics, read_trace(busy6_file))

@@ -17,7 +17,7 @@ import pytest
 
 from fleetsim.dynamics import Control, HumanState, RobotState, step_robot
 from fleetsim.engine import run
-from fleetsim.metrics import _occupied_cell_bounds, _rect_distances, compute_metrics
+from fleetsim.metrics import compute_metrics
 from fleetsim.navigation import RoomQueue, point_in_polygon
 from fleetsim.planner import UnreachableError, plan
 from fleetsim.qp import OPTIMAL, solve_diagonal, solve_qp
@@ -38,8 +38,10 @@ from _support import (
     busy_fleet_scenario,
     dijkstra_cost,
     enumerate_best_makespan,
+    occupied_cell_bounds,
     random_costmap,
     random_safety_scenario,
+    rect_distances,
     sparse_rows,
     straight_line_graph,
     unicycle_closed_form,
@@ -118,7 +120,7 @@ def test_randomized_safety_margins():
         scenario = random_safety_scenario(seed)
         params = scenario.robots[0].params
         result = run(scenario)
-        bounds = _occupied_cell_bounds(scenario.grid)
+        bounds = occupied_cell_bounds(scenario.grid)
 
         fallback_ticks = {
             e["t"] for e in result.trace.events
@@ -140,7 +142,7 @@ def test_randomized_safety_margins():
             dist = np.hypot(diffs[..., 0], diffs[..., 1])
             iu = np.triu_indices(len(pts), k=1)
             min_sep = min(min_sep, float(dist[iu].min()))
-            min_obs = min(min_obs, float(_rect_distances(pts, bounds).min()))
+            min_obs = min(min_obs, float(rect_distances(pts, bounds).min()))
 
         assert min_sep >= params.r_safe - 0.05, f"seed {seed}: {min_sep}"
         assert min_obs >= params.r_robot - 0.05, f"seed {seed}: {min_obs}"

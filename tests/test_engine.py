@@ -55,6 +55,24 @@ def write_open_scenario(base, doc: dict, tasks: list | None = None):
     return path
 
 
+def overflow_scenario(base):
+    """Two robots on the open map; b's v_max is 1e300."""
+    return write_open_scenario(base, {
+        "agents": {"a": {"start": [1.0, 2.0]},
+                   "b": {"start": [5.0, 2.0], "params": {"v_max": 1.0e+300}}},
+        "locations": [[1.0, 2.0], [7.0, 2.0]],
+        "duration": 1,
+    }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+
+
+def overflowing_states() -> list[RobotState]:
+    """States that overflow in the first and in the third RK4 substep of the
+    next control period of overflow_scenario's robots."""
+    top = sys.float_info.max
+    return [RobotState(1.79e308, 1.0, 0.0, 1e308),
+            RobotState(top - 2 * math.ulp(top), 2.0, 0.0, 1e294)]
+
+
 @pytest.fixture(scope="module")
 def sealed_scenario(tmp_path_factory):
     """One robot walled into a chamber; its task pickup lies outside."""
@@ -285,17 +303,9 @@ class TestFaults:
         for robot 0 and 2 for robot 1 in that tick, 5 each on every later
         tick. A faulted robot's state stays where it was.
         """
-        path = write_open_scenario(tmp_path, {
-            "agents": {"a": {"start": [1.0, 2.0]},
-                       "b": {"start": [5.0, 2.0], "params": {"v_max": 1.0e+300}}},
-            "locations": [[1.0, 2.0], [7.0, 2.0]],
-            "duration": 1,
-        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
-        scenario = load_scenario(path)
+        scenario = load_scenario(overflow_scenario(tmp_path))
         eng = engine._Engine(scenario, include_timing=False)
-        top = sys.float_info.max
-        planted = [RobotState(1.79e308, 1.0, 0.0, 1e308),
-                   RobotState(top - 2 * math.ulp(top), 2.0, 0.0, 1e294)]
+        planted = overflowing_states()
         integrated = []
         stream_pos = 0
         for k in range(3):
@@ -327,6 +337,35 @@ class TestFaults:
         ]
         assert all(rt.control == Control(0.0, 0.0) and rt.fault == error
                    for rt in eng.robots)
+
+    def test_an_overflowed_run_exits_2_at_its_first_unwritable_record(
+            self, tmp_path, monkeypatch, capsys):
+        """`fleetsim run` with the robots planted as above: the first state
+        record after the overflow holds inf. The run ends with exit 2 and
+        write_trace's message, not a traceback, and the file keeps the
+        lines before that record."""
+        integrate = engine._Engine.phase_integrate
+
+        def plant_then_integrate(eng):
+            if eng.now == 0.0:
+                for rt, state in zip(eng.robots, overflowing_states()):
+                    rt.state = state
+                eng.robots[1].control = Control(0.0, 0.0)
+            integrate(eng)
+
+        monkeypatch.setattr(engine._Engine, "phase_integrate", plant_then_integrate)
+        out = tmp_path / "run.trace"
+        assert main(["run", str(overflow_scenario(tmp_path)), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = out.read_text().splitlines()
+        assert captured.err == (
+            f"error: {out}: line {len(lines) + 1}: state record at t=0.05: "
+            "non-finite value in trace record: inf\n")
+        assert captured.out == ""
+        # the tick-0 dynamics faults, and robot 1's task let go, are written
+        tail = [json.loads(line) for line in lines[-7:]]
+        assert [(r["type"], r["t"]) for r in tail] == [("fault", 0)] * 6 + [("task", 0)]
+        assert tail[-1]["event"] == "unassigned"
 
     def test_faulted_robot_task_goes_to_the_robot_left(self, tmp_path):
         """A robot that faults leaves the fleet: its task is re-solved at once.

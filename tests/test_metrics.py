@@ -1,10 +1,16 @@
 import math
+import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from fleetsim.metrics import QPTimingStats, compute_metrics
+from fleetsim.metrics import QPTimingStats, _Walls, compute_metrics
 from fleetsim.safety import FEASIBLE, INFEASIBLE_FALLBACK
-from fleetsim.trace import Trace
+from fleetsim.trace import Trace, read_trace, write_trace
+from fleetsim.world import load_map
+
+from _support import occupied_cell_bounds, rect_distances, reference_distance_minima
 
 # one solid cell spanning x in [2, 3], y in [1, 2]
 MAP_TEXT = "map 4 4 1 0 0\n....\n....\n..#.\n....\n"
@@ -64,6 +70,143 @@ class TestDistances:
         report = compute_metrics(trace)
         assert report.min_robot_distance is None
         assert report.min_obstacle_distance is not None
+
+
+def _hex(*values):
+    return [None if v is None else v.hex() for v in values]
+
+
+def _distances(trace: Trace) -> list:
+    report = compute_metrics(trace)
+    return _hex(report.min_robot_distance, report.min_obstacle_distance)
+
+
+def _reference(trace: Trace) -> list:
+    grid = load_map(trace.header["map"]["text"])
+    return _hex(*reference_distance_minima(grid, trace.of_type("state")))
+
+
+@pytest.mark.parametrize("fixture", ["smoke_result", "corridors_result", "rooms_result",
+                                     "depot_result", "busy6_result", "crowd_result"])
+def test_golden_distances_equal_the_numpy_report(fixture, request, tmp_path):
+    """The plain-float fold gives the numpy report's distances bit for bit,
+    on the golden runs in memory and read back."""
+    _, result = request.getfixturevalue(fixture)
+    path = tmp_path / "run.trace"
+    write_trace(path, result.trace)
+    for trace in (result.trace, read_trace(path)):
+        assert _distances(trace) == _reference(trace)
+
+
+def _random_point(rng: random.Random, grid, kinds: Counter) -> tuple[float, float]:
+    res, ox, oy = grid.resolution, grid.origin_x, grid.origin_y
+    ix, iy = rng.randrange(grid.width + 1), rng.randrange(grid.height + 1)
+    kind = rng.choice(["anywhere", "edge", "corner", "near_edge", "wall", "far"])
+    if kind == "wall" and grid.occupied.any():
+        walls = list(zip(*grid.occupied.nonzero()))
+        iy, ix = rng.choice(walls)
+        x, y = ox + (ix + rng.random()) * res, oy + (iy + rng.random()) * res
+    elif kind == "edge":
+        x, y = ox + ix * res, oy + rng.uniform(-1.0, grid.height + 1.0) * res
+        if rng.random() < 0.5:
+            x, y = ox + rng.uniform(-1.0, grid.width + 1.0) * res, oy + iy * res
+    elif kind == "corner":
+        x, y = ox + ix * res, oy + iy * res
+    elif kind == "near_edge":
+        x = math.nextafter(ox + ix * res, rng.choice([-math.inf, math.inf]))
+        y = math.nextafter(oy + iy * res, rng.choice([-math.inf, math.inf]))
+    elif kind == "far":
+        x, y = rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)
+    else:
+        kind = "anywhere"
+        x = ox + rng.uniform(-2.0, grid.width + 2.0) * res
+        y = oy + rng.uniform(-2.0, grid.height + 2.0) * res
+    kinds[kind] += 1
+    kinds["off_map"] += not grid.in_bounds(x, y)
+    return x, y
+
+
+def random_distance_case(rng: random.Random, kinds: Counter) -> Trace:
+    """A random map, open ones included, and 1-4 states of 1-6 robots placed
+    anywhere, off the map, on cell edges and corners, next to them, inside
+    walls, or on top of each other."""
+    width, height = rng.randint(1, 12), rng.randint(1, 12)
+    res = rng.choice([0.5, 1.0, 0.25, 0.3, 0.7])
+    ox, oy = (rng.choice([0.0, -3.0, 1.25, rng.uniform(-5.0, 5.0)]) for _ in range(2))
+    density = rng.choice([0.0, 0.05, 0.2, 0.5, 1.0])
+    rows = ["".join("#" if rng.random() < density else "." for _ in range(width))
+            for _ in range(height)]
+    text = f"map {width} {height} {res!r} {ox!r} {oy!r}\n" + "\n".join(rows) + "\n"
+    grid = load_map(text)
+    kinds["open_map"] += not grid.occupied.any()
+    states = []
+    for k in range(rng.randint(1, 4)):
+        points = []
+        for _ in range(rng.choice([1, 1, 2, 3, 6])):
+            coincident = points and rng.random() < 0.1
+            kinds["coincident"] += bool(coincident)
+            points.append(rng.choice(points) if coincident else _random_point(rng, grid, kinds))
+        kinds["single_robot"] += len(points) == 1
+        states.append({"type": "state", "t": 0.05 * k, "humans": [],
+                       "robots": [[i, x, y, 0.0, 0.0] for i, (x, y) in enumerate(points)]})
+    header = {"type": "header", "map": {"text": text}, "robots": [{"id": 0}],
+              "duration": 1.0, "control_period": 0.05}
+    return Trace(header, states)
+
+
+def test_random_distances_equal_the_numpy_report():
+    """2 000 random state sets, compared by float.hex."""
+    rng = random.Random(2023)
+    kinds = Counter()
+    for _ in range(2_000):
+        trace = random_distance_case(rng, kinds)
+        assert _distances(trace) == _reference(trace), trace
+    for kind in ("anywhere", "edge", "corner", "near_edge", "wall", "far", "off_map",
+                 "open_map", "single_robot", "coincident"):
+        assert kinds[kind] >= 100, kinds
+
+
+@pytest.mark.parametrize("odd", [
+    (math.nan, 1.5), (1.5, math.nan), (math.inf, 1.5), (-math.inf, math.inf),
+    (math.nan, math.inf), (math.inf, math.nan), (1.79e308, 1.79e308),
+])
+def test_non_finite_states_count_as_in_the_numpy_report(odd):
+    """An in-memory trace of a run that overflowed can hold nan and inf: a
+    state whose minimum is nan adds nothing, and inf takes part as it did."""
+    states = [
+        state(0.0, [(0.5, 3.5), (3.5, 3.5), (0.5, 0.5)]),
+        state(0.1, [(1.5, 1.5), odd, (1.75, 1.5)]),
+        state(0.2, [odd, (3.5, 0.25)]),
+        state(0.3, [(1.0, 3.0), (3.0, 3.0), odd]),
+    ]
+    trace = Trace(make_header(), states)
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _reference(trace)
+    assert _distances(trace) == expected
+
+
+def test_each_point_finds_its_nearest_wall():
+    """_Walls.nearest per point, with no running minimum to hide a missed
+    cell: the least of the given bound and the numpy distance, bit for bit.
+    A cell's candidate table is built by its first query, here with no
+    bound, an ample one or a tight one, and serves every later point in it."""
+    rng = random.Random(7)
+    kinds = Counter()
+    checked = 0
+    for _ in range(300):
+        trace = random_distance_case(rng, kinds)
+        grid = load_map(trace.header["map"]["text"])
+        bounds = occupied_cell_bounds(grid)
+        if bounds is None:
+            continue
+        walls = _Walls(grid)
+        for _ in range(40):
+            x, y = _random_point(rng, grid, kinds)
+            exact = float(rect_distances(np.array([[x, y]]), bounds)[0])
+            best = rng.choice([math.inf, 2.0 * exact + 1.0, exact, 0.5 * exact])
+            assert walls.nearest(x, y, best).hex() == min(best, exact).hex(), (x, y, best)
+            checked += 1
+    assert checked > 8_000
 
 
 class TestTaskCounters:

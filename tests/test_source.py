@@ -178,11 +178,19 @@ def test_flags_numpy_and_math_hypot():
     ]
 
 
-@pytest.mark.parametrize("name", ["safety.py", "qp.py", "engine.py"])
+def test_report_distances_take_libm_hypot():
+    """metrics.py takes robot-robot and robot-wall distances by
+    dynamics._hypot, C's hypot as np.hypot calls it, so a report equals the
+    one numpy arrays gave; math.hypot could move its last bit."""
+    assert numpy_or_math_hypot((ROOT / "src" / "fleetsim" / "metrics.py").read_text()) == []
+
+
+@pytest.mark.parametrize("name", ["safety.py", "qp.py", "engine.py", "metrics.py", "trace.py"])
 def test_the_qp_imports_no_numpy(name):
     """The CBF-QP runs in plain floats, so its bytes follow IEEE-754
     arithmetic and libm, not the BLAS kernel numpy would call. The engine
-    around it, travel tables included, needs no numpy either."""
+    around it, travel tables included, needs no numpy either, and neither
+    does writing, reading or reporting on a trace."""
     assert numpy_imports((ROOT / "src" / "fleetsim" / name).read_text()) == []
 
 
