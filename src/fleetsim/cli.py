@@ -10,11 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .engine import collect_travel_times, run as run_engine
+from .engine import collect_travel_times, run as run_engine, tick_count
 from .metrics import compute_metrics
 from .render import render_trace
 from .scenario import ScenarioError, load_scenario
-from .trace import TraceError, read_trace, write_trace
+from .trace import END, TraceError, read_trace, write_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -91,6 +91,9 @@ def _cmd_collect(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    ticks = tick_count(trace.header["duration"], trace.header["control_period"])
+    if ticks > 0 and not (trace.events and trace.events[-1]["type"] == END):
+        raise TraceError(f"{args.trace}: cut off: no end record after {ticks} promised ticks")
     report = compute_metrics(trace)
     text = report.to_csv() if args.format == "csv" else report.to_text()
     sys.stdout.write(text)

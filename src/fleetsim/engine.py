@@ -556,7 +556,7 @@ class _Engine:
 
     def run(self) -> RunResult:
         wall_start = time.perf_counter()
-        n_ticks = int(math.floor(self.s.duration / self.s.control_period + 1e-9))
+        n_ticks = tick_count(self.s.duration, self.s.control_period)
         stream_pos = 0
         for k in range(n_ticks):
             self.now = k * self.s.control_period
@@ -578,6 +578,11 @@ class _Engine:
                 end_record["wall_time"] = wall
             self.emit(end_record)
         return RunResult(Trace(self.header(), self.events), sim_time, wall)
+
+
+def tick_count(duration: float, control_period: float) -> int:
+    """Ticks in a run of ``duration`` s; a trace with any ends in an ``end`` record."""
+    return int(math.floor(duration / control_period + 1e-9))
 
 
 def run(scenario: Scenario, include_timing: bool = False) -> RunResult:

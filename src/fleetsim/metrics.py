@@ -127,7 +127,7 @@ class _Walls:
     def __init__(self, grid) -> None:
         self.width, self.height = grid.width, grid.height
         self.res, self.ox, self.oy = grid.resolution, grid.origin_x, grid.origin_y
-        self.occupied = grid.occupied_flat
+        self.occupied = grid.occupied
         extent = max(abs(self.ox), abs(self.oy), abs(self.ox + self.width * self.res),
                      abs(self.oy + self.height * self.res))
         self.slack = 1e-9 * (extent + self.res)
@@ -224,7 +224,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     """Summarize a trace; see MetricsReport for what is reported."""
     header = trace.header
     grid = load_map(header["map"]["text"])
-    walls = _Walls(grid) if any(grid.occupied_flat) else None
+    walls = _Walls(grid) if 1 in grid.occupied else None
     n_robots = len(header["robots"])
 
     report = MetricsReport(

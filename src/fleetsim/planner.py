@@ -82,10 +82,10 @@ def plan(
         g = grid.world_to_cell(*goal)
     except ValueError as exc:
         raise PlanningError(str(exc)) from None
-    cost = costmap.cost
-    if cost[s[1], s[0]] == LETHAL_COST:
+    cost, width = costmap.cost, grid.width
+    if cost[s[1] * width + s[0]] == LETHAL_COST:
         raise PlanningError(f"start {start} lies on a lethal cell")
-    if cost[g[1], g[0]] == LETHAL_COST:
+    if cost[g[1] * width + g[0]] == LETHAL_COST:
         raise PlanningError(f"goal {goal} lies on a lethal cell")
     key = (s, g, cost_weight)
     try:
@@ -108,7 +108,7 @@ def _edge_table(costmap: Costmap, cost_weight: float) -> list:
     if table is not None:
         return table
     width, height = costmap.grid.width, costmap.grid.height
-    cost = costmap.cost.ravel().tolist()
+    cost = costmap.cost
     shared: dict[tuple[int, int, float], float] = {}
     table = []
     for dx, dy, length in _MOVES:

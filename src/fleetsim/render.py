@@ -114,7 +114,7 @@ def render_frame(playback: _Playback, grid: OccupancyGrid, t: float,
     cell_px = cam.scale(res)
     for iy in range(grid.height):
         for ix in range(grid.width):
-            if grid.occupied[iy, ix]:
+            if grid.occupied[iy * grid.width + ix]:
                 x = grid.origin_x + ix * res
                 y = grid.origin_y + (iy + 1) * res
                 px, py = cam.to_px(x, y)

@@ -1,8 +1,9 @@
 """Static environment: ASCII occupancy grids, inflated costmaps, ray sensing.
 
-The map is immutable after loading and safe to share across readers: the
-occupancy and cost arrays are read-only, so caches derived from them stay
-valid.
+The map is immutable after loading and safe to share across readers: grids
+and costmaps are immutable flat per-cell stores, cell (ix, iy) at index
+``iy * width + ix`` (bytes for occupancy and cost, a float list computed once
+per grid for clearance), so caches derived from them stay valid.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from scipy import ndimage
 
 LETHAL_COST = 255
 MAX_INFLATED_COST = 254
+_CELL_BYTES = bytes.maketrans(b"#.", b"\x01\x00")  # map characters to occupancy bytes
 
 
 class MapError(ValueError):
@@ -26,8 +28,9 @@ class MapError(ValueError):
 class OccupancyGrid:
     """2D occupancy grid.
 
-    ``occupied`` is indexed ``[iy, ix]``; cell (ix, iy) spans the world
-    rectangle ``[origin + i*res, origin + (i+1)*res)`` on each axis.
+    ``occupied`` holds one byte per cell, 1 for a wall and 0 for free, cell
+    (ix, iy) at ``iy * width + ix``; the cell spans the world rectangle
+    ``[origin + i*res, origin + (i+1)*res)`` on each axis.
     """
 
     width: int
@@ -35,16 +38,17 @@ class OccupancyGrid:
     resolution: float
     origin_x: float
     origin_y: float
-    occupied: np.ndarray = field(repr=False)  # bool, shape (height, width)
+    occupied: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise MapError("grid dimensions must be positive")
         if self.resolution <= 0:
             raise MapError("resolution must be positive")
-        if self.occupied.shape != (self.height, self.width):
-            raise MapError("occupancy array shape does not match header")
-        self.occupied.flags.writeable = False
+        if len(self.occupied) != self.width * self.height:
+            raise MapError("occupancy length does not match header")
+        if self.occupied.translate(None, b"\x00\x01"):
+            raise MapError("occupancy bytes must be 0 or 1")
 
     def in_bounds(self, x: float, y: float) -> bool:
         return (
@@ -69,33 +73,26 @@ class OccupancyGrid:
         )
 
     def is_occupied_cell(self, ix: int, iy: int) -> bool:
-        return bool(self.occupied[iy, ix])
+        return bool(self.occupied[iy * self.width + ix])
 
     @cached_property
-    def clearance(self) -> np.ndarray:
-        """Per cell, the distance in meters between its center and the nearest
-        occupied cell's center (0 on occupied cells, inf with no wall at all)."""
-        if not self.occupied.any():
+    def clearance(self) -> list[float]:
+        """Per cell, flat like ``occupied``, the distance in meters between its
+        center and the nearest occupied cell's center (0 on occupied cells, inf
+        with no wall at all)."""
+        if 1 not in self.occupied:
             # the transform of an all-free grid measures to nothing
-            return np.full((self.height, self.width), math.inf)
-        return ndimage.distance_transform_edt(~self.occupied) * self.resolution
-
-    @cached_property
-    def clearance_flat(self) -> list[float]:
-        """``clearance`` as one float per cell, cell (ix, iy) at ``iy * width + ix``."""
-        return self.clearance.ravel().tolist()
-
-    @cached_property
-    def occupied_flat(self) -> bytes:
-        """``occupied`` as one byte per cell, cell (ix, iy) at ``iy * width + ix``."""
-        return self.occupied.tobytes()
+            return [math.inf] * len(self.occupied)
+        walls = np.frombuffer(self.occupied, dtype=bool).reshape(self.height, self.width)
+        return (ndimage.distance_transform_edt(~walls) * self.resolution).ravel().tolist()
 
 
 @dataclass(frozen=True)
 class Costmap:
     """Per-cell traversal cost on the same geometry as the source grid.
 
-    255 marks lethal (occupied) cells; 0 is free space far from obstacles.
+    ``cost`` holds one byte per cell, flat like the grid's ``occupied``: 255
+    marks lethal (occupied) cells; 0 is free space far from obstacles.
     ``plans``, ``edge_tables`` and ``centers`` are the planner's caches
     (``planner.plan``): A* results by (start cell, goal cell, cost_weight),
     edge weights by cost_weight, and the one center tuple per flat cell index
@@ -103,13 +100,10 @@ class Costmap:
     """
 
     grid: OccupancyGrid
-    cost: np.ndarray = field(repr=False)  # uint8, shape (height, width)
+    cost: bytes = field(repr=False)
     plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     edge_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     centers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.cost.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -153,17 +147,14 @@ def load_map(text: str) -> OccupancyGrid:
     if len(body) != height:
         raise MapError(f"line {len(body) + 1}: expected {height} rows, found {len(body)}")
 
-    occupied = np.zeros((height, width), dtype=bool)
-    for row, line in enumerate(body):
-        lineno = row + 2
+    for lineno, line in enumerate(body, start=2):
         if len(line) != width:
             raise MapError(f"line {lineno}: row has {len(line)} characters, expected {width}")
-        iy = height - 1 - row
-        for ix, ch in enumerate(line):
-            if ch == "#":
-                occupied[iy, ix] = True
-            elif ch != ".":
-                raise MapError(f"line {lineno}: unknown character {ch!r}")
+        stray = line.replace("#", "").replace(".", "")
+        if stray:
+            raise MapError(f"line {lineno}: unknown character {stray[0]!r}")
+    # the bottom text row holds iy = 0, so the rows go in reversed
+    occupied = "".join(reversed(body)).encode().translate(_CELL_BYTES)
     return OccupancyGrid(width, height, resolution, ox, oy, occupied)
 
 
@@ -182,17 +173,17 @@ def inflate(
     """
     if inflation_radius < 0:
         raise ValueError("inflation_radius must be >= 0")
-    cost = np.zeros((grid.height, grid.width), dtype=np.uint8)
-    if not grid.occupied.any():
-        return Costmap(grid, cost)
-    dist = grid.clearance
+    if 1 not in grid.occupied:
+        return Costmap(grid, bytes(len(grid.occupied)))
+    dist = np.array(grid.clearance)
     with np.errstate(over="ignore"):
         decay = 254.0 * np.exp(-cost_scale * (dist - r_robot))
     inflated = np.clip(np.rint(decay), 0, MAX_INFLATED_COST)
     mask = (dist > 0) & (dist <= inflation_radius)
+    cost = np.zeros(dist.shape, dtype=np.uint8)
     cost[mask] = inflated[mask].astype(np.uint8)
-    cost[grid.occupied] = LETHAL_COST
-    return Costmap(grid, cost)
+    cost[np.frombuffer(grid.occupied, dtype=bool)] = LETHAL_COST
+    return Costmap(grid, cost.tobytes())
 
 
 def raycast(
@@ -223,12 +214,12 @@ def raycast(
     ix0, iy0 = grid.world_to_cell(x, y)
     res = grid.resolution
     width, height = grid.width, grid.height
-    clearance = grid.clearance_flat
+    clearance = grid.clearance
     reach = max_range + res * math.sqrt(2.0)
     # the relative margin keeps distance-transform rounding from skipping a hit
     if clearance[iy0 * width + ix0] > reach * (1.0 + 1e-9):
         return ObstaclePointSet((None,) * n_rays)
-    occupied = grid.occupied_flat
+    occupied = grid.occupied
     if occupied[iy0 * width + ix0]:
         # surrounded: the sensing pose itself sits on an occupied cell
         return ObstaclePointSet(((x, y),) * n_rays)

@@ -10,6 +10,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from fleetsim import dynamics
 from fleetsim.dynamics import Control, HumanSpec, HumanState, RobotState
@@ -30,7 +31,14 @@ from fleetsim.tasking import (
     TravelTimeGraph,
     _check_locations,
 )
-from fleetsim.world import LETHAL_COST, ObstaclePointSet, OccupancyGrid, inflate, load_map
+from fleetsim.world import (
+    LETHAL_COST,
+    MAX_INFLATED_COST,
+    ObstaclePointSet,
+    OccupancyGrid,
+    inflate,
+    load_map,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
@@ -46,6 +54,58 @@ def grid_from_rows(rows: list[str], resolution=0.5, ox=0.0, oy=0.0) -> Occupancy
     """Build a grid from '#'/'.' rows given top row first."""
     header = f"map {len(rows[0])} {len(rows)} {resolution:g} {ox:g} {oy:g}"
     return load_map("\n".join([header] + rows) + "\n")
+
+
+def grid_view(grid: OccupancyGrid, store) -> np.ndarray:
+    """A flat per-cell store of ``grid`` as a read-only array indexed
+    ``[iy, ix]``: ``grid.occupied`` reads as bool, a costmap's ``cost`` as
+    uint8 and ``grid.clearance`` as float."""
+    if store is grid.occupied:
+        view = np.frombuffer(store, dtype=bool)
+    elif isinstance(store, bytes):
+        view = np.frombuffer(store, dtype=np.uint8)
+    else:
+        view = np.array(store, dtype=float)
+        view.flags.writeable = False
+    return view.reshape(grid.height, grid.width)
+
+
+def reference_occupancy(text: str) -> np.ndarray:
+    """The occupancy of a valid map file as the 2-D bool array ``load_map``
+    built before its store became bytes, indexed ``[iy, ix]``."""
+    first, *rows = text.splitlines()
+    width, height = (int(v) for v in first.split()[1:3])
+    occupied = np.zeros((height, width), dtype=bool)
+    for row, line in enumerate(rows[:height]):
+        iy = height - 1 - row
+        for ix, ch in enumerate(line):
+            if ch == "#":
+                occupied[iy, ix] = True
+    return occupied
+
+
+def reference_clearance(occupied: np.ndarray, resolution: float) -> np.ndarray:
+    """``OccupancyGrid.clearance`` as the 2-D float array it was built as:
+    the Euclidean distance transform in meters, inf everywhere with no wall."""
+    if not occupied.any():
+        return np.full(occupied.shape, math.inf)
+    return ndimage.distance_transform_edt(~occupied) * resolution
+
+
+def reference_inflate(occupied: np.ndarray, clearance: np.ndarray, inflation_radius: float,
+                      cost_scale: float, r_robot: float) -> np.ndarray:
+    """``inflate``'s cost as the 2-D uint8 array it was built as, from the
+    2-D occupancy and clearance arrays."""
+    cost = np.zeros(occupied.shape, dtype=np.uint8)
+    if not occupied.any():
+        return cost
+    with np.errstate(over="ignore"):
+        decay = 254.0 * np.exp(-cost_scale * (clearance - r_robot))
+    inflated = np.clip(np.rint(decay), 0, MAX_INFLATED_COST)
+    mask = (clearance > 0) & (clearance <= inflation_radius)
+    cost[mask] = inflated[mask].astype(np.uint8)
+    cost[occupied] = LETHAL_COST
+    return cost
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +178,12 @@ def crowd_scenario(duration: float = 60.0) -> Scenario:
 def _depot_open_cells() -> tuple[tuple[float, float], ...]:
     # cells with low inflated cost sit well away from every wall and pillar
     _, grid, costmap = depot_world()
+    cost = grid_view(grid, costmap.cost)
     return tuple(
         grid.cell_center(ix, iy)
         for iy in range(grid.height)
         for ix in range(grid.width)
-        if costmap.cost[iy, ix] <= 40
+        if cost[iy, ix] <= 40
     )
 
 
@@ -168,7 +229,7 @@ def dijkstra_cost(costmap, start_cell, goal_cell, cost_weight: float) -> float |
     """Uniform-cost search over the exact same move graph as the planner."""
     grid = costmap.grid
     width, height = grid.width, grid.height
-    cost = costmap.cost
+    cost = grid_view(grid, costmap.cost)
     s = start_cell[1] * width + start_cell[0]
     g = goal_cell[1] * width + goal_cell[0]
     dist = {s: 0.0}
@@ -214,7 +275,7 @@ def reference_plan(costmap, start, goal, cost_weight: float = 3.0):
         g = grid.world_to_cell(*goal)
     except ValueError as exc:
         raise PlanningError(str(exc)) from None
-    cost = costmap.cost
+    cost = grid_view(grid, costmap.cost)
     if cost[s[1], s[0]] == LETHAL_COST:
         raise PlanningError(f"start {start} lies on a lethal cell")
     if cost[g[1], g[0]] == LETHAL_COST:
@@ -628,7 +689,7 @@ def reference_step_human(
 
 def occupied_cell_bounds(grid: OccupancyGrid) -> np.ndarray | None:
     """(N, 4) array of x_lo, x_hi, y_lo, y_hi for every occupied cell."""
-    iy, ix = np.nonzero(grid.occupied)
+    iy, ix = np.nonzero(grid_view(grid, grid.occupied))
     if len(ix) == 0:
         return None
     res = grid.resolution
@@ -687,11 +748,12 @@ def _reference_trace_ray(
     grid: OccupancyGrid, x: float, y: float, angle: float, max_range: float
 ) -> tuple[float, float] | None:
     """Amanatides-Woo traversal; returns the entry point of the first occupied cell."""
+    occupied = grid_view(grid, grid.occupied)
     ix, iy = grid.world_to_cell(x, y)
-    if grid.occupied[iy, ix]:
+    if occupied[iy, ix]:
         return (x, y)  # surrounded: the sensing pose itself sits on an occupied cell
     for t, ix, iy in reference_ray_cells(grid, x, y, angle, max_range):
-        if grid.occupied[iy, ix]:
+        if occupied[iy, ix]:
             return (x + t * math.cos(angle), y + t * math.sin(angle))
     return None
 

@@ -6,7 +6,8 @@ it by name:
 
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -p no:cacheprovider
 
-Inputs are fixed: poses on the bundled depot map, one control period of the
+Inputs are fixed: the bundled depot map (loading it, its distance field and
+its costmap), poses on that map, one control period of the
 default scenario timing (tick_dt 0.01 s, control_period 0.05 s), a
 50-vertex path planned across that map, and the trace of the six-robot busy
 fleet (``_support.busy_fleet_scenario(6)``, 120 s, about 21 000 records).
@@ -26,7 +27,7 @@ from fleetsim.planner import Path, lookahead_point, plan
 from fleetsim.trace import dumps_record, read_trace, write_trace
 from fleetsim.world import inflate, load_map, raycast
 
-from _support import SCENARIOS, busy_fleet_scenario
+from _support import SCENARIOS, busy_fleet_scenario, grid_view
 
 pytest.importorskip("pytest_benchmark")
 
@@ -38,12 +39,13 @@ def depot_grid():
 
 def _free_poses(grid, n, seed=1):
     rng = random.Random(seed)
+    occupied = grid_view(grid, grid.occupied)
     poses = []
     while len(poses) < n:
         x = grid.origin_x + rng.random() * grid.width * grid.resolution
         y = grid.origin_y + rng.random() * grid.height * grid.resolution
         ix, iy = grid.world_to_cell(x, y)
-        if not grid.occupied[iy, ix]:
+        if not occupied[iy, ix]:
             poses.append((x, y, rng.uniform(-math.pi, math.pi)))
     return poses
 
@@ -96,6 +98,25 @@ def test_lookahead_point_on_a_50_vertex_path(benchmark, depot_grid):
             lookahead_point(path, position, 0.5)
 
     benchmark(look_all)
+
+
+def test_load_map(benchmark):
+    """Parse the depot map file into its occupancy store."""
+    text = (SCENARIOS / "maps" / "depot.map").read_text()
+    benchmark(load_map, text)
+
+
+def test_clearance_of_a_fresh_grid(benchmark):
+    """The depot map's distance field, on a grid that has not cached it."""
+    text = (SCENARIOS / "maps" / "depot.map").read_text()
+    benchmark.pedantic(lambda grid: grid.clearance, setup=lambda: ((load_map(text),), {}),
+                       rounds=200)
+
+
+def test_inflate(benchmark, depot_grid):
+    """The depot costmap at the default world parameters, clearance cached."""
+    assert depot_grid.clearance  # cached before the timing starts
+    benchmark(inflate, depot_grid, 1.0, 3.0, 0.3)
 
 
 @pytest.fixture(scope="module")

@@ -38,6 +38,7 @@ from _support import (
     busy_fleet_scenario,
     dijkstra_cost,
     enumerate_best_makespan,
+    grid_view,
     occupied_cell_bounds,
     random_costmap,
     random_safety_scenario,
@@ -248,11 +249,12 @@ def test_astar_matches_dijkstra():
     for k in range(200):
         occupancy = 0.18 if k < 150 else 0.35
         grid, costmap = random_costmap(rng, occupancy=occupancy)
+        cost = grid_view(grid, costmap.cost)
         free = [
             (ix, iy)
             for iy in range(grid.height)
             for ix in range(grid.width)
-            if costmap.cost[iy, ix] < 255
+            if cost[iy, ix] < 255
         ]
         start, goal = rng.sample(free, 2)
         expected = dijkstra_cost(costmap, start, goal, 3.0)
@@ -267,7 +269,7 @@ def test_astar_matches_dijkstra():
         assert path.total_cost == expected, f"map {k}"
         for x, y in path.points:
             ix, iy = grid.world_to_cell(x, y)
-            assert costmap.cost[iy, ix] < 255
+            assert cost[iy, ix] < 255
         reachable += 1
     assert reachable >= 150 and blocked >= 5
 

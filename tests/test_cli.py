@@ -10,7 +10,7 @@ import yaml
 
 from fleetsim.cli import _build_parser, main
 from fleetsim.tasking import TravelTimeGraph
-from fleetsim.trace import read_trace
+from fleetsim.trace import read_trace, write_trace
 
 from _support import ROOT, SCENARIOS
 
@@ -242,6 +242,23 @@ class TestReport:
         bad.write_text("\n".join(lines) + "\n")
         assert main(["report", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+    def test_cut_off_trace_names_the_missing_end_record(self, busy6_result, tmp_path, capsys):
+        full, cut = tmp_path / "full.trace", tmp_path / "cut.trace"
+        write_trace(full, busy6_result[1].trace)
+        cut.write_text("".join(full.read_text().splitlines(keepends=True)[:200]))
+        assert main(["report", str(cut)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cut}: cut off: no end record after 2400 promised ticks\n")
+        assert main(["report", str(full)]) == 0
+
+    def test_header_only_trace_of_a_zero_tick_run_reports(self, tmp_path, capsys):
+        path = tmp_path / "empty.trace"
+        assert main(["run", SMOKE, "--out", str(path), "--duration", "0.01"]) == 0
+        assert len(path.read_text().splitlines()) == 1
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 0
+        assert "ticks                    0\n" in capsys.readouterr().out
 
 
 class TestCollectTravelTimes:

@@ -10,7 +10,12 @@ from fleetsim.safety import FEASIBLE, INFEASIBLE_FALLBACK
 from fleetsim.trace import Trace, read_trace, write_trace
 from fleetsim.world import load_map
 
-from _support import occupied_cell_bounds, rect_distances, reference_distance_minima
+from _support import (
+    grid_view,
+    occupied_cell_bounds,
+    rect_distances,
+    reference_distance_minima,
+)
 
 # one solid cell spanning x in [2, 3], y in [1, 2]
 MAP_TEXT = "map 4 4 1 0 0\n....\n....\n..#.\n....\n"
@@ -102,8 +107,9 @@ def _random_point(rng: random.Random, grid, kinds: Counter) -> tuple[float, floa
     res, ox, oy = grid.resolution, grid.origin_x, grid.origin_y
     ix, iy = rng.randrange(grid.width + 1), rng.randrange(grid.height + 1)
     kind = rng.choice(["anywhere", "edge", "corner", "near_edge", "wall", "far"])
-    if kind == "wall" and grid.occupied.any():
-        walls = list(zip(*grid.occupied.nonzero()))
+    occupied = grid_view(grid, grid.occupied)
+    if kind == "wall" and occupied.any():
+        walls = list(zip(*occupied.nonzero()))
         iy, ix = rng.choice(walls)
         x, y = ox + (ix + rng.random()) * res, oy + (iy + rng.random()) * res
     elif kind == "edge":
@@ -138,7 +144,7 @@ def random_distance_case(rng: random.Random, kinds: Counter) -> Trace:
             for _ in range(height)]
     text = f"map {width} {height} {res!r} {ox!r} {oy!r}\n" + "\n".join(rows) + "\n"
     grid = load_map(text)
-    kinds["open_map"] += not grid.occupied.any()
+    kinds["open_map"] += not grid_view(grid, grid.occupied).any()
     states = []
     for k in range(rng.randint(1, 4)):
         points = []

@@ -18,6 +18,7 @@ from fleetsim.world import LETHAL_COST, inflate
 from _support import (
     dijkstra_cost,
     grid_from_rows,
+    grid_view,
     random_costmap,
     reference_lookahead_point,
     reference_plan,
@@ -102,10 +103,11 @@ class TestPlan:
         checked = 0
         while checked < 10:
             grid, cm = random_costmap(rng, size=12)
+            cost = grid_view(grid, cm.cost)
             free = [
                 (ix, iy)
                 for iy in range(12) for ix in range(12)
-                if cm.cost[iy, ix] != LETHAL_COST
+                if cost[iy, ix] != LETHAL_COST
             ]
             s, g = rng.sample(free, 2)
             oracle = dijkstra_cost(cm, s, g, 3.0)
@@ -125,8 +127,9 @@ class TestPlan:
         cells = [grid.world_to_cell(x, y) for x, y in p.points]
         for (ax, ay), (bx, by) in zip(cells, cells[1:]):
             assert max(abs(ax - bx), abs(ay - by)) == 1
+        cost = grid_view(grid, cm.cost)
         for ix, iy in cells:
-            assert cm.cost[iy, ix] != LETHAL_COST
+            assert cost[iy, ix] != LETHAL_COST
 
 
 def _outcome(fn, *args):

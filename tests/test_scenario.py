@@ -13,7 +13,7 @@ from fleetsim.scenario import (
     load_task_stream,
 )
 
-from _support import SCENARIOS
+from _support import SCENARIOS, grid_view
 
 FREE_MAP = "map 16 16 0.5 0 0\n" + ("." * 16 + "\n") * 16
 
@@ -142,7 +142,7 @@ class TestLoadScenario:
         assert (sc.tick_dt, sc.control_period, sc.replan_period) == (0.01, 0.05, 1.0)
         assert (sc.duration, sc.seed) == (5.0, 7)
         assert sc.map_text == FREE_MAP
-        assert sc.grid.width == 16 and sc.costmap.cost.shape == (16, 16)
+        assert sc.grid.width == 16 and grid_view(sc.grid, sc.costmap.cost).shape == (16, 16)
 
     def test_digest_covers_scenario_map_and_tasks(self, tmp_path):
         path = write_scenario(tmp_path, base_doc())

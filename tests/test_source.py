@@ -185,13 +185,65 @@ def test_report_distances_take_libm_hypot():
     assert numpy_or_math_hypot((ROOT / "src" / "fleetsim" / "metrics.py").read_text()) == []
 
 
-@pytest.mark.parametrize("name", ["safety.py", "qp.py", "engine.py", "metrics.py", "trace.py"])
-def test_the_qp_imports_no_numpy(name):
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("world.py", "tasking.py")],
+                         ids=lambda p: p.name)
+def test_the_qp_imports_no_numpy(path):
     """The CBF-QP runs in plain floats, so its bytes follow IEEE-754
     arithmetic and libm, not the BLAS kernel numpy would call. The engine
-    around it, travel tables included, needs no numpy either, and neither
-    does writing, reading or reporting on a trace."""
-    assert numpy_imports((ROOT / "src" / "fleetsim" / name).read_text()) == []
+    around it needs no numpy either, nor does planning on the flat costmap,
+    writing, reading, reporting on or rendering a trace. Only world.py (the
+    distance transform and the inflation decay) and tasking.py (the travel
+    table's array, which the benchmark indexes as ``weights[i, j]``) keep it."""
+    assert numpy_imports(path.read_text()) == []
+
+
+def array_names_outside(source: str, allowed: set[str]) -> list[str]:
+    """Each use of the names ``np`` or ``ndimage`` outside the functions whose
+    qualified name (``Class.method`` or ``function``) is in ``allowed``."""
+    found = []
+
+    def visit(node, scope: str, inside: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                visit(child, name, inside or name in allowed)
+                continue
+            if isinstance(child, ast.Name) and child.id in ("np", "ndimage") and not inside:
+                found.append(f"line {child.lineno}: {child.id}")
+            visit(child, scope, inside)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_world_runs_numpy_only_to_build_the_stores():
+    """The map's stores are bytes and float lists; numpy and scipy run only
+    where they are built: the distance transform behind ``clearance`` and
+    the decay inside ``inflate``."""
+    source = (ROOT / "src" / "fleetsim" / "world.py").read_text()
+    assert array_names_outside(source, {"OccupancyGrid.clearance", "inflate"}) == []
+
+
+def test_flags_array_names_outside_the_allowed_functions():
+    source = (
+        "import numpy as np\n"
+        "from scipy import ndimage\n"
+        "class Grid:\n"
+        "    occupied: np.ndarray\n"
+        "    def clearance(self):\n"
+        "        return ndimage.distance_transform_edt(np.ones(2))\n"
+        "    def other(self):\n"
+        "        return np.zeros(2)\n"
+        "def clearance():\n"
+        "    return ndimage\n"
+        "def inflate():\n"
+        "    def inner():\n"
+        "        return np.exp(0)\n"
+        "    return inner\n"
+    )
+    assert array_names_outside(source, {"Grid.clearance", "inflate"}) == [
+        "line 4: np", "line 8: np", "line 10: ndimage",
+    ]
 
 
 def scipy_imports(source: str) -> list[str]:

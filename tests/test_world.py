@@ -8,12 +8,22 @@ from fleetsim.world import (
     LETHAL_COST,
     MapError,
     ObstaclePointSet,
+    OccupancyGrid,
     inflate,
     load_map,
     raycast,
 )
 
-from _support import SCENARIOS, grid_from_rows, reference_ray_cells, reference_raycast
+from _support import (
+    SCENARIOS,
+    grid_from_rows,
+    grid_view,
+    reference_clearance,
+    reference_inflate,
+    reference_occupancy,
+    reference_ray_cells,
+    reference_raycast,
+)
 
 
 class TestLoadMap:
@@ -26,7 +36,7 @@ class TestLoadMap:
         # top text row is the max-y row
         assert grid.is_occupied_cell(0, 1) and not grid.is_occupied_cell(0, 0)
         assert grid.is_occupied_cell(1, 0)
-        assert grid.occupied.tolist() == [[False, True, False], [True, False, False]]
+        assert grid_view(grid, grid.occupied).tolist() == [[False, True, False], [True, False, False]]
 
     @pytest.mark.parametrize("name", ["open", "corridors", "depot", "rooms"])
     def test_round_trip_bundled_maps(self, name):
@@ -38,7 +48,8 @@ class TestLoadMap:
         assert [grid.resolution, grid.origin_x, grid.origin_y] == [
             float(v) for v in header[3:]]
         # the top text row is the max-y row
-        assert ["".join("#" if c else "." for c in row) for row in grid.occupied[::-1]] == [
+        occupied = grid_view(grid, grid.occupied)
+        assert ["".join("#" if c else "." for c in row) for row in occupied[::-1]] == [
             row for row in rows if row.strip()]
 
     def test_trailing_blank_lines_tolerated(self):
@@ -57,6 +68,86 @@ class TestLoadMap:
     def test_malformed_maps_rejected(self, text, fragment):
         with pytest.raises(MapError, match=fragment):
             load_map(text)
+
+
+def _assert_stores_match(text, inflation_radius, cost_scale, r_robot):
+    """``load_map``, ``clearance`` and ``inflate`` against the 2-D numpy
+    construction they replace: occupancy and cost by bytes, clearance by
+    ``float.hex``."""
+    grid = load_map(text)
+    occupied = reference_occupancy(text)
+    clearance = reference_clearance(occupied, grid.resolution)
+    cost = reference_inflate(occupied, clearance, inflation_radius, cost_scale, r_robot)
+    case = (text, inflation_radius, cost_scale, r_robot)
+    assert grid.occupied == occupied.tobytes(), case
+    assert [d.hex() for d in grid.clearance] == [d.hex() for d in clearance.ravel().tolist()], case
+    assert inflate(grid, inflation_radius, cost_scale, r_robot).cost == cost.tobytes(), case
+
+
+def _random_store_case(rng: random.Random) -> tuple[str, float, float, float]:
+    """A random map file and inflation parameters: 1-16 cells a side (one
+    row or one column a tenth of the time each), all-free and all-wall maps
+    among the densities, and cost scales up to where ``exp`` overflows."""
+    width, height = rng.randint(1, 16), rng.randint(1, 16)
+    shape = rng.random()
+    if shape < 0.1:
+        height = 1
+    elif shape < 0.2:
+        width = 1
+    density = rng.choice([0.0, 0.05, 0.2, 0.5, 0.8, 1.0])
+    rows = ["".join("#" if rng.random() < density else "." for _ in range(width))
+            for _ in range(height)]
+    res = rng.choice([0.05, 0.1, 0.25, 0.3, 0.5, 1.0, rng.uniform(0.01, 2.0)])
+    text = f"map {width} {height} {res!r} 0 0\n" + "\n".join(rows) + "\n"
+    inflation_radius = rng.choice([0.0, res, rng.uniform(0.0, 3.0), rng.uniform(0.0, 30.0)])
+    cost_scale = rng.choice([rng.uniform(0.1, 20.0), rng.uniform(20.0, 3000.0)])
+    return text, inflation_radius, cost_scale, rng.uniform(0.05, 0.6)
+
+
+class TestFlatStores:
+    """Each per-cell fact is one flat immutable store, cell (ix, iy) at
+    ``iy * width + ix``, byte for byte what the 2-D arrays held."""
+
+    @pytest.mark.parametrize("name", ["open", "corridors", "depot", "rooms"])
+    @pytest.mark.parametrize("params", [(1.0, 3.0, 0.3), (0.0, 3.0, 0.3), (2.5, 1.0, 0.2),
+                                        (1.5, 10.0, 0.35)])
+    def test_bundled_maps_match_the_array_construction(self, name, params):
+        _assert_stores_match((SCENARIOS / "maps" / f"{name}.map").read_text(), *params)
+
+    def test_random_grids_match_the_array_construction(self):
+        rng = random.Random(24)
+        shapes = set()
+        for _ in range(2000):
+            case = _random_store_case(rng)
+            _assert_stores_match(*case)
+            grid = load_map(case[0])
+            shapes.add((grid.width == 1, grid.height == 1, 1 in grid.occupied,
+                        0 in grid.occupied))
+        # single rows and columns, all-free and all-wall grids all occur
+        assert {(True, False), (False, True)} <= {s[:2] for s in shapes}
+        assert {(False, True), (True, False)} <= {s[2:] for s in shapes}
+
+    def test_two_loads_compare_and_hash_equal(self):
+        text = (SCENARIOS / "maps" / "depot.map").read_text()
+        a, b = load_map(text), load_map(text)
+        assert a.clearance  # a cached field takes no part in equality
+        assert a == b and hash(a) == hash(b)
+        header, body = text.split("\n", 1)
+        assert a != load_map(header + "\n" + body.replace(".", "#", 1))
+
+    def test_inflate_of_equal_grids_compares_and_hashes_equal(self):
+        text = (SCENARIOS / "maps" / "rooms.map").read_text()
+        a, b = inflate(load_map(text), 1.0, 3.0, 0.3), inflate(load_map(text), 1.0, 3.0, 0.3)
+        assert a == b and hash(a) == hash(b)
+        assert a != inflate(load_map(text), 1.0, 3.0, 0.2)
+
+    def test_grid_rejects_a_wrong_length(self):
+        with pytest.raises(MapError, match="length"):
+            OccupancyGrid(2, 2, 0.5, 0.0, 0.0, b"\x00\x01\x00")
+
+    def test_grid_rejects_a_byte_other_than_0_or_1(self):
+        with pytest.raises(MapError, match="0 or 1"):
+            OccupancyGrid(2, 2, 0.5, 0.0, 0.0, b"\x00\x01\x02\x00")
 
 
 class TestGridGeometry:
@@ -93,26 +184,26 @@ class TestInflate:
         rows = ["." * 9 for _ in range(9)]
         rows[4] = "....#...."
         grid = grid_from_rows(rows)
-        cm = inflate(grid, 1.0, 3.0, 0.3)
-        assert cm.cost[4, 4] == LETHAL_COST
-        assert cm.cost[4, 5] == 139  # d = 0.5
-        assert cm.cost[5, 5] == 75  # d = sqrt(2)/2
-        assert cm.cost[4, 6] == 31  # d = 1.0 (on the radius)
-        assert cm.cost[4, 7] == 0  # d = 1.5, outside the radius
-        assert cm.cost[0, 0] == 0
+        cost = grid_view(grid, inflate(grid, 1.0, 3.0, 0.3).cost)
+        assert cost[4, 4] == LETHAL_COST
+        assert cost[4, 5] == 139  # d = 0.5
+        assert cost[5, 5] == 75  # d = sqrt(2)/2
+        assert cost[4, 6] == 31  # d = 1.0 (on the radius)
+        assert cost[4, 7] == 0  # d = 1.5, outside the radius
+        assert cost[0, 0] == 0
 
     def test_distance_under_robot_radius_saturates(self):
         rows = ["." * 5 for _ in range(5)]
         rows[2] = "..#.."
         grid = grid_from_rows(rows, resolution=0.25)
-        cm = inflate(grid, 1.0, 3.0, 0.3)
+        cost = grid_view(grid, inflate(grid, 1.0, 3.0, 0.3).cost)
         # d = 0.25 < r_robot: decay exceeds 254 and clamps
-        assert cm.cost[2, 3] == 254
+        assert cost[2, 3] == 254
 
     def test_empty_grid_all_zero(self):
         grid = grid_from_rows(["..", ".."])
         cm = inflate(grid, 1.0, 3.0)
-        assert not cm.cost.any()
+        assert not any(cm.cost)
 
     def test_negative_radius_rejected(self):
         grid = grid_from_rows(["..", ".."])
@@ -123,17 +214,18 @@ class TestInflate:
         rows = ["##", ".."]
         grid = grid_from_rows(rows)
         cm = inflate(grid, 1.0, 3.0)
-        assert cm.cost.dtype == np.uint8
-        assert cm.cost[1, 0] == LETHAL_COST and cm.cost[1, 1] == LETHAL_COST
-        assert cm.cost[0, 0] != LETHAL_COST
+        assert type(cm.cost) is bytes
+        cost = grid_view(grid, cm.cost)
+        assert cost[1, 0] == LETHAL_COST and cost[1, 1] == LETHAL_COST
+        assert cost[0, 0] != LETHAL_COST
 
     def test_arrays_are_read_only(self):
         grid = grid_from_rows(["#.", ".."])
         cm = inflate(grid, 1.0, 3.0)
-        with pytest.raises(ValueError):
-            grid.occupied[0, 0] = True
-        with pytest.raises(ValueError):
-            cm.cost[0, 0] = 7
+        with pytest.raises(TypeError):
+            grid.occupied[0] = 1
+        with pytest.raises(TypeError):
+            cm.cost[0] = 7
 
 
 def _bordered(width=8, height=8):
@@ -245,7 +337,8 @@ class TestRaycastMatchesReference:
         for grid in _bundled_grids():
             res = grid.resolution
             limit = max_range + res * math.sqrt(2.0)
-            iys, ixs = np.nonzero(np.abs(grid.clearance - limit) <= res)
+            field = grid_view(grid, grid.clearance)
+            iys, ixs = np.nonzero(np.abs(field - limit) <= res)
             assert len(ixs) > 0
             for _ in range(125):
                 c = rng.randrange(len(ixs))
@@ -253,7 +346,7 @@ class TestRaycastMatchesReference:
                 y = grid.origin_y + (iys[c] + rng.random()) * res
                 heading = rng.uniform(-math.pi, math.pi)
                 _assert_matches_reference(grid, x, y, heading, 16, max_range)
-                clearance = grid.clearance[iys[c], ixs[c]]
+                clearance = field[iys[c], ixs[c]]
                 skipped += clearance > limit
                 hits = len(raycast(grid, x, y, heading, 16, max_range))
                 hits_beyond_range += clearance > max_range and hits > 0
@@ -267,9 +360,11 @@ class TestRaycastMatchesReference:
         # still lead to a hit
         rng = random.Random(int(max_range * 10))
         grids = _bundled_grids()
+        views = [(grid_view(g, g.occupied), grid_view(g, g.clearance)) for g in grids]
         poses = above = below_then_hit = 0
         while poses < 250:
-            grid = grids[rng.randrange(len(grids))]
+            k = rng.randrange(len(grids))
+            grid, (occupied, clearance) = grids[k], views[k]
             res = grid.resolution
             x = grid.origin_x + rng.random() * grid.width * res
             y = grid.origin_y + rng.random() * grid.height * res
@@ -279,10 +374,10 @@ class TestRaycastMatchesReference:
                 angle = heading + 2.0 * math.pi * k / 16
                 below = 0
                 for t, ix, iy in reference_ray_cells(grid, x, y, angle, max_range):
-                    if grid.occupied[iy, ix]:
+                    if occupied[iy, ix]:
                         below_then_hit += below
                         break
-                    gap = grid.clearance[iy, ix] - (max_range - t + res * math.sqrt(2.0))
+                    gap = clearance[iy, ix] - (max_range - t + res * math.sqrt(2.0))
                     if abs(gap) <= res:
                         near = True
                         above += gap > 0
@@ -300,15 +395,16 @@ class TestRaycastMatchesReference:
         rows[5 - 4] = "....#."
         grid = grid_from_rows(rows, resolution=1.0)
         max_range = 3.0 * math.sqrt(2.0) + 0.01
-        assert grid.clearance[0, 0] < max_range + math.sqrt(2.0)
-        assert grid.clearance[0, 0] > max_range + 1.0
+        clearance = grid_view(grid, grid.clearance)
+        assert clearance[0, 0] < max_range + math.sqrt(2.0)
+        assert clearance[0, 0] > max_range + 1.0
         hit = raycast(grid, 0.999, 0.999, math.pi / 4, 1, max_range).points[0]
         assert hit is not None and hit == pytest.approx((4.0, 4.0), abs=1e-9)
         _assert_matches_reference(grid, 0.999, 0.999, math.pi / 4, 1, max_range)
 
     def test_all_free_grid(self):
         grid = grid_from_rows(["......"] * 5)
-        assert np.all(grid.clearance == math.inf)
+        assert np.all(grid_view(grid, grid.clearance) == math.inf)
         rng = random.Random(9)
         for _ in range(50):
             x, y = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.5)
@@ -319,12 +415,14 @@ class TestRaycastMatchesReference:
 def test_clearance_is_the_distance_field_inflate_reads():
     grid = grid_from_rows(["#....", ".....", "....."], resolution=0.5)
     # wall at cell (0, 2); cell (4, 0) is 4 across and 2 down
-    assert grid.clearance[0, 4] == pytest.approx(0.5 * math.hypot(4, 2))
-    assert grid.clearance[2, 0] == 0.0
+    clearance = grid_view(grid, grid.clearance)
+    assert clearance[0, 4] == pytest.approx(0.5 * math.hypot(4, 2))
+    assert clearance[2, 0] == 0.0
     field = grid.clearance
     costmap = inflate(grid, inflation_radius=1.0, cost_scale=3.0)
     assert grid.clearance is field  # computed once per grid, then shared
-    assert costmap.cost[2, 1] > costmap.cost[2, 2] > costmap.cost[2, 3] == 0
+    cost = grid_view(grid, costmap.cost)
+    assert cost[2, 1] > cost[2, 2] > cost[2, 3] == 0
 
 
 def test_obstacle_point_set_filters_misses():
