@@ -7,6 +7,7 @@ content), 3 filesystem errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -89,8 +90,24 @@ def _cmd_collect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+# header field -> (test of its value, what the test asks for)
+_REPORT_HEADER = {
+    "duration": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "control_period": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "robots": (lambda v: isinstance(v, list), "a list"),
+}
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    for name, (valid, expected) in _REPORT_HEADER.items():
+        value = trace.header.get(name)
+        if not valid(value):
+            raise TraceError(f"{args.trace}: header {name!r} must be {expected}, got {value!r}")
     ticks = tick_count(trace.header["duration"], trace.header["control_period"])
     if ticks > 0 and not (trace.events and trace.events[-1]["type"] == END):
         raise TraceError(f"{args.trace}: cut off: no end record after {ticks} promised ticks")

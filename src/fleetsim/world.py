@@ -2,8 +2,13 @@
 
 The map is immutable after loading and safe to share across readers: grids
 and costmaps are immutable flat per-cell stores, cell (ix, iy) at index
-``iy * width + ix`` (bytes for occupancy and cost, a float list computed once
+``iy * width + ix`` (bytes for occupancy and cost, a float tuple computed once
 per grid for clearance), so caches derived from them stay valid.
+
+Ray sensing reads one more store, built at a grid's first cast: the sensor
+store, the clearance of each free cell padded with a one-cell ring around
+the map, with a sentinel for walls and another for the ring. A ray's step
+moves one index and reads one value from it.
 """
 
 from __future__ import annotations
@@ -18,6 +23,9 @@ from scipy import ndimage
 LETHAL_COST = 255
 MAX_INFLATED_COST = 254
 _CELL_BYTES = bytes.maketrans(b"#.", b"\x01\x00")  # map characters to occupancy bytes
+# sensor store values below every clearance: an occupied cell, the ring off the map
+_WALL = -1.0
+_OFF_MAP = -2.0
 
 
 class MapError(ValueError):
@@ -76,15 +84,34 @@ class OccupancyGrid:
         return bool(self.occupied[iy * self.width + ix])
 
     @cached_property
-    def clearance(self) -> list[float]:
+    def clearance(self) -> tuple[float, ...]:
         """Per cell, flat like ``occupied``, the distance in meters between its
         center and the nearest occupied cell's center (0 on occupied cells, inf
         with no wall at all)."""
         if 1 not in self.occupied:
             # the transform of an all-free grid measures to nothing
-            return [math.inf] * len(self.occupied)
+            return (math.inf,) * len(self.occupied)
         walls = np.frombuffer(self.occupied, dtype=bool).reshape(self.height, self.width)
-        return (ndimage.distance_transform_edt(~walls) * self.resolution).ravel().tolist()
+        return tuple(
+            (ndimage.distance_transform_edt(~walls) * self.resolution).ravel().tolist())
+
+    @cached_property
+    def sensor_store(self) -> tuple[float, ...]:
+        """``clearance`` padded with a one-cell ring around the map, for the
+        ray walk: cell (ix, iy) at ``(iy + 1) * (width + 2) + ix + 1``, each
+        free cell holding its clearance, each occupied cell -1.0 and the ring
+        -2.0. The ring is a value of its own, so a ray that reaches it ends
+        with no hit even where no comparison of its own holds (a NaN ray)."""
+        width = self.width
+        ring = (_OFF_MAP,) * (width + 2)
+        store = list(ring)
+        for start in range(0, len(self.occupied), width):
+            store.append(_OFF_MAP)
+            store.extend(_WALL if wall else clear for wall, clear in zip(
+                self.occupied[start:start + width], self.clearance[start:start + width]))
+            store.append(_OFF_MAP)
+        store += ring
+        return tuple(store)
 
 
 @dataclass(frozen=True)
@@ -206,69 +233,76 @@ def raycast(
     clearance exceeds ``max_range - t + resolution*sqrt(2)``: every point of a
     cell lies within ``resolution*sqrt(2)/2`` of its center, so no occupied
     cell is left within ``max_range``. At t = 0 this skips the whole pose.
+
+    The walk runs over ``grid.sensor_store``: one index per ray, moved by
+    one cell along x or by one padded row along y, and one value read per
+    step, which is a free cell's clearance, a wall or the ring off the map.
     """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
-    if not grid.in_bounds(x, y):
+    ox, oy, res, width = grid.origin_x, grid.origin_y, grid.resolution, grid.width
+    if not (ox <= x < ox + width * res and oy <= y < oy + grid.height * res):
         raise MapError(f"sensing pose ({x}, {y}) is outside the map bounds")
-    ix0, iy0 = grid.world_to_cell(x, y)
-    res = grid.resolution
-    width, height = grid.width, grid.height
-    clearance = grid.clearance
+    # the pose's cell as world_to_cell finds it: the offsets are >= 0, so int
+    # floors them, and the clamp guards float roundoff at the far edge
+    ix0 = min(int((x - ox) / res), width - 1)
+    iy0 = min(int((y - oy) / res), grid.height - 1)
+    stride = width + 2
+    start = (iy0 + 1) * stride + ix0 + 1
+    store = grid.sensor_store
     reach = max_range + res * math.sqrt(2.0)
     # the relative margin keeps distance-transform rounding from skipping a hit
-    if clearance[iy0 * width + ix0] > reach * (1.0 + 1e-9):
+    if store[start] > reach * (1.0 + 1e-9):
         return ObstaclePointSet((None,) * n_rays)
-    occupied = grid.occupied
-    if occupied[iy0 * width + ix0]:
+    if store[start] == _WALL:
         # surrounded: the sensing pose itself sits on an occupied cell
         return ObstaclePointSet(((x, y),) * n_rays)
-    ox, oy = grid.origin_x, grid.origin_y
+    # the pose cell's boundaries; a ray leaves through the far one on each axis
+    x_lo, x_hi = ox + ix0 * res, ox + (ix0 + 1) * res
+    y_lo, y_hi = oy + iy0 * res, oy + (iy0 + 1) * res
     inf = math.inf
     points: list[tuple[float, float] | None] = []
     for offset in _ray_offsets(n_rays):
         angle = heading + offset
         dx, dy = math.cos(angle), math.sin(angle)
-        ix, iy = ix0, iy0
-        step_x = 1 if dx > 0 else -1
-        step_y = 1 if dy > 0 else -1
-        if dx != 0.0:
-            next_gx = ox + (ix + (1 if dx > 0 else 0)) * res
-            t_max_x = (next_gx - x) / dx
-            t_delta_x = res / abs(dx)
+        if dx > 0.0:
+            step_x, t_max_x, t_delta_x = 1, (x_hi - x) / dx, res / dx
+        elif dx != 0.0:  # negative, or NaN
+            step_x, t_max_x, t_delta_x = -1, (x_lo - x) / dx, res / -dx
         else:
-            t_max_x, t_delta_x = inf, inf
-        if dy != 0.0:
-            next_gy = oy + (iy + (1 if dy > 0 else 0)) * res
-            t_max_y = (next_gy - y) / dy
-            t_delta_y = res / abs(dy)
+            step_x, t_max_x, t_delta_x = -1, inf, inf
+        if dy > 0.0:
+            step_y, t_max_y, t_delta_y = stride, (y_hi - y) / dy, res / dy
+        elif dy != 0.0:
+            step_y, t_max_y, t_delta_y = -stride, (y_lo - y) / dy, res / -dy
         else:
-            t_max_y, t_delta_y = inf, inf
+            step_y, t_max_y, t_delta_y = -stride, inf, inf
 
+        cell = start
         hit = None
         while True:
             # advance to the next crossed boundary; equal t means a corner crossing
             if t_max_x < t_max_y:
                 t = t_max_x
                 t_max_x += t_delta_x
-                ix += step_x
+                cell += step_x
             elif t_max_y < t_max_x:
                 t = t_max_y
                 t_max_y += t_delta_y
-                iy += step_y
+                cell += step_y
             else:
                 t = t_max_x
                 t_max_x += t_delta_x
                 t_max_y += t_delta_y
-                ix += step_x
-                iy += step_y
-            if t > max_range or not (0 <= ix < width and 0 <= iy < height):
+                cell += step_x + step_y
+            if t > max_range:
                 break
-            cell = iy * width + ix
-            if occupied[cell]:
-                hit = (x + t * dx, y + t * dy)
-                break
-            if clearance[cell] > (reach - t) * (1.0 + 1e-9):
+            value = store[cell]
+            if value < 0.0:
+                if value == _WALL:
+                    hit = (x + t * dx, y + t * dy)
+                break  # a wall, or the ring off the map
+            if value > (reach - t) * (1.0 + 1e-9):
                 break  # no occupied cell is left within reach of the ray
         points.append(hit)
     return ObstaclePointSet(tuple(points))

@@ -7,7 +7,9 @@ it by name:
     PYTHONPATH=src python -m pytest tests/bench_kernels.py -p no:cacheprovider
 
 Inputs are fixed: the bundled depot map (loading it, its distance field and
-its costmap), poses on that map, one control period of the
+its costmap), poses on that map and on the bundled rooms map (the raycast
+ends 50 of the 200 depot poses at its pose skip, with no wall in range, and
+4 of the 200 rooms poses), one control period of the
 default scenario timing (tick_dt 0.01 s, control_period 0.05 s), a
 50-vertex path planned across that map, and the trace of the six-robot busy
 fleet (``_support.busy_fleet_scenario(6)``, 120 s, about 21 000 records).
@@ -57,6 +59,18 @@ def test_raycast(benchmark, depot_grid):
     def cast_all():
         for x, y, heading in poses:
             raycast(depot_grid, x, y, heading, 16, 3.0)
+
+    benchmark(cast_all)
+
+
+def test_raycast_rooms(benchmark):
+    """16 rays of 3 m from each of 200 free poses on the rooms map."""
+    grid = load_map((SCENARIOS / "maps" / "rooms.map").read_text())
+    poses = _free_poses(grid, 200)
+
+    def cast_all():
+        for x, y, heading in poses:
+            raycast(grid, x, y, heading, 16, 3.0)
 
     benchmark(cast_all)
 

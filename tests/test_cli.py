@@ -252,6 +252,19 @@ class TestReport:
             f"error: {cut}: cut off: no end record after 2400 promised ticks\n")
         assert main(["report", str(full)]) == 0
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("control_period", 0, "a finite number > 0, got 0"),
+        ("duration", "abc", "a finite number >= 0, got 'abc'"),
+        ("robots", 5, "a list, got 5"),
+    ])
+    def test_malformed_header_value_names_its_field(self, smoke_trace, tmp_path, capsys,
+                                                    field, value, expected):
+        header, rest = smoke_trace.read_text().split("\n", 1)
+        bad = tmp_path / "bad.trace"
+        bad.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + rest)
+        assert main(["report", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: header {field!r} must be {expected}\n"
+
     def test_header_only_trace_of_a_zero_tick_run_reports(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"
         assert main(["run", SMOKE, "--out", str(path), "--duration", "0.01"]) == 0

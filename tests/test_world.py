@@ -141,6 +141,34 @@ class TestFlatStores:
         assert a == b and hash(a) == hash(b)
         assert a != inflate(load_map(text), 1.0, 3.0, 0.2)
 
+    def test_clearance_and_sensor_store_are_read_only(self):
+        grid = grid_from_rows(["#.", ".."])
+        assert type(grid.clearance) is tuple and type(grid.sensor_store) is tuple
+        with pytest.raises(TypeError):
+            grid.clearance[1] = 0.0
+        with pytest.raises(TypeError):
+            grid.sensor_store[5] = 0.0
+
+    @pytest.mark.parametrize("name", ["open", "corridors", "depot", "rooms", "all_free"])
+    def test_sensor_store_pads_clearance_with_a_ring(self, name):
+        if name == "all_free":
+            grid = grid_from_rows(["...."] * 3)
+        else:
+            grid = load_map((SCENARIOS / "maps" / f"{name}.map").read_text())
+        width, height = grid.width, grid.height
+        store = grid.sensor_store
+        assert len(store) == (width + 2) * (height + 2)
+        assert grid.sensor_store is store  # built once per grid
+        for iy in range(-1, height + 1):
+            for ix in range(-1, width + 1):
+                value = store[(iy + 1) * (width + 2) + ix + 1]
+                if not (0 <= ix < width and 0 <= iy < height):
+                    assert value == -2.0, (ix, iy)
+                elif grid.is_occupied_cell(ix, iy):
+                    assert value == -1.0, (ix, iy)
+                else:
+                    assert value.hex() == grid.clearance[iy * width + ix].hex(), (ix, iy)
+
     def test_grid_rejects_a_wrong_length(self):
         with pytest.raises(MapError, match="length"):
             OccupancyGrid(2, 2, 0.5, 0.0, 0.0, b"\x00\x01\x00")
@@ -401,6 +429,57 @@ class TestRaycastMatchesReference:
         hit = raycast(grid, 0.999, 0.999, math.pi / 4, 1, max_range).points[0]
         assert hit is not None and hit == pytest.approx((4.0, 4.0), abs=1e-9)
         _assert_matches_reference(grid, 0.999, 0.999, math.pi / 4, 1, max_range)
+
+    def test_edge_headings_and_poses(self):
+        # the headings where a direction cosine is 0, -0 or NaN, or the angle
+        # is large; poses on cell corners and edges and one ulp inside the
+        # far map edge; maps with no wall on the border, one row or one column
+        grids = _bundled_grids() + [
+            grid_from_rows(["............", "....#.......", "............", "..##........",
+                            "............", ".........#..", "............", "......#.....",
+                            "............"], resolution=0.2, ox=-1.0, oy=-1.0),
+            grid_from_rows(["..#.....#..."], resolution=0.2, ox=-1.0, oy=-1.0),
+            grid_from_rows(list(".#........#."), resolution=0.2, ox=-1.0, oy=-1.0),
+        ]
+        headings = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.nan,
+                    50.0, -50.0, 49.99, -37.7, 12.5)
+        rng = random.Random(25)
+        clamped = nan_hits = left_the_map = 0
+        for grid in grids:
+            res, ox, oy = grid.resolution, grid.origin_x, grid.origin_y
+            x_far = math.nextafter(ox + grid.width * res, -math.inf)
+            y_far = math.nextafter(oy + grid.height * res, -math.inf)
+            clamped += int((x_far - ox) / res) == grid.width
+            clamped += int((y_far - oy) / res) == grid.height
+            for k in range(60):
+                x = ox + rng.randrange(grid.width) * res
+                y = oy + rng.randrange(grid.height) * res
+                x, y = ((x, y), (x, y_far), (x_far, y), (x_far, y_far))[k % 4]
+                for heading in headings:
+                    n_rays, max_range = rng.choice((1, 4, 16)), rng.choice((1.0, 5.0, 100.0))
+                    if math.isnan(heading):
+                        # a NaN ray's t never passes max_range, so the plain
+                        # walk follows it to a wall or off the map, while the
+                        # pose skip ends it with None; 100 m skips no pose here
+                        max_range = 100.0
+                    _assert_matches_reference(grid, x, y, heading, n_rays, max_range)
+                    points = raycast(grid, x, y, heading, n_rays, max_range).points
+                    nan_hits += any(p is not None and math.isnan(p[0]) for p in points)
+                    left_the_map += max_range == 100.0 and None in points
+        # the far-edge clamp ran, NaN rays walked into a wall, and rays left
+        # maps with no border wall
+        assert clamped >= 3 and nan_hits > 0 and left_the_map > 0
+
+    def test_fresh_grids_get_their_own_store(self):
+        # grids loaded and dropped in turn may share an id; each still reads
+        # its own map
+        texts = [(SCENARIOS / "maps" / f"{name}.map").read_text() for name in ("depot", "rooms")]
+        seen = [set(), set()]
+        for k in range(20):
+            grid = load_map(texts[k % 2])
+            _assert_matches_reference(grid, 5.3, 6.1, 0.4, 16, 3.0)
+            seen[k % 2].add(raycast(grid, 5.3, 6.1, 0.4, 16, 3.0).points)
+        assert len(seen[0]) == len(seen[1]) == 1 and seen[0] != seen[1]
 
     def test_all_free_grid(self):
         grid = grid_from_rows(["......"] * 5)
