@@ -15,7 +15,7 @@ from .engine import collect_travel_times, run as run_engine, tick_count
 from .metrics import compute_metrics
 from .render import render_trace
 from .scenario import ScenarioError, load_scenario
-from .trace import END, TraceError, read_trace, write_trace
+from .trace import END, TraceError, check_events, read_trace, write_trace
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -73,6 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    check_events(args.trace, trace)
     frames = render_trace(
         trace, args.out, every=args.every, meters_per_pixel=args.scale
     )
@@ -108,6 +109,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         value = trace.header.get(name)
         if not valid(value):
             raise TraceError(f"{args.trace}: header {name!r} must be {expected}, got {value!r}")
+    check_events(args.trace, trace)
     ticks = tick_count(trace.header["duration"], trace.header["control_period"])
     if ticks > 0 and not (trace.events and trace.events[-1]["type"] == END):
         raise TraceError(f"{args.trace}: cut off: no end record after {ticks} promised ticks")

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice
 from json.scanner import make_scanner
 from pathlib import Path
 from typing import Iterator
@@ -63,179 +63,155 @@ def as_written(value: float) -> float:
     return float(format(value, ".9g"))
 
 
-# Per-type formatters for the engine's bulk records. Each writes a whole
-# record in one %-pass, or returns None when the record is not exactly the
-# engine's shape: other keys or key order, a slot of another type (an int
-# where a float belongs, a tuple for a list, a bool for an int), or a nan or
-# +-inf, which _fmt rejects. None sends the record to _fmt, which writes the
-# same bytes or raises its own error. -0.0 is written as 0, as _fmt does.
-# Slot types are compared as lists: a tuple built from an iterator of no
-# known length is resized, which strands one tuple per call on CPython's
-# tuple free lists until they fill.
+# Per record type, the keys after "type" in the engine's order with their
+# slots, then the optional trailing keys. A slot is a kind below, [slot] a
+# list of any length, or (slot, ...) a list of exactly those slots.
+FLOAT, INT, STR, BOOL = "a number", "an integer", "a string", "a boolean"
+FLOAT_OR_NULL, INT_OR_NULL = "a number or null", "an integer or null"
+_NULLABLE = {FLOAT_OR_NULL: FLOAT, INT_OR_NULL: INT}
+_XY = (FLOAT, FLOAT)
 
-_quoted = lru_cache(maxsize=256)(json.dumps)
-_INTS = {int}
-
-
-def _ints(seq) -> str | None:
-    """A list of ints as its comma-joined items."""
-    if type(seq) is list and {*map(type, seq)} <= _INTS:
-        return ",".join(map(str, seq))
-    return None
-
-
-def _flatten(rows, width: int, out: list) -> bool:
-    """Append the items of ``rows``, a list of ``width``-item lists, to ``out``."""
-    if type(rows) is not list:
-        return False
-    for row in rows:
-        if type(row) is not list or len(row) != width:
-            return False
-        out += row
-    return True
-
-
-def _numbers(line: str) -> str | None:
-    """``line``, which %.9g wrote numbers into, with each -0 written as 0,
-    as _fmt writes it; None if a number is nan or +-inf. Only for lines
-    whose other text holds no "nan", "inf", "-0," or "-0]"."""
-    if "nan" in line or "inf" in line:
-        return None
-    if "-0," in line or "-0]" in line:
-        return line.replace("-0,", "0,").replace("-0]", "0]")
-    return line
-
-
-@lru_cache(maxsize=64)
-def _state_shape(n: int, m: int) -> tuple[list, str]:
-    """Slot types and template of a state record of n robots and m pedestrians."""
-    return (
-        [float] + [int, float, float, float, float] * n + [float] * (4 * m),
-        '{"type":"state","t":%.9g,"robots":['
-        + ",".join(["[%d,%.9g,%.9g,%.9g,%.9g]"] * n)
-        + '],"humans":[' + ",".join(["[%.9g,%.9g,%.9g,%.9g]"] * m) + "]}",
-    )
-
-
-def _state_line(record: dict) -> str | None:
-    if tuple(record) != ("type", "t", "robots", "humans"):
-        return None
-    _, t, robots, humans = record.values()
-    flat = [t]
-    if not (_flatten(robots, 5, flat) and _flatten(humans, 4, flat)):
-        return None
-    types, template = _state_shape(len(robots), len(humans))
-    if [*map(type, flat)] != types:
-        return None
-    return _numbers(template % tuple(flat))
-
-
-@lru_cache(maxsize=64)
-def _control_shape(n: int) -> tuple[list, str]:
-    """Slot types and template of a control record of n robots."""
-    return (
-        [float] + [int, float, float] * n,
-        '{"type":"control","t":%.9g,"robots":[' + ",".join(["[%d,%.9g,%.9g]"] * n) + "]}",
-    )
-
-
-def _control_line(record: dict) -> str | None:
-    if tuple(record) != ("type", "t", "robots"):
-        return None
-    _, t, robots = record.values()
-    flat = [t]
-    if not _flatten(robots, 3, flat):
-        return None
-    types, template = _control_shape(len(robots))
-    if [*map(type, flat)] != types:
-        return None
-    return _numbers(template % tuple(flat))
-
-
-def _clusters_line(record: dict) -> str | None:
-    if tuple(record) != ("type", "t", "clusters"):
-        return None
-    _, t, clusters = record.values()
-    # t - t is nan, which is true, for nan and +-inf
-    if type(t) is not float or t - t or type(clusters) is not list:
-        return None
-    ints = []
-    for row in clusters:
-        if type(row) is not list or len(row) != 4:
-            return None
-        leader, members, active, stop = row
-        if type(members) is not list or type(active) is not list or type(stop) is not bool:
-            return None
-        ints.append(leader)
-        ints += members
-        ints += active
-    if not {*map(type, ints)} <= _INTS:
-        return None
-    rows = ",".join([
-        f"[{leader},[{','.join(map(str, members))}],[{','.join(map(str, active))}],"
-        f"{'true' if stop else 'false'}]"
-        for leader, members, active, stop in clusters
-    ])
-    return '{"type":"clusters","t":%.9g,"clusters":[%s]}' % (t or 0.0, rows)
-
-
-_QP_KEYS = ("type", "t", "leader", "members", "status", "max_slack", "rows")
-_QP_TYPES = [str, float, int, list, str, float, int]
-
-
-def _qp_line(record: dict) -> str | None:
-    if tuple(record) != _QP_KEYS:
-        return None
-    values = [*record.values()]
-    if [*map(type, values)] != _QP_TYPES:
-        return None
-    _, t, leader, members, status, slack, rows = values
-    members = _ints(members)
-    if members is None or t - t or slack - slack:
-        return None
-    return ('{"type":"qp","t":%.9g,"leader":%d,"members":[%s],"status":%s,'
-            '"max_slack":%.9g,"rows":%d}'
-            % (t or 0.0, leader, members, _quoted(status), slack or 0.0, rows))
-
-
-def _plan_line(record: dict) -> str | None:
-    if tuple(record) != ("type", "t", "robot", "from", "to", "status", "cost", "points"):
-        return None
-    _, t, robot, start, goal, status, cost, points = record.values()
-    if type(robot) is not int or type(status) is not str:
-        return None
-    flat = [t]
-    if not (_flatten([start, goal], 2, flat) and _flatten(points, 2, flat)):
-        return None
-    if cost is not None:
-        flat.insert(5, cost)
-    if {*map(type, flat)} != {float}:
-        return None
-    head = _numbers('{"type":"plan","t":%.9g,"robot":%d,"from":[%.9g,%.9g],'
-                    '"to":[%.9g,%.9g],"status":' % (t, robot, *flat[1:5]))
-    tail = _numbers(
-        (',"cost":' + ("null" if cost is None else "%.9g") + ',"points":['
-         + ",".join(["[%.9g,%.9g]"] * len(points)) + "]}") % tuple(flat[5:]))
-    if head is None or tail is None:
-        return None
-    return head + _quoted(status) + tail
-
-
-_LINES = {
-    STATE: _state_line, CONTROL: _control_line, CLUSTERS: _clusters_line,
-    QP: _qp_line, PLAN: _plan_line,
+SCHEMA = {
+    STATE: ({"t": FLOAT, "robots": [(INT, FLOAT, FLOAT, FLOAT, FLOAT)],
+             "humans": [(FLOAT, FLOAT, FLOAT, FLOAT)]}, {}),
+    CONTROL: ({"t": FLOAT, "robots": [(INT, FLOAT, FLOAT)]}, {}),
+    CLUSTERS: ({"t": FLOAT, "clusters": [(INT, [INT], [INT], BOOL)]}, {}),
+    QP: ({"t": FLOAT, "leader": INT, "members": [INT], "status": STR, "max_slack": FLOAT,
+          "rows": INT}, {"duration": FLOAT}),
+    PLAN: ({"t": FLOAT, "robot": INT, "from": _XY, "to": _XY, "status": STR,
+            "cost": FLOAT_OR_NULL, "points": [_XY]}, {}),
+    TASK: ({"t": FLOAT, "event": STR, "task": STR, "robot": INT_OR_NULL},
+           {"start": INT, "end": INT, "deadline": FLOAT}),
+    QUEUE: ({"t": FLOAT, "room": INT, "event": STR, "robot": INT, "index": INT_OR_NULL,
+             "occupants": [INT], "holder": INT_OR_NULL}, {}),
+    ARRIVAL: ({"t": FLOAT, "robot": INT, "waypoint": _XY}, {}),
+    FAULT: ({"t": FLOAT, "robot": INT, "error": STR}, {}),
+    END: ({"t": FLOAT, "ticks": INT}, {"wall_time": FLOAT}),
 }
+
+# Each type is compiled once, as dataclasses compiles __init__, into code
+# that tests a record slot by slot: a checker, and a writer for a bulk type.
+# A writer keys the text that is not numbers to a %-template, and writes -0.0
+# as 0. It returns None, which sends the record to _fmt (the same bytes, or
+# _fmt's error), for a record not exactly in the engine's shape: other keys or
+# key order, a slot of another type (an int for a float, a tuple for a list,
+# a bool for an int), or a nan or +-inf.
+
+
+def _code(slot, v: str, indent: str, path: str | None, gather: bool = True) -> list[str]:
+    """Lines testing the value named ``v`` against ``slot``. A checker's
+    (``path`` an f-string naming ``v``) return the problem; a FLOAT may be an
+    int. A writer's return None, put numbers in ``flat`` if ``gather``, the
+    rest in ``shape``."""
+    def fail(expected: str) -> str:
+        if path is None:
+            return "return None"
+        return f"return f{f'{path}: expected {expected}, got '!r} + json.dumps({v}, default=repr)"
+
+    def shape(expr: str) -> list[str]:
+        return [f"{indent}shape.append({expr})"] if path is None else []
+
+    if type(slot) is str:
+        number = f"type({v}) is not float or {v} - {v}"  # nan for nan and +-inf
+        bad = {FLOAT: number if path is None else f"type({v}) is not int and ({number})",
+               INT: f"type({v}) is not int", STR: f"type({v}) is not str",
+               BOOL: f"type({v}) is not bool"}
+        test = bad.get(slot) or f"{v} is not None and ({bad[_NULLABLE[slot]]})"
+        lines = [f"{indent}if {test}: {fail(slot)}"]
+        if slot not in (FLOAT, INT):
+            lines += shape(f"{v} is None" if slot in _NULLABLE else v)
+        if path is None and gather and slot not in (STR, BOOL):
+            lines.append(f"{indent}if {v} is not None: flat.append({v})" if slot in _NULLABLE
+                         else f"{indent}flat.append({v})")
+        return lines
+    width = len(slot) if type(slot) is tuple else None
+    lines = [f"{indent}if type({v}) is not list" + (f" or len({v}) != {width}" if width else "")
+             + f": {fail(f'a list of {width} items' if width else 'a list')}"]
+    whole = all(item in (FLOAT, INT) for item in slot)  # gathered as one list
+    if width is None:
+        loop = f"for {v}_ in {v}:" if path is None else f"for {v}_k, {v}_ in enumerate({v}):"
+        lines += [*shape(f"len({v})"), indent + loop, *_code(
+            slot[0], f"{v}_", indent + "    ", path and f"{path}[{{{v}_k}}]", gather and not whole)]
+    else:
+        names = [f"{v}_{k}" for k in range(width)]
+        lines.append(f"{indent}{', '.join(names)}, = {v}")
+        for k, (item, name) in enumerate(zip(slot, names)):
+            lines += _code(item, name, indent, path and f"{path}[{k}]", gather and not whole)
+    return lines + ([f"{indent}flat += {v}"] if path is None and gather and whole else [])
+
+
+def _compiled(name: str, body: list[str]):
+    namespace = {"_form": _form, "json": json}
+    exec(compile("\n".join([f"def {name}(record):", *body]), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+def _writer(kind: str):
+    slots = SCHEMA[kind][0]
+    names = [f"v{k}" for k in range(len(slots))]
+    return _compiled(f"write_{kind}", [
+        f"    if tuple(record) != {('type', *slots)!r}: return None",
+        f"    _, {', '.join(names)}, = record.values()",
+        f"    flat, shape = [], [{kind!r}]",
+        *[line for slot, v in zip(slots.values(), names) for line in _code(slot, v, "    ", None)],
+        "    template = _form(tuple(shape))",
+        "    if not template: return None",
+        "    text = template % tuple(flat)",
+        '    if "-0," in text or "-0]" in text:',
+        '        return text.replace("-0,", "0,").replace("-0]", "0]")',
+        "    return text",
+    ])
+
+
+def _checker(kind: str):
+    required, optional = SCHEMA[kind]
+    body = ["    try:", *[f"        v{k} = record[{name!r}]" for k, name in enumerate(required)],
+            "    except KeyError as exc: return f'{exc.args[0]}: missing'"]
+    for k, (name, slot) in enumerate({**required, **optional}.items()):
+        if name in optional:
+            body += [f"    if {name!r} in record:", f"        v{k} = record[{name!r}]"]
+        body += _code(slot, f"v{k}", "        " if name in optional else "    ", name)
+    return _compiled(f"check_{kind}", [*body, "    return None"])
+
+
+def _template(slot, shape: Iterator) -> str:
+    """The %-template of a value of ``slot`` (a dict of slots: a record) for
+    which a writer put ``shape`` in its key."""
+    if type(slot) is dict:
+        return "{" + ",".join([f"{_fmt(name)}:{_template(item, shape)}"
+                               for name, item in slot.items()]) + "}"
+    if slot in (FLOAT, INT):
+        return "%.9g" if slot == FLOAT else "%d"
+    if type(slot) is str:
+        if slot in _NULLABLE:
+            return "null" if next(shape) else _template(_NULLABLE[slot], shape)
+        return _fmt(next(shape)).replace("%", "%%")
+    items = slot if type(slot) is tuple else slot * next(shape)
+    return "[" + ",".join([_template(item, shape) for item in items]) + "]"
+
+
+@lru_cache(maxsize=1024)
+def _form(key: tuple) -> str:
+    """The template of the records a writer keys ``key``; "" if a string in
+    it holds "-0," or "-0]", or a float ends it, so that -0 would be missed."""
+    template = _template({"type": STR, **SCHEMA[key[0]][0]}, iter(key))
+    literal = template.replace("%.9g", "1").replace("%d", "1")
+    return "" if "-0," in literal or "-0]" in literal or template.endswith("%.9g}") else template
+
+
+_LINES = {kind: _writer(kind) for kind in (STATE, CONTROL, CLUSTERS, QP, PLAN)}
+_CHECKS = {kind: _checker(kind) for kind in SCHEMA}
 
 
 def dumps_record(record: dict) -> str:
     """Serialize one record to its canonical single-line form.
 
     The engine's bulk records (``state``, ``control``, ``clusters``, ``qp``,
-    ``plan``) take a formatter of their type; every other value, and any
-    record of those types in another shape, takes the generic ``_fmt``. Both
-    give the same bytes, and raise the same error for a value that cannot be
-    written: ``ValueError`` for nan and +-inf, ``TypeError`` for a type
-    JSON has no form for.
+    ``plan``) take the writer compiled from their SCHEMA entry; every other
+    value, and any record of those types in another shape, takes the generic
+    ``_fmt``. Both give the same bytes, and raise the same error for a value
+    that cannot be written: ``ValueError`` for nan and +-inf, ``TypeError``
+    for a type JSON has no form for.
     """
     if type(record) is dict:
         kind = record.get("type")
@@ -260,6 +236,11 @@ class Trace:
         return float(self.header.get("duration", 0.0))
 
 
+def _where(record: dict) -> str:
+    """The type and time of ``record``, as an error names them."""
+    return f"{record.get('type')} record" + (f" at t={record['t']}" if "t" in record else "")
+
+
 def write_trace(path: str | Path, trace: Trace) -> None:
     """Write the header, then one line per event.
 
@@ -275,9 +256,7 @@ def write_trace(path: str | Path, trace: Trace) -> None:
                 lines.append(dumps_record(record) + "\n")
             except (ValueError, TypeError) as exc:
                 fh.write("".join(lines))
-                where = f"{record.get('type')} record" + (
-                    f" at t={record['t']}" if "t" in record else "")
-                raise type(exc)(f"{path}: line {n}: {where}: {exc}") from None
+                raise type(exc)(f"{path}: line {n}: {_where(record)}: {exc}") from None
             if len(lines) == 256:
                 fh.write("".join(lines))
                 lines.clear()
@@ -334,3 +313,23 @@ def read_trace(path: str | Path) -> Trace:
         if collecting:
             gc.enable()
     return Trace(header, events)
+
+
+def check_record(record: dict) -> str | None:
+    """The first slot of ``record`` that SCHEMA rejects, and why (``robots[2][3]:
+    expected a number, got "x"``), or None. Other keys and types pass."""
+    check = _CHECKS.get(record.get("type"))
+    return None if check is None else check(record)
+
+
+def check_events(path: str | Path, trace: Trace) -> None:
+    """Raise TraceError naming the path, line, type, time and problem of the
+    first event of ``trace`` (read from ``path``) that check_record faults.
+    Only then is the file read again, to number that line."""
+    for k, record in enumerate(trace.events):
+        problem = check_record(record)
+        if problem is not None:
+            with open(path) as fh:
+                lines = (n for n, line in enumerate(fh, start=1) if n == 1 or line.rstrip("\n"))
+                n = next(islice(lines, k + 1, None))
+            raise TraceError(f"{path}: line {n}: {_where(record)}: {problem}")

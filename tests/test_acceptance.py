@@ -97,20 +97,21 @@ def test_qp_solve_time_scaling():
     assert 0.5 <= ratio <= 2.0
 
 
-def test_headless_realtime_factor(busy6_result):
-    """A busy 6-robot fleet simulates faster than realtime, monotone in size."""
-    # the n=6 run is the session fixture whose trace digest
-    # test_engine.test_golden_trace_digest pins
-    scenario, result = busy6_result
-    assert scenario.duration == 120.0
+def test_headless_realtime_factor():
+    """A busy 6-robot fleet simulates faster than realtime, monotone in size.
+
+    The three fleet sizes run in turn, twice, and each keeps its best
+    factor, so that a change in the host's speed between runs does not
+    decide the order."""
+    factors = {}
+    for _ in range(2):
+        for n in (2, 4, 6):
+            scenario = busy_fleet_scenario(n)
+            assert scenario.duration == 120.0
+            factors[n] = max(factors.get(n, 0.0), run(scenario).realtime_factor)
     assert scenario.grid.width == 60 and scenario.grid.height == 60
     assert len(scenario.robots) == 6
     assert len(scenario.task_stream[0].tasks) == 6
-    factors = {6: result.realtime_factor}
-    for n in (2, 4):
-        scenario = busy_fleet_scenario(n)
-        assert scenario.duration == 120.0
-        factors[n] = run(scenario).realtime_factor
     assert factors[6] >= 1.0
     assert factors[2] >= factors[4] >= factors[6]
 

@@ -1,5 +1,8 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -7,10 +10,11 @@ import sys
 
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 from fleetsim.cli import _build_parser, main
 from fleetsim.tasking import TravelTimeGraph
-from fleetsim.trace import read_trace, write_trace
+from fleetsim.trace import FLOAT, FLOAT_OR_NULL, SCHEMA, STR, read_trace, write_trace
 
 from _support import ROOT, SCENARIOS
 
@@ -265,6 +269,28 @@ class TestReport:
         assert main(["report", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {bad}: header {field!r} must be {expected}\n"
 
+    @pytest.mark.parametrize("command", ["report", "render"])
+    @pytest.mark.parametrize("kind, edit, problem", [
+        ("state", lambda r: r.pop("robots"), "robots: missing"),
+        ("state", lambda r: r["robots"][1].__setitem__(1, "x"),
+         'robots[1][1]: expected a number, got "x"'),
+        ("task", lambda r: r.pop("event"), "event: missing"),
+        ("qp", lambda r: r.update(members=5), "members: expected a list, got 5"),
+    ], ids=["state-no-robots", "state-x", "task-no-event", "qp-members-5"])
+    def test_malformed_event_names_its_line_and_slot(self, smoke_trace, tmp_path, capsys,
+                                                     command, kind, edit, problem):
+        lines = smoke_trace.read_text().splitlines()
+        k = next(k for k, line in enumerate(lines) if json.loads(line)["type"] == kind)
+        record = json.loads(lines[k])
+        edit(record)
+        lines[k] = json.dumps(record)
+        bad = tmp_path / "bad.trace"
+        bad.write_text("\n".join(lines) + "\n")
+        extra = ["--out", str(tmp_path / "frames")] if command == "render" else []
+        assert main([command, str(bad), *extra]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line {k + 1}: {kind} record at t={record['t']}: {problem}\n")
+
     def test_header_only_trace_of_a_zero_tick_run_reports(self, tmp_path, capsys):
         path = tmp_path / "empty.trace"
         assert main(["run", SMOKE, "--out", str(path), "--duration", "0.01"]) == 0
@@ -272,6 +298,72 @@ class TestReport:
         capsys.readouterr()
         assert main(["report", str(path)]) == 0
         assert "ticks                    0\n" in capsys.readouterr().out
+
+
+def _slots(value, slot, path):
+    """(path, slot) of ``value``, a value of ``slot``, and of each slot in it."""
+    yield path, slot
+    if type(slot) is not str:
+        items = slot if type(slot) is tuple else slot * len(value)
+        for k, (item, v) in enumerate(zip(items, value)):
+            yield from _slots(v, item, f"{path}[{k}]")
+
+
+def _set(record, path, value):
+    """Set the slot at ``path`` (``robots[1][2]``) of ``record`` to ``value``."""
+    key, *indices = re.findall(r"\w+", path)
+    *outer, last = [key, *map(int, indices)]
+    for step in outer:
+        record = record[step]
+    record[last] = value
+
+
+@pytest.fixture(scope="module")
+def golden_lines(smoke_result, tmp_path_factory):
+    """The lines of the golden smoke run's trace."""
+    path = tmp_path_factory.mktemp("golden") / "smoke.trace"
+    write_trace(path, smoke_result[1].trace)
+    return path.read_text().splitlines()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_mutated_golden_record_exits_2_naming_its_line_and_slot(golden_lines, tmp_path_factory,
+                                                                  data):
+    """One event of a golden run with a key dropped, a slot swapped for a
+    value of another type, or a number set to NaN: report exits 2 and names
+    the event's line and the slot's path."""
+    lines = list(golden_lines)
+    k = data.draw(st.integers(1, len(lines) - 1))
+    record = json.loads(lines[k])
+    required, optional = SCHEMA[record["type"]]
+    slots = [found for name, slot in {**required, **optional}.items() if name in record
+             for found in _slots(record[name], slot, name)]
+    action = data.draw(st.sampled_from(["drop", "swap", "nan"]))
+    if action == "drop":
+        path = data.draw(st.sampled_from(sorted(required)))
+        del record[path]
+        problem = "missing"
+    elif action == "swap":
+        path, slot = data.draw(st.sampled_from(slots))
+        value = 5 if slot == STR else "x"
+        _set(record, path, value)
+        expected = slot if type(slot) is str else (
+            f"a list of {len(slot)} items" if type(slot) is tuple else "a list")
+        problem = f"expected {expected}, got {json.dumps(value)}"
+    else:
+        path, slot = data.draw(st.sampled_from(
+            [(path, slot) for path, slot in slots if slot in (FLOAT, FLOAT_OR_NULL)]))
+        _set(record, path, math.nan)
+        problem = f"expected {slot}, got NaN"
+    lines[k] = json.dumps(record)
+    bad = tmp_path_factory.mktemp("mutated") / "bad.trace"
+    bad.write_text("\n".join(lines) + "\n")
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        assert main(["report", str(bad)]) == 2
+    err = stderr.getvalue()
+    assert err.startswith(f"error: {bad}: line {k + 1}: {record['type']} record"), err
+    assert err.endswith(f": {path}: {problem}\n"), err
 
 
 class TestCollectTravelTimes:

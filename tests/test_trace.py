@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 import struct
 
 import pytest
@@ -11,13 +12,17 @@ from fleetsim import trace as trace_module
 from fleetsim.trace import (
     CONTROL,
     HEADER,
+    SCHEMA,
     STATE,
     Trace,
     TraceError,
+    check_record,
     dumps_record,
     read_trace,
     write_trace,
 )
+
+from _support import ROOT
 
 
 class TestFormatting:
@@ -228,6 +233,47 @@ def test_golden_records_format_alike_both_ways(fixture, request, tmp_path):
     assert [k for k in bulk if by_type[k](read[k]) not in (lines[k], None)] == []
 
 
+@pytest.mark.parametrize("fixture", GOLDEN_RUNS)
+def test_golden_records_pass_their_checks(fixture, request, tmp_path):
+    """The engine writes each record as SCHEMA declares it: every event of
+    the golden runs passes check_record, in memory and read back."""
+    _, result = request.getfixturevalue(fixture)
+    path = tmp_path / "run.trace"
+    write_trace(path, result.trace)
+    for events in (result.trace.events, read_trace(path).events):
+        assert {e["type"] for e in events} <= set(SCHEMA)
+        assert [(e, check_record(e)) for e in events if check_record(e) is not None] == []
+
+
+def test_readme_lists_the_schema_keys():
+    """README's Traces table lists each SCHEMA type with its keys, in order:
+    "type", the required keys, then after a ";" the optional ones."""
+    section = (ROOT / "README.md").read_text().split("\n## Traces\n")[1].split("\n## ")[0]
+    listed = []
+    for kind, keys in re.findall(r"^\| `(\w+)` \| (.*) \|$", section, re.M):
+        keys = re.sub(r"\([^)]*\)", "", keys).split(";")
+        listed.append((kind, *[re.findall(r"`(\w+)`", part) for part in keys]))
+    assert listed == [
+        (kind, ["type", *required], *([list(optional)] if optional else []))
+        for kind, (required, optional) in SCHEMA.items()
+    ]
+
+
+def test_check_record_names_the_first_bad_slot():
+    record = {"type": STATE, "t": 0.5, "robots": [[0, 1.0, 2.0, 0.0, 0.0], [1, 1, 2, "x", 0]],
+              "humans": [[1.0, 2.0, math.inf, 0.0]]}
+    assert check_record(record) == 'robots[1][3]: expected a number, got "x"'
+    record["robots"][1][3] = 0
+    assert check_record(record) == "humans[0][2]: expected a number, got Infinity"
+    record["humans"] = []
+    assert check_record(record) is None
+    assert check_record({"type": "qp", "t": 1, "leader": 0, "members": [0], "status": "feasible",
+                         "max_slack": 0, "rows": 0, "duration": None}) == (
+        "duration: expected a number, got null")
+    assert check_record({"type": "end", "t": 1}) == "ticks: missing"
+    assert check_record({"type": "other", "t": "x"}) is None
+
+
 def _outcome(write, record):
     """The line ``write`` makes of ``record``, or its error type and message."""
     try:
@@ -325,6 +371,16 @@ def test_each_slot_alone_agrees(shape):
             container[key] = value
             assert (_outcome(dumps_record, record)
                     == _outcome(trace_module._fmt, record)), record
+
+
+@pytest.mark.parametrize("status", ["a-0,b", "-0]", "infeasible-fallback", "nan", "%d%%s"])
+def test_strings_that_look_like_numbers_write_as_the_generic_path_does(status):
+    """A string is written into a record's text as it is: a -0, nan or
+    %-field in it is not taken for a number, next to a -0.0 that is."""
+    for shape in ENGINE_SHAPES:
+        if "status" in shape:
+            record = {**shape, "t": -0.0, "status": status}
+            assert dumps_record(record) == trace_module._fmt(record)
 
 
 def test_every_float_writes_as_the_generic_path_does():
