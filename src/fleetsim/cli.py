@@ -73,6 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_render(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
+    _check_header(args.trace, trace.header, _RENDER_HEADER)
     check_events(args.trace, trace)
     frames = render_trace(
         trace, args.out, every=args.every, meters_per_pixel=args.scale
@@ -95,20 +96,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-# header field -> (test of its value, what the test asks for)
+def _is_list(value) -> bool:
+    return isinstance(value, list)
+
+
+# header field (a dotted path) -> (test of its value, what the test asks for)
 _REPORT_HEADER = {
     "duration": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
     "control_period": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
-    "robots": (lambda v: isinstance(v, list), "a list"),
+    "robots": (_is_list, "a list"),
 }
+_RENDER_HEADER = {
+    "map.text": (lambda v: isinstance(v, str), "a string"),
+    "params": (lambda v: isinstance(v, dict), "a mapping"),
+    "rooms": (_is_list, "a list"),
+    "robots": (_is_list, "a list"),
+    "humans": (_is_list, "a list"),
+}
+
+
+def _check_header(path: str, header: dict, fields: dict) -> None:
+    for name, (valid, expected) in fields.items():
+        value = header
+        for key in name.split("."):
+            value = value.get(key) if isinstance(value, dict) else None
+        if not valid(value):
+            raise TraceError(f"{path}: header {name!r} must be {expected}, got {value!r}")
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     trace = read_trace(args.trace)
-    for name, (valid, expected) in _REPORT_HEADER.items():
-        value = trace.header.get(name)
-        if not valid(value):
-            raise TraceError(f"{args.trace}: header {name!r} must be {expected}, got {value!r}")
+    _check_header(args.trace, trace.header, _REPORT_HEADER)
     check_events(args.trace, trace)
     ticks = tick_count(trace.header["duration"], trace.header["control_period"])
     if ticks > 0 and not (trace.events and trace.events[-1]["type"] == END):

@@ -60,6 +60,8 @@ class TravelTimeGraph:
     rows: list[list[float]] = field(init=False, repr=False, compare=False)  # rows[a][b]
     # entry[b]: the cheapest leg into b from another location
     entry: list[float] = field(init=False, repr=False, compare=False)
+    # every triple meets the triangle inequality: rows[a][c] <= rows[a][b] + rows[b][c]
+    metric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.array(self.weights, dtype=float))
@@ -88,6 +90,10 @@ class TravelTimeGraph:
         object.__setattr__(self, "index", {loc: k for k, loc in enumerate(self.locations)})
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "entry", entry)
+        w = self.weights  # one row a at a time: w[a, c] <= w[a, b] + w[b, c] over (b, c)
+        object.__setattr__(self, "metric", all(
+            bool(np.all(w[a] <= w[a][:, None] + w)) for a in range(n)
+        ))
 
     def time(self, a: int, b: int) -> float:
         index = self.index
@@ -362,6 +368,17 @@ def solve_exact(
         return sched
 
     best: list[tuple[float, tuple, dict[int, int]] | None] = [None]
+    # The makespan a branch may not pass: the best one found, or first a
+    # seed from greedy when it places every task. Each robot's leg search
+    # tries greedy's legs in greedy's order, so greedy's makespan is
+    # reachable; on a metric table a robot never finishes a subset of its
+    # tasks later than the whole set, so the seed cuts no allocation that
+    # could win. Commitments and non-metric tables run unseeded.
+    limit = [math.inf]
+    if not pinned and g.metric:
+        seed = solve_greedy(robots, tasks, g, now)
+        if not seed.unassigned:
+            limit[0] = seed.makespan(now)
 
     def lex_key(assignment: dict[int, int]) -> tuple:
         # every assigned robot's schedule was found on the way down
@@ -371,23 +388,21 @@ def solve_exact(
         )
 
     def assign(task_idx: int, assignment: dict[int, int], completions: dict[int, float]) -> None:
-        if best[0] is not None and max(completions.values(), default=now) > best[0][0]:
+        if max(completions.values(), default=now) > limit[0]:
             return
         if task_idx == n_tasks:
             makespan = max(completions.values(), default=now)
             key = lex_key(assignment)
             if best[0] is None or (makespan, key) < (best[0][0], best[0][1]):
                 best[0] = (makespan, key, dict(assignment))
+                limit[0] = makespan
             return
         candidates = [pinned[task_idx]] if task_idx in pinned else robot_ids
         for rid in candidates:
             old_set = assignment.get(rid, 0)
-            # a schedule that ends after the best makespan would make the next
-            # level return at once, so the search may stop at that makespan
-            sched = robot_schedule(
-                rid, old_set | 1 << task_idx,
-                math.inf if best[0] is None else best[0][0],
-            )
+            # a schedule that ends after the limit would make the next level
+            # return at once, so the search may stop at the limit
+            sched = robot_schedule(rid, old_set | 1 << task_idx, limit[0])
             if sched is None:
                 continue
             assignment[rid] = old_set | 1 << task_idx

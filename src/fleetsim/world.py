@@ -101,7 +101,7 @@ class OccupancyGrid:
         ray walk: cell (ix, iy) at ``(iy + 1) * (width + 2) + ix + 1``, each
         free cell holding its clearance, each occupied cell -1.0 and the ring
         -2.0. The ring is a value of its own, so a ray that reaches it ends
-        with no hit even where no comparison of its own holds (a NaN ray)."""
+        with no hit."""
         width = self.width
         ring = (_OFF_MAP,) * (width + 2)
         store = list(ring)
@@ -240,6 +240,8 @@ def raycast(
     """
     if n_rays < 1:
         raise ValueError("n_rays must be >= 1")
+    if not math.isfinite(heading):
+        raise ValueError(f"heading must be finite, got {heading}")
     ox, oy, res, width = grid.origin_x, grid.origin_y, grid.resolution, grid.width
     if not (ox <= x < ox + width * res and oy <= y < oy + grid.height * res):
         raise MapError(f"sensing pose ({x}, {y}) is outside the map bounds")
@@ -267,7 +269,7 @@ def raycast(
         dx, dy = math.cos(angle), math.sin(angle)
         if dx > 0.0:
             step_x, t_max_x, t_delta_x = 1, (x_hi - x) / dx, res / dx
-        elif dx != 0.0:  # negative, or NaN
+        elif dx != 0.0:  # negative
             step_x, t_max_x, t_delta_x = -1, (x_lo - x) / dx, res / -dx
         else:
             step_x, t_max_x, t_delta_x = -1, inf, inf

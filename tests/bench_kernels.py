@@ -13,6 +13,8 @@ ends 50 of the 200 depot poses at its pose skip, with no wall in range, and
 default scenario timing (tick_dt 0.01 s, control_period 0.05 s), a
 50-vertex path planned across that map, and the trace of the six-robot busy
 fleet (``_support.busy_fleet_scenario(6)``, 120 s, about 21 000 records).
+The allocator solves the seed-1 depot_dispatch batch at its size cap
+(``test_tasking._CAP_*``: 8 tasks, 6 robots).
 """
 
 from __future__ import annotations
@@ -26,10 +28,12 @@ from fleetsim.dynamics import Control, RobotState, step_robot
 from fleetsim.engine import run
 from fleetsim.metrics import compute_metrics
 from fleetsim.planner import Path, lookahead_point, plan
+from fleetsim.tasking import Task, TravelTimeGraph, solve_exact
 from fleetsim.trace import dumps_record, read_trace, write_trace
 from fleetsim.world import inflate, load_map, raycast
 
 from _support import SCENARIOS, busy_fleet_scenario, grid_view
+from test_tasking import _CAP_NOW, _CAP_ROBOTS, _CAP_TASKS
 
 pytest.importorskip("pytest_benchmark")
 
@@ -131,6 +135,14 @@ def test_inflate(benchmark, depot_grid):
     """The depot costmap at the default world parameters, clearance cached."""
     assert depot_grid.clearance  # cached before the timing starts
     benchmark(inflate, depot_grid, 1.0, 3.0, 0.3)
+
+
+def test_solve_exact_at_the_cap(benchmark):
+    """The exact allocator on its largest instance, 8 tasks x 6 robots."""
+    g = TravelTimeGraph.from_text((SCENARIOS / "tables" / "depot_travel.txt").read_text())
+    tasks = [Task(a, b, float.fromhex(d)) for a, b, d in _CAP_TASKS]
+    alloc = benchmark(solve_exact, _CAP_ROBOTS, tasks, g, float.fromhex(_CAP_NOW))
+    assert alloc is not None and not alloc.unassigned
 
 
 @pytest.fixture(scope="module")

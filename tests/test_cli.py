@@ -214,6 +214,24 @@ class TestRender:
         assert main(["render", str(tmp_path / "no.trace"),
                      "--out", str(tmp_path / "f")]) == 3
 
+    @pytest.mark.parametrize("field", ["map", "map.text", "params", "rooms", "robots", "humans"])
+    def test_missing_header_field_names_it(self, smoke_trace, tmp_path, capsys, field):
+        header_line, rest = smoke_trace.read_text().split("\n", 1)
+        header = json.loads(header_line)
+        if field == "map.text":
+            del header["map"]["text"]
+        else:
+            del header[field]
+        bad = tmp_path / "bad.trace"
+        bad.write_text(json.dumps(header) + "\n" + rest)
+        out = tmp_path / "f"
+        assert main(["render", str(bad), "--out", str(out)]) == 2
+        name = "map.text" if field == "map" else field
+        expected = {"map.text": "a string", "params": "a mapping"}.get(name, "a list")
+        assert capsys.readouterr().err == (
+            f"error: {bad}: header {name!r} must be {expected}, got None\n")
+        assert not list(out.glob("*.svg"))
+
     def test_corrupt_trace(self, tmp_path, capsys):
         bad = tmp_path / "bad.trace"
         bad.write_text("not json\n")

@@ -85,6 +85,16 @@ class TestTravelTimeGraph:
         with pytest.raises(ValueError, match=fragment):
             TravelTimeGraph((0, 1), weights)
 
+    def test_metric_table(self):
+        # the straight line meets the triangle inequality with equality
+        assert LINE.metric
+        assert TravelTimeGraph((0, 1, 2), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])).metric
+
+    def test_non_metric_table(self):
+        # 0 -> 2 direct takes 4 s, by way of 1 it takes 2 s
+        g = TravelTimeGraph((0, 1, 2), np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
+        assert not g.metric
+
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             TravelTimeGraph((1, 1), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -376,6 +386,48 @@ class TestSolveExact:
             outcomes["carried"] += bool(kwargs["pre_picked"])
             outcomes["lifted"] += any(math.isinf(t.deadline) for t in args[1])
         assert min(outcomes.values()) >= 40, outcomes
+
+    def test_greedy_seed_matches_reference_search(self):
+        """Instances the greedy makespan seeds: metric tables, no commitments,
+        4-6 tasks over 3-6 robots, against the unbounded reference."""
+        rng = random.Random(27)
+        seeded = 0
+        for _ in range(60):
+            g = _random_table(rng, rng.choice(["plane", "rounded", "collinear"]), rng.randint(3, 6))
+            assert g.metric
+            n_tasks = rng.randint(4, 6)
+            robots = {r: rng.choice(g.locations) for r in rng.sample(range(8), rng.randint(3, 6))}
+            scale = float(g.weights.max())
+            tasks = []
+            for _ in range(n_tasks):
+                a, b = rng.sample(g.locations, 2)
+                tasks.append(Task(a, b, rng.uniform(0.5, 1.5 * n_tasks) * scale))
+            expected = _legs(reference_solve_exact(robots, tasks, g, 0.0))
+            assert _legs(solve_exact(robots, tasks, g, 0.0)) == expected, (robots, tasks, g)
+            seeded += not solve_greedy(robots, tasks, g, 0.0).unassigned
+        assert seeded >= 40, seeded
+
+    def test_no_greedy_seed_on_a_non_metric_table(self):
+        # 1 -> 0 takes 6 s direct and 5 s by way of 2, so task 0 alone ends
+        # at 12 s, after greedy's 11 s for both tasks: seeded with 11 s, the
+        # search would cut the only allocation
+        g = TravelTimeGraph((0, 1, 2), np.array([[0, 6, 2], [6, 0, 3], [2, 3, 0]]))
+        tasks = [Task(0, 1, 15.0), Task(1, 2, 5.0)]
+        assert solve_greedy({0: 1}, tasks, g, 0.0).makespan(0.0) == 11.0
+        alloc = solve_exact({0: 1}, tasks, g, 0.0)
+        assert visits(alloc, 0) == [1, 2, 0, 1] and alloc.makespan(0.0) == 11.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the assignment search assumes a task subset is no harder than the set; "
+        "on a non-metric table a second task's stop can be the shortcut that meets "
+        "the first one's deadline"))
+    def test_finds_allocation_on_non_metric_table(self):
+        g = TravelTimeGraph((0, 1, 2), np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
+        robots = {0: 1, 1: 0}
+        tasks = [Task(2, 0, 3.0), Task(0, 1, 22.0), Task(1, 0, 18.0)]
+        assert enumerate_best_makespan(robots, tasks, g, 0.0) == 3.0
+        alloc = solve_exact(robots, tasks, g, 0.0)
+        assert alloc is not None and alloc.makespan(0.0) == 3.0
 
     def test_golden_allocation_at_the_cap(self):
         g = TravelTimeGraph.from_text((SCENARIOS / "tables" / "depot_travel.txt").read_text())

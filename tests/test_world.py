@@ -327,6 +327,11 @@ class TestRaycast:
             raycast(grid, 1.0, 1.0, 0.0, n_rays=0)
         with pytest.raises(MapError):
             raycast(grid, 99.0, 1.0, 0.0)
+        # refused even where the pose skip would return before any ray
+        for heading in (math.nan, math.inf, -math.inf):
+            for max_range in (3.0, 0.1):
+                with pytest.raises(ValueError, match="heading must be finite"):
+                    raycast(grid, 1.0, 1.0, heading, max_range=max_range)
 
 
 def _bundled_grids():
@@ -431,9 +436,10 @@ class TestRaycastMatchesReference:
         _assert_matches_reference(grid, 0.999, 0.999, math.pi / 4, 1, max_range)
 
     def test_edge_headings_and_poses(self):
-        # the headings where a direction cosine is 0, -0 or NaN, or the angle
-        # is large; poses on cell corners and edges and one ulp inside the
-        # far map edge; maps with no wall on the border, one row or one column
+        # the headings where a direction cosine is 0 or -0, or the angle is
+        # large, and a NaN heading, which is refused; poses on cell corners
+        # and edges and one ulp inside the far map edge; maps with no wall on
+        # the border, one row or one column
         grids = _bundled_grids() + [
             grid_from_rows(["............", "....#.......", "............", "..##........",
                             "............", ".........#..", "............", "......#.....",
@@ -444,7 +450,7 @@ class TestRaycastMatchesReference:
         headings = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, math.nan,
                     50.0, -50.0, 49.99, -37.7, 12.5)
         rng = random.Random(25)
-        clamped = nan_hits = left_the_map = 0
+        clamped = left_the_map = 0
         for grid in grids:
             res, ox, oy = grid.resolution, grid.origin_x, grid.origin_y
             x_far = math.nextafter(ox + grid.width * res, -math.inf)
@@ -458,17 +464,14 @@ class TestRaycastMatchesReference:
                 for heading in headings:
                     n_rays, max_range = rng.choice((1, 4, 16)), rng.choice((1.0, 5.0, 100.0))
                     if math.isnan(heading):
-                        # a NaN ray's t never passes max_range, so the plain
-                        # walk follows it to a wall or off the map, while the
-                        # pose skip ends it with None; 100 m skips no pose here
-                        max_range = 100.0
+                        with pytest.raises(ValueError, match="heading must be finite"):
+                            raycast(grid, x, y, heading, n_rays, max_range)
+                        continue
                     _assert_matches_reference(grid, x, y, heading, n_rays, max_range)
                     points = raycast(grid, x, y, heading, n_rays, max_range).points
-                    nan_hits += any(p is not None and math.isnan(p[0]) for p in points)
                     left_the_map += max_range == 100.0 and None in points
-        # the far-edge clamp ran, NaN rays walked into a wall, and rays left
-        # maps with no border wall
-        assert clamped >= 3 and nan_hits > 0 and left_the_map > 0
+        # the far-edge clamp ran, and rays left maps with no border wall
+        assert clamped >= 3 and left_the_map > 0
 
     def test_fresh_grids_get_their_own_store(self):
         # grids loaded and dropped in turn may share an id; each still reads
