@@ -25,14 +25,6 @@ class Cluster:
 class ClusterPartition:
     clusters: tuple[Cluster, ...]
 
-    def __post_init__(self) -> None:
-        seen: set[int] = set()
-        for c in self.clusters:
-            overlap = seen.intersection(c.members)
-            if overlap:
-                raise ValueError(f"robots {sorted(overlap)} appear in two clusters")
-            seen.update(c.members)
-
 
 def neighbor_sets(
     positions: dict[int, Position], d_neighbor: float

@@ -65,13 +65,30 @@ def as_written(value: float) -> float:
 
 # Per record type, the keys after "type" in the engine's order with their
 # slots, then the optional trailing keys. A slot is a kind below, [slot] a
-# list of any length, or (slot, ...) a list of exactly those slots.
+# list of any length, (slot, ...) a list of exactly those slots, or {key:
+# slot, ...} a mapping with those keys. No writer takes a mapping or a bound.
 FLOAT, INT, STR, BOOL = "a number", "an integer", "a string", "a boolean"
 FLOAT_OR_NULL, INT_OR_NULL = "a number or null", "an integer or null"
+POSITIVE, NON_NEGATIVE = "a number > 0", "a number >= 0"
 _NULLABLE = {FLOAT_OR_NULL: FLOAT, INT_OR_NULL: INT}
+_OUT_OF_RANGE = {POSITIVE: "<= 0", NON_NEGATIVE: "< 0"}
 _XY = (FLOAT, FLOAT)
 
 SCHEMA = {
+    HEADER: ({"version": INT, "digest": STR, "seed": INT, "tick_dt": POSITIVE,
+              "control_period": POSITIVE, "replan_period": POSITIVE, "duration": NON_NEGATIVE,
+              "timing": BOOL,
+              "map": {"width": INT, "height": INT, "resolution": FLOAT, "origin_x": FLOAT,
+                      "origin_y": FLOAT, "text": STR},
+              "robots": [{"id": INT, "name": STR, "x": FLOAT, "y": FLOAT, "heading": FLOAT,
+                          "r_robot": FLOAT, "r_safe": FLOAT}],
+              "humans": [{"x": FLOAT, "y": FLOAT}],
+              "locations": [(INT, FLOAT, FLOAT)],
+              "rooms": [{"location": INT, "polygon": [_XY], "queue_slots": [_XY]}],
+              "params": {"d_neighbor": FLOAT, "n_rays": INT, "max_range": FLOAT,
+                         "cost_weight": FLOAT, "inflation_radius": FLOAT, "cost_scale": FLOAT,
+                         "release_distance": FLOAT, "queue_request_factor": FLOAT,
+                         "r_human": FLOAT}}, {}),
     STATE: ({"t": FLOAT, "robots": [(INT, FLOAT, FLOAT, FLOAT, FLOAT)],
              "humans": [(FLOAT, FLOAT, FLOAT, FLOAT)]}, {}),
     CONTROL: ({"t": FLOAT, "robots": [(INT, FLOAT, FLOAT)]}, {}),
@@ -98,11 +115,13 @@ SCHEMA = {
 # a bool for an int), or a nan or +-inf.
 
 
-def _code(slot, v: str, indent: str, path: str | None, gather: bool = True) -> list[str]:
-    """Lines testing the value named ``v`` against ``slot``. A checker's
-    (``path`` an f-string naming ``v``) return the problem; a FLOAT may be an
-    int. A writer's return None, put numbers in ``flat`` if ``gather``, the
-    rest in ``shape``."""
+def _code(slot, v: str, indent: str, path: str | None, gather: bool = True,
+          optional: dict = {}) -> list[str]:
+    """Lines testing the value named ``v`` against ``slot``, a mapping's keys
+    then those of ``optional`` it has. A checker's (``path`` an f-string
+    naming ``v``, "" for a record) return the problem; a FLOAT may be an int.
+    A writer's (never of a mapping) return None, put numbers in ``flat`` if
+    ``gather``, the rest in ``shape``."""
     def fail(expected: str) -> str:
         if path is None:
             return "return None"
@@ -111,11 +130,24 @@ def _code(slot, v: str, indent: str, path: str | None, gather: bool = True) -> l
     def shape(expr: str) -> list[str]:
         return [f"{indent}shape.append({expr})"] if path is None else []
 
+    if type(slot) is dict:
+        lines = [f"{indent}if type({v}) is not dict: {fail('a mapping')}", f"{indent}try:",
+                 *[f"{indent}    {v}_{k} = {v}[{name!r}]" for k, name in enumerate(slot)],
+                 f"{indent}except KeyError as exc: return f"
+                 + repr((f"{path}." if path else "") + "{exc.args[0]}: missing")]
+        for k, (name, item) in enumerate({**slot, **optional}.items()):
+            inner = indent
+            if name in optional:
+                lines += [f"{indent}if {name!r} in {v}:", f"{indent}    {v}_{k} = {v}[{name!r}]"]
+                inner += "    "
+            lines += _code(item, f"{v}_{k}", inner, f"{path}.{name}" if path else name)
+        return lines
     if type(slot) is str:
         number = f"type({v}) is not float or {v} - {v}"  # nan for nan and +-inf
         bad = {FLOAT: number if path is None else f"type({v}) is not int and ({number})",
                INT: f"type({v}) is not int", STR: f"type({v}) is not str",
                BOOL: f"type({v}) is not bool"}
+        bad.update({kind: f"{bad[FLOAT]} or {v} {out}" for kind, out in _OUT_OF_RANGE.items()})
         test = bad.get(slot) or f"{v} is not None and ({bad[_NULLABLE[slot]]})"
         lines = [f"{indent}if {test}: {fail(slot)}"]
         if slot not in (FLOAT, INT):
@@ -165,13 +197,8 @@ def _writer(kind: str):
 
 def _checker(kind: str):
     required, optional = SCHEMA[kind]
-    body = ["    try:", *[f"        v{k} = record[{name!r}]" for k, name in enumerate(required)],
-            "    except KeyError as exc: return f'{exc.args[0]}: missing'"]
-    for k, (name, slot) in enumerate({**required, **optional}.items()):
-        if name in optional:
-            body += [f"    if {name!r} in record:", f"        v{k} = record[{name!r}]"]
-        body += _code(slot, f"v{k}", "        " if name in optional else "    ", name)
-    return _compiled(f"check_{kind}", [*body, "    return None"])
+    return _compiled(f"check_{kind}",
+                     [*_code(required, "record", "    ", "", optional=optional), "    return None"])
 
 
 def _template(slot, shape: Iterator) -> str:
@@ -322,14 +349,15 @@ def check_record(record: dict) -> str | None:
     return None if check is None else check(record)
 
 
-def check_events(path: str | Path, trace: Trace) -> None:
+def check_trace(path: str | Path, trace: Trace) -> None:
     """Raise TraceError naming the path, line, type, time and problem of the
-    first event of ``trace`` (read from ``path``) that check_record faults.
-    Only then is the file read again, to number that line."""
-    for k, record in enumerate(trace.events):
+    first record of ``trace`` (read from ``path``), the header as line 1,
+    that check_record faults. Only then is the file read again, to number
+    that line."""
+    for k, record in enumerate(chain([trace.header], trace.events)):
         problem = check_record(record)
         if problem is not None:
             with open(path) as fh:
                 lines = (n for n, line in enumerate(fh, start=1) if n == 1 or line.rstrip("\n"))
-                n = next(islice(lines, k + 1, None))
+                n = next(islice(lines, k, None))
             raise TraceError(f"{path}: line {n}: {_where(record)}: {problem}")

@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from fleetsim.cli import _build_parser, main
 from fleetsim.tasking import TravelTimeGraph
-from fleetsim.trace import FLOAT, FLOAT_OR_NULL, SCHEMA, STR, read_trace, write_trace
+from fleetsim.trace import (
+    FLOAT, FLOAT_OR_NULL, NON_NEGATIVE, POSITIVE, SCHEMA, STR, read_trace, write_trace,
+)
 
 from _support import ROOT, SCENARIOS
 
@@ -226,10 +228,7 @@ class TestRender:
         bad.write_text(json.dumps(header) + "\n" + rest)
         out = tmp_path / "f"
         assert main(["render", str(bad), "--out", str(out)]) == 2
-        name = "map.text" if field == "map" else field
-        expected = {"map.text": "a string", "params": "a mapping"}.get(name, "a list")
-        assert capsys.readouterr().err == (
-            f"error: {bad}: header {name!r} must be {expected}, got None\n")
+        assert capsys.readouterr().err == f"error: {bad}: line 1: header record: {field}: missing\n"
         assert not list(out.glob("*.svg"))
 
     def test_corrupt_trace(self, tmp_path, capsys):
@@ -275,8 +274,8 @@ class TestReport:
         assert main(["report", str(full)]) == 0
 
     @pytest.mark.parametrize("field, value, expected", [
-        ("control_period", 0, "a finite number > 0, got 0"),
-        ("duration", "abc", "a finite number >= 0, got 'abc'"),
+        ("control_period", 0, "a number > 0, got 0"),
+        ("duration", "abc", 'a number >= 0, got "abc"'),
         ("robots", 5, "a list, got 5"),
     ])
     def test_malformed_header_value_names_its_field(self, smoke_trace, tmp_path, capsys,
@@ -285,7 +284,29 @@ class TestReport:
         bad = tmp_path / "bad.trace"
         bad.write_text(json.dumps({**json.loads(header), field: value}) + "\n" + rest)
         assert main(["report", str(bad)]) == 2
-        assert capsys.readouterr().err == f"error: {bad}: header {field!r} must be {expected}\n"
+        assert capsys.readouterr().err == (
+            f"error: {bad}: line 1: header record: {field}: expected {expected}\n")
+
+    @pytest.mark.parametrize("command", ["report", "render"])
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda h: h.pop("map"), "map: missing"),
+        (lambda h: h["robots"][0].pop("heading"), "robots[0].heading: missing"),
+        (lambda h: h["params"].update(n_rays="x"), 'params.n_rays: expected an integer, got "x"'),
+        (lambda h: h["robots"][0].update(r_robot="x"),
+         'robots[0].r_robot: expected a number, got "x"'),
+    ], ids=["no-map", "robot-no-heading", "n_rays-x", "r_robot-x"])
+    def test_malformed_header_names_line_1_and_its_slot(self, smoke_trace, tmp_path, capsys,
+                                                        command, edit, problem):
+        header, rest = smoke_trace.read_text().split("\n", 1)
+        header = json.loads(header)
+        edit(header)
+        bad = tmp_path / "bad.trace"
+        bad.write_text(json.dumps(header) + "\n" + rest)
+        out = tmp_path / "frames"
+        extra = ["--out", str(out)] if command == "render" else []
+        assert main([command, str(bad), *extra]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: line 1: header record: {problem}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "render"])
     @pytest.mark.parametrize("kind, edit, problem", [
@@ -321,19 +342,22 @@ class TestReport:
 def _slots(value, slot, path):
     """(path, slot) of ``value``, a value of ``slot``, and of each slot in it."""
     yield path, slot
-    if type(slot) is not str:
+    if type(slot) is dict:
+        for name, item in slot.items():
+            yield from _slots(value[name], item, f"{path}.{name}")
+    elif type(slot) is not str:
         items = slot if type(slot) is tuple else slot * len(value)
         for k, (item, v) in enumerate(zip(items, value)):
             yield from _slots(v, item, f"{path}[{k}]")
 
 
-def _set(record, path, value):
-    """Set the slot at ``path`` (``robots[1][2]``) of ``record`` to ``value``."""
-    key, *indices = re.findall(r"\w+", path)
-    *outer, last = [key, *map(int, indices)]
+def _parent(record, path):
+    """The value holding the slot at ``path`` (``robots[1].heading``) of
+    ``record``, and the slot's key or index in it."""
+    *outer, last = [int(step) if step.isdigit() else step for step in re.findall(r"\w+", path)]
     for step in outer:
         record = record[step]
-    record[last] = value
+    return record, last
 
 
 @pytest.fixture(scope="module")
@@ -348,31 +372,35 @@ def golden_lines(smoke_result, tmp_path_factory):
 @given(st.data())
 def test_a_mutated_golden_record_exits_2_naming_its_line_and_slot(golden_lines, tmp_path_factory,
                                                                   data):
-    """One event of a golden run with a key dropped, a slot swapped for a
-    value of another type, or a number set to NaN: report exits 2 and names
-    the event's line and the slot's path."""
+    """The header or one event of a golden run with a key dropped at any
+    level, a slot swapped for a value of another type, or a number set to
+    NaN: report exits 2 and names the record's line and the slot's path."""
     lines = list(golden_lines)
-    k = data.draw(st.integers(1, len(lines) - 1))
+    k = 0 if data.draw(st.booleans()) else data.draw(st.integers(1, len(lines) - 1))
     record = json.loads(lines[k])
     required, optional = SCHEMA[record["type"]]
     slots = [found for name, slot in {**required, **optional}.items() if name in record
              for found in _slots(record[name], slot, name)]
     action = data.draw(st.sampled_from(["drop", "swap", "nan"]))
     if action == "drop":
-        path = data.draw(st.sampled_from(sorted(required)))
-        del record[path]
+        path = data.draw(st.sampled_from(
+            sorted(required) + [path for path, _ in slots if re.search(r"\.\w+$", path)]))
+        holder, key = _parent(record, path)
+        del holder[key]
         problem = "missing"
     elif action == "swap":
         path, slot = data.draw(st.sampled_from(slots))
         value = 5 if slot == STR else "x"
-        _set(record, path, value)
-        expected = slot if type(slot) is str else (
+        holder, key = _parent(record, path)
+        holder[key] = value
+        expected = slot if type(slot) is str else "a mapping" if type(slot) is dict else (
             f"a list of {len(slot)} items" if type(slot) is tuple else "a list")
         problem = f"expected {expected}, got {json.dumps(value)}"
     else:
-        path, slot = data.draw(st.sampled_from(
-            [(path, slot) for path, slot in slots if slot in (FLOAT, FLOAT_OR_NULL)]))
-        _set(record, path, math.nan)
+        numbers = (FLOAT, FLOAT_OR_NULL, POSITIVE, NON_NEGATIVE)
+        path, slot = data.draw(st.sampled_from([found for found in slots if found[1] in numbers]))
+        holder, key = _parent(record, path)
+        holder[key] = math.nan
         problem = f"expected {slot}, got NaN"
     lines[k] = json.dumps(record)
     bad = tmp_path_factory.mktemp("mutated") / "bad.trace"

@@ -1,13 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from fleetsim.coordination import (
-    Cluster,
-    ClusterPartition,
-    elect_leaders,
-    form_clusters,
-    neighbor_sets,
-)
+from fleetsim.coordination import elect_leaders, form_clusters, neighbor_sets
 
 
 class TestNeighborSets:
@@ -50,10 +44,6 @@ class TestFormClusters:
             form_clusters({0: {1}, 1: set()})
         with pytest.raises(ValueError, match="asymmetric"):
             form_clusters({0: {1}})
-
-    def test_overlapping_partition_rejected(self):
-        with pytest.raises(ValueError, match="two clusters"):
-            ClusterPartition((Cluster((0, 1)), Cluster((1, 2))))
 
     @given(st.dictionaries(st.integers(0, 12), st.booleans(), min_size=1, max_size=13),
            st.integers(0, 1000))

@@ -14,6 +14,7 @@ from fleetsim.trace import (
     HEADER,
     SCHEMA,
     STATE,
+    STR,
     Trace,
     TraceError,
     check_record,
@@ -235,14 +236,42 @@ def test_golden_records_format_alike_both_ways(fixture, request, tmp_path):
 
 @pytest.mark.parametrize("fixture", GOLDEN_RUNS)
 def test_golden_records_pass_their_checks(fixture, request, tmp_path):
-    """The engine writes each record as SCHEMA declares it: every event of
-    the golden runs passes check_record, in memory and read back."""
+    """The engine writes each record as SCHEMA declares it: the header and
+    every event of the golden runs pass check_record, in memory and read
+    back."""
     _, result = request.getfixturevalue(fixture)
     path = tmp_path / "run.trace"
     write_trace(path, result.trace)
-    for events in (result.trace.events, read_trace(path).events):
-        assert {e["type"] for e in events} <= set(SCHEMA)
-        assert [(e, check_record(e)) for e in events if check_record(e) is not None] == []
+    back = read_trace(path)
+    for records in ([result.trace.header, *result.trace.events], [back.header, *back.events]):
+        assert {r["type"] for r in records} <= set(SCHEMA)
+        assert [(r, check_record(r)) for r in records if check_record(r) is not None] == []
+
+
+def _keys_off_schema(value, slot, path="", optional={}):
+    """(path, keys) of each mapping in ``value``, a value of ``slot``, whose
+    keys are not its slot's in order, then the ``optional`` ones it has."""
+    if type(slot) is dict:
+        if list(value) != [*slot, *(name for name in optional if name in value)]:
+            yield path, list(value)
+        for name, item in {**slot, **optional}.items():
+            if name in value:
+                yield from _keys_off_schema(value[name], item, f"{path}.{name}")
+    elif type(slot) is not str:
+        items = slot if type(slot) is tuple else slot * len(value)
+        for k, (item, v) in enumerate(zip(items, value)):
+            yield from _keys_off_schema(v, item, f"{path}[{k}]")
+
+
+@pytest.mark.parametrize("fixture", GOLDEN_RUNS)
+def test_golden_records_carry_exactly_the_schema_keys(fixture, request):
+    """Every record of the golden runs, header included, has its SCHEMA
+    entry's keys in order at every level, the optional ones present or not,
+    and no other key: check_record lets other keys pass."""
+    _, result = request.getfixturevalue(fixture)
+    assert [(r["type"], *found) for r in [result.trace.header, *result.trace.events]
+            for found in _keys_off_schema(r, {"type": STR, **SCHEMA[r["type"]][0]}, "",
+                                          SCHEMA[r["type"]][1])] == []
 
 
 def test_readme_lists_the_schema_keys():
