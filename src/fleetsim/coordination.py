@@ -46,14 +46,10 @@ def neighbor_sets(
 def form_clusters(neighbors: dict[int, set[int]]) -> ClusterPartition:
     """Partition robots into connected components of the neighbor graph.
 
-    Clusters come out sorted by smallest member id, members ascending.
-    Asymmetric input (j in B_i but not i in B_j) indicates a stale snapshot
-    and raises.
+    ``neighbors`` is symmetric (j in B_i exactly when i in B_j), as
+    ``neighbor_sets`` builds it. Clusters come out sorted by smallest member
+    id, members ascending.
     """
-    for i, bi in neighbors.items():
-        for j in bi:
-            if j not in neighbors or i not in neighbors[j]:
-                raise ValueError(f"asymmetric neighbor sets: {i} -> {j}")
     clusters = []
     seen: set[int] = set()
     # a component is first reached from its smallest member

@@ -345,60 +345,52 @@ class _Engine:
         return nominal_stop(rt.state, rt.params)
 
     def phase_controls(self, partition: ClusterPartition) -> None:
-        decided: dict[int, Control] = {}
-        for rid, rt in enumerate(self.robots):
+        off_map = set()
+        for rt in self.robots:
             if not self.s.grid.in_bounds(rt.state.x, rt.state.y):
                 # nothing can be sensed off the map: stop, outside the QP
-                decided[rid] = stop_control(rt.state, rt.params)
+                off_map.add(rt.rid)
                 if not rt.fault:
                     self._fault(rt, f"sensing pose ({rt.state.x}, {rt.state.y}) "
                                     "is outside the map bounds")
+                rt.control = stop_control(rt.state, rt.params)  # after _fault's zeroing
         for cluster in sorted(partition.clusters, key=lambda c: c.leader):
-            members = [m for m in cluster.members if m not in decided]
+            members = [m for m in cluster.members if m not in off_map]
             if not members:
                 continue
+            robots = [self.robots[m] for m in members]
             if cluster.all_stop:
-                for m in members:
-                    rt = self.robots[m]
-                    decided[m] = stop_control(rt.state, rt.params)
+                for rt in robots:
+                    rt.control = stop_control(rt.state, rt.params)
                 continue
             leader = cluster.leader
             params = self.robots[leader].params
-            states, nominals, obstacle_points = {}, {}, {}
-            for m in members:
-                rt = self.robots[m]
-                states[m] = st = rt.state
-                nominals[m] = (
-                    self._leader_nominal(rt) if m == leader
-                    else nominal_stop(st, rt.params)
-                )
-                obstacle_points[m] = raycast(
-                    self.s.grid, st.x, st.y, st.theta,
-                    self.s.world.n_rays, self.s.world.max_range,
-                )
+            states, nominals, casts = [], [], []
+            for rt in robots:
+                st = rt.state
+                states.append(st)
+                nominals.append(self._leader_nominal(rt) if rt.rid == leader
+                                else nominal_stop(st, rt.params))
+                casts.append(raycast(self.s.grid, st.x, st.y, st.theta,
+                                     self.s.world.n_rays, self.s.world.max_range))
             if self.include_timing:
                 t0 = time.perf_counter()
             try:
                 if len(members) == 1:
-                    only = members[0]
-                    decision = solve_single_qp(
-                        states[only], nominals[only], obstacle_points[only],
-                        self.humans, params, robot_id=only,
-                    )
+                    decision = solve_single_qp(states[0], nominals[0], casts[0], self.humans,
+                                               params, robot_id=members[0])
                 else:
-                    decision = solve_cluster_qp(
-                        members, states, nominals, obstacle_points, self.humans, params
-                    )
+                    decision = solve_cluster_qp(members, states, nominals, casts, self.humans,
+                                                params)
             except ValueError as exc:
                 # a bad QP input stops its own cluster, not the run
-                for m in members:
-                    rt = self.robots[m]
-                    decided[m] = stop_control(rt.state, rt.params)
+                for rt in robots:
                     if not rt.fault:
                         self._fault(rt, f"safety: {exc}")
+                    rt.control = stop_control(rt.state, rt.params)  # after _fault's zeroing
                 continue
-            for m in members:
-                decided[m] = decision.controls[m]
+            for rt, control in zip(robots, decision.controls):
+                rt.control = control
             record = {
                 "type": tr.QP, "t": self.now, "leader": leader,
                 "members": members, "status": decision.qp_status,
@@ -408,8 +400,6 @@ class _Engine:
             if self.include_timing:
                 record["duration"] = tr.as_written(time.perf_counter() - t0)
             self.emit(record)
-        for rid, rt in enumerate(self.robots):
-            rt.control = decided[rid]
         self.emit({
             "type": tr.CONTROL, "t": self.now,
             "robots": [[rt.rid, rt.control.a, rt.control.omega] for rt in self.robots],

@@ -7,12 +7,9 @@ queue holder may enter, everyone else waits at their slot.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-log = logging.getLogger(__name__)
 
 Position = tuple[float, float]
 
@@ -107,7 +104,6 @@ class RoomQueue:
         if robot in self.occupants:
             self.occupants.remove(robot)
             return True
-        log.warning("release by non-member robot %s on room %s ignored", robot, self.room_id)
         return False
 
 

@@ -84,7 +84,7 @@ class ControllerParams:
 
 @dataclass(frozen=True)
 class ControlDecision:
-    controls: dict[int, Control]
+    controls: list[Control]  # in member order
     slack_used: list[float] = field(default_factory=list)
     qp_status: str = FEASIBLE
 
@@ -121,25 +121,24 @@ def nominal_leader(state: RobotState, waypoint: tuple[float, float], p: Controll
 
 
 def _rows(
-    members: list[int],
-    states: dict[int, RobotState],
-    obstacle_points: dict[int, ObstaclePointSet],
+    states: list[RobotState],
+    obstacle_points: list[ObstaclePointSet],
     humans: list[HumanState],
     p: ControllerParams,
 ) -> tuple[list[Row], list[float]]:
-    """The hard system ``A @ u >= b`` over the stacked (a, omega) of
-    ``members``: the CBF rows (pairs, then each member's obstacle hits, then
-    each member against each human), then per variable its upper and lower
-    box row. A row at offset dp, relative velocity dv, heading e and normal
-    n reads ``2 (dp . e) a + 2 v (dp . n) omega >= -2 |dv|^2 - (alpha1 +
+    """The hard system ``A @ u >= b`` over the stacked (a, omega) of a
+    cluster, given its members' ``states`` and ``obstacle_points`` in member
+    order: the CBF rows (pairs, then each member's obstacle hits, then each
+    member against each human), then per variable its upper and lower box
+    row. A row at offset dp, relative velocity dv, heading e and normal n
+    reads ``2 (dp . e) a + 2 v (dp . n) omega >= -2 |dv|^2 - (alpha1 +
     alpha2) 2 (dp . dv) - alpha1 alpha2 (|dp|^2 - r^2)``; a pair row adds
     the other robot's terms with -2 for 2. Raises ValueError on a non-finite
     entry."""
     isfinite = math.isfinite
-    n = len(members)
+    n = len(states)
     kin, trig = [], []  # per member: position and velocity v e; heading e and speed
-    for rid in members:
-        s = states[rid]
+    for s in states:
         cos, sin = math.cos(s.theta), math.sin(s.theta)
         kin.append((s.x, s.y, s.v * cos, s.v * sin))
         trig.append((cos, sin, s.v))
@@ -165,9 +164,9 @@ def _rows(
         dpx, dpy = xi - xj, yi - yj
         add(i, dpx, dpy, vxi - vxj, vyi - vyj, r2, terms(j, dpx, dpy, -2.0))
     r2 = p.r_obstacle * p.r_obstacle
-    for k, rid in enumerate(members):
+    for k, cast in enumerate(obstacle_points):
         x, y, vx, vy = kin[k]  # static points: dv is the robot's velocity
-        for px, py in obstacle_points[rid].hit_points():
+        for px, py in cast.hit_points():
             add(k, x - px, y - py, vx, vy, r2)
     if humans:
         r2 = p.r_human_safe * p.r_human_safe
@@ -187,34 +186,36 @@ def _clip(value: float, limit: float) -> float:
 
 def solve_cluster_qp(
     members: list[int],
-    states: dict[int, RobotState],
-    nominals: dict[int, Control],
-    obstacle_points: dict[int, ObstaclePointSet],
+    states: list[RobotState],
+    nominals: list[Control],
+    obstacle_points: list[ObstaclePointSet],
     humans: list[HumanState],
     p: ControllerParams,
 ) -> ControlDecision:
     """Filter the cluster's nominal controls through the joint CBF-QP.
 
-    Minimizes sum |u_i - u_i*|^2 subject to every pairwise, obstacle and
-    human barrier row plus control box bounds. Falls back to a slack-penalized
-    problem (penalty slack_penalty * s^2 per row) when the hard QP is
-    infeasible, and to stop controls for everyone when even that fails.
+    ``states``, ``nominals`` and ``obstacle_points`` are in the order of the
+    robot ids ``members``, and so are the decision's controls. Minimizes
+    sum |u_i - u_i*|^2 subject to every pairwise, obstacle and human barrier
+    row plus control box bounds. Falls back to a slack-penalized problem
+    (penalty slack_penalty * s^2 per row) when the hard QP is infeasible,
+    and to stop controls for everyone when even that fails.
     """
     if not members:
         raise ValueError("empty cluster")
     g = []  # the objective's linear term, -2 u*
-    for rid in members:
-        st, nom = states[rid], nominals[rid]
+    for k, rid in enumerate(members):
+        st, nom = states[k], nominals[k]
         if not all(map(math.isfinite, (st.x, st.y, st.theta, st.v, nom.a, nom.omega))):
             raise ValueError(f"non-finite state or nominal for robot {rid}")
         g += (-2.0 * nom.a, -2.0 * nom.omega)
 
-    rows, b = _rows(members, states, obstacle_points, humans, p)
+    rows, b = _rows(states, obstacle_points, humans, p)
     n = 2 * len(members)  # control variables
     m = len(b) - 2 * n  # CBF rows
     hard = solve_diagonal([2.0] * n, g, rows, b)
     if hard.status == OPTIMAL:
-        return ControlDecision(_unpack(members, hard.x, p), [0.0] * m, FEASIBLE)
+        return ControlDecision(_unpack(hard.x, p), [0.0] * m, FEASIBLE)
 
     # soft problem: one slack variable per CBF row, which it relaxes, kept
     # nonnegative; the rows without their zero coefficients
@@ -229,18 +230,15 @@ def solve_cluster_qp(
     )
     if soft.status == OPTIMAL:
         slack = [max(0.0, s) for s in soft.x[n:]]
-        return ControlDecision(_unpack(members, soft.x, p), slack, FEASIBLE_WITH_SLACK)
+        return ControlDecision(_unpack(soft.x[:n], p), slack, FEASIBLE_WITH_SLACK)
 
-    stops = {rid: stop_control(states[rid], p) for rid in members}
-    return ControlDecision(stops, [], INFEASIBLE_FALLBACK)
+    return ControlDecision([stop_control(st, p) for st in states], [], INFEASIBLE_FALLBACK)
 
 
-def _unpack(members: list[int], x: list[float], p: ControllerParams) -> dict[int, Control]:
+def _unpack(x: list[float], p: ControllerParams) -> list[Control]:
     # clip away solver-tolerance overshoot so box bounds hold exactly
-    return {
-        rid: Control(_clip(x[2 * k], p.a_max), _clip(x[2 * k + 1], p.omega_max))
-        for k, rid in enumerate(members)
-    }
+    pairs = iter(x)
+    return [Control(_clip(a, p.a_max), _clip(omega, p.omega_max)) for a, omega in zip(pairs, pairs)]
 
 
 def solve_single_qp(
@@ -251,12 +249,9 @@ def solve_single_qp(
     p: ControllerParams,
     robot_id: int = 0,
 ) -> ControlDecision:
-    """Single-robot CBF-QP: obstacle and human constraints only."""
-    return solve_cluster_qp(
-        [robot_id],
-        {robot_id: state},
-        {robot_id: nominal},
-        {robot_id: obstacle_points},
-        humans,
-        p,
-    )
+    """Single-robot CBF-QP: ``solve_cluster_qp`` on one-element lists.
+
+    It stays only because ``perfbench/spans.ENGINE_NAMES`` wraps this name
+    in the engine, which calls it for one-member clusters; ROADMAP item 2
+    deletes it."""
+    return solve_cluster_qp([robot_id], [state], [nominal], [obstacle_points], humans, p)

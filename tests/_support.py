@@ -805,23 +805,25 @@ def reference_ray_cells(grid: OccupancyGrid, x: float, y: float, angle: float,
 
 
 def random_cluster(rng: random.Random, u_max: float = 3.0):
-    """Members with shuffled ids, close enough for pair, obstacle and human
-    rows to bind, with nominal controls drawn from [-u_max, u_max]."""
+    """The solve_cluster_qp arguments of a random cluster: members with
+    shuffled ids, close enough for pair, obstacle and human rows to bind,
+    with nominal controls drawn from [-u_max, u_max]; states, nominals and
+    obstacle points in member order."""
     n = rng.randint(1, 4)
     members = rng.sample(range(6), n)
     spread = rng.choice((0.6, 1.5, 4.0))
-    states, nominals, obstacle_points = {}, {}, {}
-    for rid in members:
+    states, nominals, obstacle_points = [], [], []
+    for _ in members:
         s = RobotState(rng.uniform(0, spread), rng.uniform(0, spread),
                        rng.uniform(-math.pi, math.pi), rng.uniform(-1, 1))
-        states[rid] = s
-        nominals[rid] = Control(rng.uniform(-u_max, u_max), rng.uniform(-u_max, u_max))
+        states.append(s)
+        nominals.append(Control(rng.uniform(-u_max, u_max), rng.uniform(-u_max, u_max)))
         points = []
         for _ in range(rng.choice((1, 4, 16))):
             d, ang = rng.uniform(0.2, 3.0), rng.uniform(-math.pi, math.pi)
             hit = (s.x + d * math.cos(ang), s.y + d * math.sin(ang))
             points.append(hit if rng.random() < 0.3 else None)
-        obstacle_points[rid] = ObstaclePointSet(tuple(points))
+        obstacle_points.append(ObstaclePointSet(tuple(points)))
     humans = [HumanState(rng.uniform(-1, spread + 1), rng.uniform(-1, spread + 1),
                          rng.uniform(-1, 1), rng.uniform(-1, 1))
               for _ in range(rng.randint(0, 2))]
@@ -836,32 +838,32 @@ def near_dependent_cluster():
     32, 2, 42, 47, 39) is near-dependent. A scan that skips active rows
     returns that set as optimal with pair row 1 violated by 0.28."""
     members = [1, 2, 3]
-    states = {
-        1: RobotState(4.499521165510837, 2.264011104640521, 3.0995563421438774,
-                      0.0014867800887132672),
-        2: RobotState(6.02205243288903, 1.8332039282522024, 0.9510653805180551,
-                      -0.029714707583967825),
-        3: RobotState(5.296936006646442, 2.1999305053868077, 2.3533380966356914,
-                      0.0027208966549107797),
-    }
-    nominals = {
-        1: Control(-0.0029735601774265345, 0.0),
-        2: Control(0.05942941516793565, 0.0),
-        3: Control(0.7729822967576017, 1.262101534393878e-12),
-    }
-    hits = {
-        1: ((4.0, 2.285021508874514), (4.0, 2.0812963734540686), (4.0, 1.8048146464897505),
-            (3.6803762467588603, 0.5), (4.425324937321291, 0.4999999999999998),
-            (5.144760721005343, 0.5000000000000002), (6.121129432221975, 0.5),
-            (3.8645315669541915, 4.0), (4.0, 2.4959712229531843)),
-        2: ((3.9999999999999996, 2.300327703071085), (3.887819790764558, 0.5),
-            (5.070807559287586, 0.4999999999999998), (5.714062767814548, 0.5000000000000002),
-            (6.244963671555745, 0.5), (6.854872941405757, 0.4999999999999998),
-            (7.890585723983348, 0.5)),
-        3: ((3.50712066383982, 4.0), (4.0, 2.2036350751147653), (4.0, 1.6670570662598),
-            (3.5872663147380113, 0.5), (4.587106210133703, 0.4999999999999998),
-            (5.292080322898274, 0.5), (5.995388212491726, 0.5), (6.9871828050902565, 0.5)),
-    }
+    states = [
+        RobotState(4.499521165510837, 2.264011104640521, 3.0995563421438774,
+                   0.0014867800887132672),
+        RobotState(6.02205243288903, 1.8332039282522024, 0.9510653805180551,
+                   -0.029714707583967825),
+        RobotState(5.296936006646442, 2.1999305053868077, 2.3533380966356914,
+                   0.0027208966549107797),
+    ]
+    nominals = [
+        Control(-0.0029735601774265345, 0.0),
+        Control(0.05942941516793565, 0.0),
+        Control(0.7729822967576017, 1.262101534393878e-12),
+    ]
+    hits = [
+        ((4.0, 2.285021508874514), (4.0, 2.0812963734540686), (4.0, 1.8048146464897505),
+         (3.6803762467588603, 0.5), (4.425324937321291, 0.4999999999999998),
+         (5.144760721005343, 0.5000000000000002), (6.121129432221975, 0.5),
+         (3.8645315669541915, 4.0), (4.0, 2.4959712229531843)),
+        ((3.9999999999999996, 2.300327703071085), (3.887819790764558, 0.5),
+         (5.070807559287586, 0.4999999999999998), (5.714062767814548, 0.5000000000000002),
+         (6.244963671555745, 0.5), (6.854872941405757, 0.4999999999999998),
+         (7.890585723983348, 0.5)),
+        ((3.50712066383982, 4.0), (4.0, 2.2036350751147653), (4.0, 1.6670570662598),
+         (3.5872663147380113, 0.5), (4.587106210133703, 0.4999999999999998),
+         (5.292080322898274, 0.5), (5.995388212491726, 0.5), (6.9871828050902565, 0.5)),
+    ]
     humans = [
         HumanState(8.159222928376177, 6.063544674274321, -0.009361828303825839,
                    -0.7973104812106904, 1),
@@ -870,7 +872,7 @@ def near_dependent_cluster():
         HumanState(6.818377469336435, 1.5528128519723536, -0.10766991315141283,
                    -0.08895082952083062, 0),
     ]
-    obstacle_points = {rid: ObstaclePointSet(points) for rid, points in hits.items()}
+    obstacle_points = [ObstaclePointSet(points) for points in hits]
     return members, states, nominals, obstacle_points, humans, ControllerParams()
 
 

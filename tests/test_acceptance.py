@@ -53,11 +53,10 @@ def _qp_timing_scene(n: int):
     """n robots in a mutual-keepout line with wall hits and one pedestrian."""
     params = ControllerParams()
     members = list(range(n))
-    states, nominals, obstacles = {}, {}, {}
-    for i in range(n):
-        states[i] = RobotState(1.2 * i, 0.0, math.pi if i % 2 else 0.0, 0.6)
-        nominals[i] = Control(0.5, 0.2)
-        obstacles[i] = ObstaclePointSet(((1.2 * i, 1.0), (1.2 * i + 0.7, 0.8), None))
+    states = [RobotState(1.2 * i, 0.0, math.pi if i % 2 else 0.0, 0.6) for i in members]
+    nominals = [Control(0.5, 0.2)] * n
+    obstacles = [ObstaclePointSet(((1.2 * i, 1.0), (1.2 * i + 0.7, 0.8), None))
+                 for i in members]
     humans = [HumanState(0.6, -1.0, 0.0, 0.3)]
     return members, states, nominals, obstacles, humans, params
 
@@ -72,8 +71,8 @@ def test_qp_solve_time_scaling():
     # every scene's nominal controls break a row, so each solve takes
     # active-set steps, not only the first scan for unconstrained optima
     for members, states, nominals, obstacles, humans, params in scenes.values():
-        rows, b = _rows(members, states, obstacles, humans, params)
-        g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+        rows, b = _rows(states, obstacles, humans, params)
+        g = [-2.0 * u for nom in nominals for u in (nom.a, nom.omega)]
         assert solve_diagonal([2.0] * len(g), g, rows, b).iterations >= 1
     durations = {n: [] for n in scenes}
     # round-robin, so a swing in host speed lands on every size alike

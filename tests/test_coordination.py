@@ -39,12 +39,6 @@ class TestFormClusters:
         part = form_clusters(neighbors)
         assert [c.members for c in part.clusters] == [(2, 9), (4,), (7,)]
 
-    def test_asymmetric_input_rejected(self):
-        with pytest.raises(ValueError, match="asymmetric"):
-            form_clusters({0: {1}, 1: set()})
-        with pytest.raises(ValueError, match="asymmetric"):
-            form_clusters({0: {1}})
-
     @given(st.dictionaries(st.integers(0, 12), st.booleans(), min_size=1, max_size=13),
            st.integers(0, 1000))
     def test_partition_property(self, members, seed):

@@ -293,6 +293,37 @@ class TestFaults:
         assert not list(trace.of_type("qp"))
         assert trace.events[-1]["type"] == "end"
 
+    def test_qp_fault_while_moving_brakes(self, tmp_path, monkeypatch):
+        # the robot drives for 20 ticks, then senses a point whose row
+        # overflows: its control at the fault tick is the braking law at its
+        # speed, not the zero control that _fault writes
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [1.25, 2.25]}},
+            "locations": [[1.25, 2.25], [7.0, 2.0]],
+            "duration": 3,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        casts = []
+        far = ObstaclePointSet(((1e308, 0.0),))
+        world_raycast = engine.raycast
+
+        def raycast(*args):
+            casts.append(args)
+            return far if len(casts) > 20 else world_raycast(*args)
+
+        monkeypatch.setattr(engine, "raycast", raycast)
+        scenario = load_scenario(path)
+        trace = run(scenario).trace
+        faults = list(trace.of_type("fault"))
+        assert [(f["robot"], f["error"]) for f in faults] == [
+            (0, "safety: non-finite constraints")]
+        t = faults[0]["t"]
+        assert t > 0
+        (state,) = [s["robots"][0] for s in trace.of_type("state") if s["t"] == t]
+        (control,) = [c["robots"][0] for c in trace.of_type("control") if c["t"] == t]
+        stop = stop_control(RobotState(*state[1:]), scenario.robots[0].params)
+        assert stop.a < -0.1
+        assert control[1:] == pytest.approx([stop.a, stop.omega], abs=1e-8)
+
     def test_dynamics_faults_keep_their_substep_order(self, tmp_path):
         """Two robots' states overflow inside one control period.
 

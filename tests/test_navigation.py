@@ -1,5 +1,3 @@
-import logging
-
 import pytest
 
 from fleetsim.navigation import (
@@ -123,11 +121,9 @@ class TestRoomQueue:
         assert q.occupants == []
         assert q.holder == 1
 
-    def test_release_non_member_warns(self, caplog):
+    def test_release_non_member_is_refused(self):
         q = self.make()
-        with caplog.at_level(logging.WARNING, logger="fleetsim.navigation"):
-            assert not q.release(9, (50.0, 0.0), 2.0)
-        assert "non-member" in caplog.text
+        assert not q.release(9, (50.0, 0.0), 2.0)
 
     def test_index_of(self):
         q = self.make()

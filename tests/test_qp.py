@@ -190,8 +190,8 @@ def test_an_optimum_holds_every_row():
     clusters = [near_dependent_cluster()] + [(*random_cluster(rng), P) for _ in range(300)]
     steps = 0
     for members, states, nominals, hits, humans, p in clusters:
-        rows, b = safety._rows(members, states, hits, humans, p)
-        g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+        rows, b = safety._rows(states, hits, humans, p)
+        g = [-2.0 * u for nom in nominals for u in (nom.a, nom.omega)]
         res = solve_diagonal([2.0] * len(g), g, rows, b)
         steps += res.iterations
         if res.status == OPTIMAL:

@@ -161,9 +161,9 @@ class TestBarrierTerms:
 
 class TestSolveClusterQP:
     def test_unconstrained_passthrough(self):
-        states = {0: RobotState(0, 0, 0, 0.5), 1: RobotState(10, 10, 0, 0.5)}
-        noms = {0: Control(0.4, 0.1), 1: Control(-0.2, 0.0)}
-        dec = solve_cluster_qp([0, 1], states, noms, {0: NO_HITS, 1: NO_HITS}, [], P)
+        states = [RobotState(0, 0, 0, 0.5), RobotState(10, 10, 0, 0.5)]
+        noms = [Control(0.4, 0.1), Control(-0.2, 0.0)]
+        dec = solve_cluster_qp([0, 1], states, noms, [NO_HITS, NO_HITS], [], P)
         assert dec.qp_status == FEASIBLE
         assert dec.slack_used == [0.0]  # one pair row, zero slack
         assert dec.controls[0].a == pytest.approx(0.4, abs=1e-7)
@@ -208,9 +208,9 @@ class TestSolveClusterQP:
         # two stopped robots 0.3 apart, each inside an obstacle keepout on
         # its far side: the rows demand a_0 >= 1.18, a_1 <= -1.18 and
         # a_1 - a_0 >= 2.06 at once
-        states = {0: RobotState(0.0, 0.0, 0.0, 0.0), 1: RobotState(0.3, 0.0, 0.0, 0.0)}
-        hits = {0: ObstaclePointSet(((-0.2, 0.0),)), 1: ObstaclePointSet(((0.5, 0.0),))}
-        noms = {0: Control(0.0, 0.0), 1: Control(0.0, 0.0)}
+        states = [RobotState(0.0, 0.0, 0.0, 0.0), RobotState(0.3, 0.0, 0.0, 0.0)]
+        hits = [ObstaclePointSet(((-0.2, 0.0),)), ObstaclePointSet(((0.5, 0.0),))]
+        noms = [Control(0.0, 0.0), Control(0.0, 0.0)]
         dec = solve_cluster_qp([0, 1], states, noms, hits, [], P)
         assert dec.qp_status == FEASIBLE_WITH_SLACK
         assert len(dec.slack_used) == 3
@@ -241,9 +241,9 @@ class TestSolveClusterQP:
         # solve_qp
         monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", always_infeasible)
-        states = {0: RobotState(0, 0, 0, 0.5)}
-        dec = solve_cluster_qp([0], states, {0: Control(1.0, 1.0)},
-                               {0: NO_HITS}, [], P)
+        states = [RobotState(0, 0, 0, 0.5)]
+        dec = solve_cluster_qp([0], states, [Control(1.0, 1.0)],
+                               [NO_HITS], [], P)
         assert dec.qp_status == INFEASIBLE_FALLBACK
         assert dec.slack_used == []
         assert dec.controls[0] == Control(-1.0, 0.0)
@@ -260,9 +260,9 @@ class TestSolveClusterQP:
 
         monkeypatch.setattr(safety, "solve_diagonal", always_infeasible)
         monkeypatch.setattr(safety, "solve_qp", counted_solve_qp)
-        states = {0: RobotState(0, 0, 0, 0.5)}
+        states = [RobotState(0, 0, 0, 0.5)]
         hits = ObstaclePointSet(((3.0, 0.0), None))
-        dec = solve_cluster_qp([0], states, {0: Control(0.5, 0.2)}, {0: hits}, [], P)
+        dec = solve_cluster_qp([0], states, [Control(0.5, 0.2)], [hits], [], P)
         # one soft solve over two controls plus one slack for the one CBF row
         assert soft_calls == [3]
         assert dec.qp_status == FEASIBLE_WITH_SLACK
@@ -272,75 +272,75 @@ class TestSolveClusterQP:
 
     def test_human_row_counts(self):
         hum = HumanState(5.0, 5.0, 0.0, 0.0)
-        states = {0: RobotState(0, 0, 0, 0.0), 1: RobotState(2.0, 0, 0, 0.0)}
-        noms = {0: Control(0, 0), 1: Control(0, 0)}
+        states = [RobotState(0, 0, 0, 0.0), RobotState(2.0, 0, 0, 0.0)]
+        noms = [Control(0, 0), Control(0, 0)]
         hits = ObstaclePointSet(((3.0, 0.0), None))
         dec = solve_cluster_qp([0, 1], states, noms,
-                               {0: hits, 1: NO_HITS}, [hum], P)
+                               [hits, NO_HITS], [hum], P)
         # rows: 1 pair + 1 obstacle hit + 2 human (one per member)
         assert len(dec.slack_used) == 4
         assert dec.qp_status == FEASIBLE
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            solve_cluster_qp([], {}, {}, {}, [], P)
+            solve_cluster_qp([], [], [], [], [], P)
 
     def test_non_finite_hit_rejected(self):
-        states = {0: RobotState(0, 0, 0, 0.0)}
+        states = [RobotState(0, 0, 0, 0.0)]
         hits = ObstaclePointSet(((math.nan, 1.0),))
         with pytest.raises(ValueError, match="non-finite constraints"):
-            solve_cluster_qp([0], states, {0: Control(0, 0)}, {0: hits}, [], P)
+            solve_cluster_qp([0], states, [Control(0, 0)], [hits], [], P)
 
     def test_non_finite_nominal_rejected(self):
-        states = {0: RobotState(0, 0, 0, 0.0)}
+        states = [RobotState(0, 0, 0, 0.0)]
         with pytest.raises(ValueError, match="non-finite"):
-            solve_cluster_qp([0], states, {0: Control(math.nan, 0)},
-                             {0: NO_HITS}, [], P)
+            solve_cluster_qp([0], states, [Control(math.nan, 0)],
+                             [NO_HITS], [], P)
 
     def test_pair_row_keeps_robots_separating(self):
         # two robots driving at each other well inside sensing range
-        states = {
-            0: RobotState(0.0, 0.0, 0.0, 1.0),
-            1: RobotState(1.4, 0.0, math.pi, 1.0),
-        }
-        noms = {k: Control(1.0, 0.0) for k in (0, 1)}
-        dec = solve_cluster_qp([0, 1], states, noms, {0: NO_HITS, 1: NO_HITS}, [], P)
+        states = [
+            RobotState(0.0, 0.0, 0.0, 1.0),
+            RobotState(1.4, 0.0, math.pi, 1.0),
+        ]
+        noms = [Control(1.0, 0.0)] * 2
+        dec = solve_cluster_qp([0, 1], states, noms, [NO_HITS, NO_HITS], [], P)
         assert dec.qp_status in (FEASIBLE, FEASIBLE_WITH_SLACK)
         # both must brake hard relative to nominal
         assert dec.controls[0].a < 1.0
         assert dec.controls[1].a < 1.0
 
 
-def _reference_rows(members, states, obstacle_points, humans, p):
+def _reference_rows(states, obstacle_points, humans, p):
     """The hard system rebuilt one row at a time: the CBF rows from
     pair_barrier and point_barrier, then per stacked (a, omega) variable its
-    upper and its lower box row."""
-    slot = {rid: 2 * k for k, rid in enumerate(members)}
+    upper and its lower box row. Member k's variables are 2k and 2k + 1."""
+    n = len(states)
     rows, rhs = [], []
 
     def add(terms, i, j=None):
-        row = [0.0] * (2 * len(members))
-        row[slot[i]: slot[i] + 2] = terms.coef_i
+        row = [0.0] * (2 * n)
+        row[2 * i: 2 * i + 2] = terms.coef_i
         if j is not None:
-            row[slot[j]: slot[j] + 2] = terms.coef_j
+            row[2 * j: 2 * j + 2] = terms.coef_j
         rows.append(row)
         rhs.append(-terms.c0 - (p.alpha1 + p.alpha2) * terms.hdot
                    - p.alpha1 * p.alpha2 * terms.h)
 
-    for a, i in enumerate(members):
-        for j in members[a + 1:]:
+    for i in range(n):
+        for j in range(i + 1, n):
             add(pair_barrier(states[i], states[j], p.r_safe), i, j)
-    for rid in members:
-        for pt in obstacle_points[rid].hit_points():
-            add(point_barrier(states[rid], pt, (0.0, 0.0), p.r_obstacle), rid)
-    for rid in members:
+    for k in range(n):
+        for pt in obstacle_points[k].hit_points():
+            add(point_barrier(states[k], pt, (0.0, 0.0), p.r_obstacle), k)
+    for k in range(n):
         for hum in humans:
-            add(point_barrier(states[rid], (hum.x, hum.y), (hum.vx, hum.vy),
-                              p.r_human_safe), rid)
-    for var in range(2 * len(members)):
+            add(point_barrier(states[k], (hum.x, hum.y), (hum.vx, hum.vy),
+                              p.r_human_safe), k)
+    for var in range(2 * n):
         bound = p.a_max if var % 2 == 0 else p.omega_max
         for sign in (-1.0, 1.0):
-            row = [0.0] * (2 * len(members))
+            row = [0.0] * (2 * n)
             row[var] = sign
             rows.append(row)
             rhs.append(-bound)
@@ -366,8 +366,8 @@ class TestRowsAndHardPath:
         rng = random.Random(21)
         for _ in range(500):
             members, states, _, obstacle_points, humans = random_cluster(rng)
-            rows, b = safety._rows(members, states, obstacle_points, humans, P)
-            want_rows, want_b = _reference_rows(members, states, obstacle_points, humans, P)
+            rows, b = safety._rows(states, obstacle_points, humans, P)
+            want_rows, want_b = _reference_rows(states, obstacle_points, humans, P)
             assert len(rows) == len(b) == len(want_rows)
             for row in rows:
                 variables = [var for var, _ in row]
@@ -386,8 +386,8 @@ class TestRowsAndHardPath:
         for _ in range(500):
             members, states, nominals, obstacle_points, humans = random_cluster(rng)
             n = len(members)
-            rows, b = safety._rows(members, states, obstacle_points, humans, P)
-            g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
+            rows, b = safety._rows(states, obstacle_points, humans, P)
+            g = [-2.0 * u for nom in nominals for u in (nom.a, nom.omega)]
             fast = solve_diagonal([2.0] * (2 * n), g, rows, b)
             checked = solve_qp([2.0] * (2 * n), g, rows, b)
             assert (fast.status, fast.iterations, fast.active) == (
@@ -396,7 +396,7 @@ class TestRowsAndHardPath:
             dec = solve_cluster_qp(members, states, nominals, obstacle_points, humans, P)
             assert (dec.qp_status == FEASIBLE) == (checked.status == OPTIMAL)
             if dec.qp_status == FEASIBLE:
-                assert dec.controls == safety._unpack(members, checked.x, P)
+                assert dec.controls == safety._unpack(checked.x, P)
             outcomes.add((checked.status, checked.iterations > 0))
         # unconstrained optima, active-set steps and infeasible hard problems
         assert outcomes >= {(OPTIMAL, False), (OPTIMAL, True), (INFEASIBLE, True)}
@@ -411,8 +411,8 @@ def test_a_feasible_decision_holds_every_row():
     dec = solve_cluster_qp(members, states, nominals, hits, humans, p)
     assert dec.qp_status in (FEASIBLE, FEASIBLE_WITH_SLACK)
     if dec.qp_status == FEASIBLE:
-        rows, b = safety._rows(members, states, hits, humans, p)
-        u = [c for rid in members for c in (dec.controls[rid].a, dec.controls[rid].omega)]
+        rows, b = safety._rows(states, hits, humans, p)
+        u = [c for control in dec.controls for c in (control.a, control.omega)]
         assert row_violation(rows, b, u) <= 1e-9
 
 
@@ -431,13 +431,13 @@ def test_plain_float_path_matches_the_numpy_path(monkeypatch):
     monkeypatch.setattr(safety, "solve_qp", lambda *a: soft_args.append(a) or solve_qp(*a))
     for _ in range(1000):
         members, states, nominals, hits, humans = random_cluster(rng)
-        for rid in members:
-            if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
-                nominals[rid] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
         n = len(members)
-        g = [-2.0 * u for rid in members for u in (nominals[rid].a, nominals[rid].omega)]
-        rows, b = safety._rows(members, states, hits, humans, P)
-        A, b_ref = map(np.array, _reference_rows(members, states, hits, humans, P))
+        for k in range(n):
+            if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
+                nominals[k] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
+        g = [-2.0 * u for nom in nominals for u in (nom.a, nom.omega)]
+        rows, b = safety._rows(states, hits, humans, P)
+        A, b_ref = map(np.array, _reference_rows(states, hits, humans, P))
         soft = reference_soft_system(np.array(_dense(rows, 2 * n)), np.array(b), np.array(g),
                                      n, P.slack_penalty)
         soft_ref = reference_soft_system(A, b_ref, np.array(g), n, P.slack_penalty)
@@ -477,11 +477,11 @@ class TestFirstScanAcceptsNominal:
             members, states, nominals, hits, humans = random_cluster(
                 rng, u_max=rng.choice((0.5, 2.0, 3.0)))
             if rng.random() < 0.2:  # at rest: the stop law's (-0.0, 0.0)
-                nominals[members[0]] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
-            u = [c for rid in members for c in (nominals[rid].a, nominals[rid].omega)]
-            A, b = map(np.array, _reference_rows(members, states, hits, humans, P))
+                nominals[0] = nominal_stop(RobotState(0.0, 0.0, 0.0, 0.0), P)
+            u = [c for nom in nominals for c in (nom.a, nom.omega)]
+            A, b = map(np.array, _reference_rows(states, hits, humans, P))
             oracle = reference_solve_diagonal(2.0, -2.0 * np.array(u), A, b)
-            rows, b = safety._rows(members, states, hits, humans, P)
+            rows, b = safety._rows(states, hits, humans, P)
             hard = solve_diagonal([2.0] * len(u), [-2.0 * c for c in u], rows, b)
             assert (hard.iterations == 0) == (oracle.iterations == 0)
             if hard.iterations:
@@ -493,31 +493,31 @@ class TestFirstScanAcceptsNominal:
             dec = solve_cluster_qp(members, states, nominals, hits, humans, P)
             assert dec.qp_status == FEASIBLE
             assert dec.slack_used == [0.0] * (len(b) - 2 * len(u))
-            assert dec.controls == {
-                rid: Control(min(max(nominals[rid].a, -P.a_max), P.a_max),
-                             min(max(nominals[rid].omega, -P.omega_max), P.omega_max))
-                for rid in members}
+            assert dec.controls == [
+                Control(min(max(nom.a, -P.a_max), P.a_max),
+                        min(max(nom.omega, -P.omega_max), P.omega_max))
+                for nom in nominals]
         assert seen["accepted"] >= 200 and seen["refused"] >= 200
 
     def test_overflowing_row_raises_through_the_full_path(self):
         # a finite hit point whose row overflows; no warning on the way
-        states = {0: RobotState(0.0, 0.0, 0.0, 0.0)}
-        hits = {0: ObstaclePointSet(((1e308, 0.0),))}
+        states = [RobotState(0.0, 0.0, 0.0, 0.0)]
+        hits = [ObstaclePointSet(((1e308, 0.0),))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite constraints"):
-                solve_cluster_qp([0], states, {0: Control(0.0, 0.0)}, hits, [], P)
+                solve_cluster_qp([0], states, [Control(0.0, 0.0)], hits, [], P)
 
     def test_huge_but_finite_row_is_accepted(self):
         # |dp|^2 = 1e300: every entry is finite, and the row holds
-        states = {0: RobotState(0.0, 0.0, 0.0, 0.0)}
-        hits = {0: ObstaclePointSet(((1e150, 0.0),))}
-        dec = solve_cluster_qp([0], states, {0: Control(0.5, 0.0)}, hits, [], P)
+        states = [RobotState(0.0, 0.0, 0.0, 0.0)]
+        hits = [ObstaclePointSet(((1e150, 0.0),))]
+        dec = solve_cluster_qp([0], states, [Control(0.5, 0.0)], hits, [], P)
         assert dec.qp_status == FEASIBLE
         assert dec.controls[0] == Control(0.5, 0.0)
 
     def test_non_finite_box_bound_raises(self):
         p = ControllerParams(a_max=math.inf)
         with pytest.raises(ValueError, match="non-finite constraints"):
-            solve_cluster_qp([0], {0: RobotState(0, 0, 0, 0.0)}, {0: Control(0.1, 0.0)},
-                             {0: NO_HITS}, [], p)
+            solve_cluster_qp([0], [RobotState(0, 0, 0, 0.0)], [Control(0.1, 0.0)],
+                             [NO_HITS], [], p)
