@@ -637,7 +637,9 @@ def collect_travel_times(scenario) -> TravelTimeGraph:
 
     Each ordered pair is simulated by ``measure_travel_time`` through the
     engine's own tick phases; the pair weight is the larger of the two
-    directions, the conservative choice for hard deadlines.
+    directions, the conservative choice for hard deadlines. The graph
+    closes the measured table under shortest paths, so where a trip by way
+    of another location measured quicker, the table holds that time.
     """
     loc_ids = tuple(sorted(scenario.roadways.locations))
     d = [[measure_travel_time(scenario, a, b) if a != b else 0.0 for b in loc_ids]

@@ -17,7 +17,8 @@ goes straight to the unchecked core ``qp.solve_diagonal``, which starts at
 the nominal controls: when they meet every row, its first scan returns them.
 The soft problem hands the same sparse rows, each with its slack, to the
 checked entry ``qp.solve_qp``.
-A decision depends on IEEE-754 arithmetic and libm's sin and cos only.
+A decision depends on IEEE-754 arithmetic, libm's sin, cos and atan2, and
+CPython's math.hypot only.
 """
 
 from __future__ import annotations

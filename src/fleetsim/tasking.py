@@ -47,11 +47,11 @@ class TaskRequest:
 
 @dataclass(frozen=True)
 class TravelTimeGraph:
-    """Symmetric positive travel times between system locations.
-
-    The graph keeps its own read-only float copy of ``weights``, and the
-    same doubles as nested lists in ``rows``, which ``time`` and the
-    schedule search read.
+    """Symmetric positive travel times between system locations, closed
+    under shortest paths when built (Floyd 1962; Warshall 1962): every triple
+    meets ``rows[a][c] <= rows[a][b] + rows[b][c]`` as floats. The graph keeps
+    the closed table as its own read-only float ``weights``, and the same
+    doubles as nested lists in ``rows``, which the search and ``to_text`` read.
     """
 
     locations: tuple[int, ...]
@@ -60,12 +60,9 @@ class TravelTimeGraph:
     rows: list[list[float]] = field(init=False, repr=False, compare=False)  # rows[a][b]
     # entry[b]: the cheapest leg into b from another location
     entry: list[float] = field(init=False, repr=False, compare=False)
-    # every triple meets the triangle inequality: rows[a][c] <= rows[a][b] + rows[b][c]
-    metric: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", np.array(self.weights, dtype=float))
-        self.weights.flags.writeable = False
         n = len(self.locations)
         if self.weights.shape != (n, n):
             raise ValueError("weight matrix shape does not match locations")
@@ -86,14 +83,25 @@ class TravelTimeGraph:
         if n > 1 and np.any(off <= 0):
             raise ValueError("off-diagonal travel times must be positive")
         rows = self.weights.tolist()
+        # k-i-j passes until one shortens nothing, as in floats one pass can
+        # leave a triple a rounding step off; rows stay symmetric, since
+        # rows[i][k] and rows[k][j] hold still while k is the midpoint.
+        shortened = True
+        while shortened:
+            shortened = False
+            for k, row_k in enumerate(rows):
+                for row in rows:
+                    to_k = row[k]
+                    for j, onward in enumerate(row_k):
+                        if to_k + onward < row[j]:
+                            row[j] = to_k + onward
+                            shortened = True
+        object.__setattr__(self, "weights", np.array(rows).reshape(n, n))
+        self.weights.flags.writeable = False
         entry = [min((rows[a][b] for a in range(n) if a != b), default=0.0) for b in range(n)]
         object.__setattr__(self, "index", {loc: k for k, loc in enumerate(self.locations)})
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "entry", entry)
-        w = self.weights  # one row a at a time: w[a, c] <= w[a, b] + w[b, c] over (b, c)
-        object.__setattr__(self, "metric", all(
-            bool(np.all(w[a] <= w[a][:, None] + w)) for a in range(n)
-        ))
 
     def time(self, a: int, b: int) -> float:
         index = self.index
@@ -103,9 +111,7 @@ class TravelTimeGraph:
 
     def to_text(self) -> str:
         header = " ".join(str(loc) for loc in self.locations)
-        rows = [
-            " ".join(f"{v:.9g}" for v in row) for row in self.weights
-        ]
+        rows = [" ".join(f"{v:.9g}" for v in row) for row in self.rows]
         return "\n".join([header] + rows) + "\n"
 
     @classmethod
@@ -184,13 +190,13 @@ def _check_locations(robots: dict[int, int], tasks: list[Task], g: TravelTimeGra
 
 
 def _bound_limit(t: float) -> float:
-    """The latest a branch's time plus its lower bound may be and the branch
-    still count as able to finish by ``t``.
+    """The latest a branch's time, or its time plus its lower bound, may be
+    and the branch still count as able to finish by ``t``.
 
-    A bound sums up to 16 legs in another order than the schedule adds
-    them, so the two can differ by a few rounding steps (relative 1e-15);
-    the margin is far wider than that, so a bound never cuts a branch that
-    could still finish by ``t``.
+    A bound sums up to 16 legs in another order than the schedule adds them,
+    and a subset of a robot's tasks skips stops its whole set adds, so either
+    can differ by a few rounding steps (relative 1e-15); the far wider margin
+    never cuts a branch that could still finish by ``t``.
     """
     return t + 1e-9 * max(1.0, abs(t))
 
@@ -368,17 +374,17 @@ def solve_exact(
         return sched
 
     best: list[tuple[float, tuple, dict[int, int]] | None] = [None]
-    # The makespan a branch may not pass: the best one found, or first a
-    # seed from greedy when it places every task. Each robot's leg search
-    # tries greedy's legs in greedy's order, so greedy's makespan is
-    # reachable; on a metric table a robot never finishes a subset of its
-    # tasks later than the whole set, so the seed cuts no allocation that
-    # could win. Commitments and non-metric tables run unseeded.
+    # The makespan a branch may not pass: the best one found, or first
+    # greedy's, with _bound_limit's margin, when it places every task. Each
+    # robot's leg search tries greedy's legs in greedy's order, so that is
+    # reachable; on a closed table a robot ends a subset of its tasks no
+    # later than the whole set but for rounding, so the seed cuts no
+    # allocation that could win. Commitments run unseeded.
     limit = [math.inf]
-    if not pinned and g.metric:
+    if not pinned:
         seed = solve_greedy(robots, tasks, g, now)
         if not seed.unassigned:
-            limit[0] = seed.makespan(now)
+            limit[0] = _bound_limit(seed.makespan(now))
 
     def lex_key(assignment: dict[int, int]) -> tuple:
         # every assigned robot's schedule was found on the way down

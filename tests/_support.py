@@ -116,8 +116,10 @@ def depot_world():
     return map_text, grid, inflate(grid, 1.0, 3.0, 0.3)
 
 
-def straight_line_graph(locations: dict[int, tuple[float, float]]) -> TravelTimeGraph:
-    """Synthetic allocator input: crow-flies distance at 1 m/s, floored at 1 s."""
+def straight_line_table(
+    locations: dict[int, tuple[float, float]],
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """Location ids and their crow-flies distances at 1 m/s, floored at 1 s."""
     ids = tuple(sorted(locations))
     n = len(ids)
     w = np.zeros((n, n))
@@ -125,7 +127,12 @@ def straight_line_graph(locations: dict[int, tuple[float, float]]) -> TravelTime
         for j in range(n):
             if i != j:
                 w[i, j] = max(1.0, math.dist(locations[ids[i]], locations[ids[j]]))
-    return TravelTimeGraph(ids, w)
+    return ids, w
+
+
+def straight_line_graph(locations: dict[int, tuple[float, float]]) -> TravelTimeGraph:
+    """Synthetic allocator input: the straight-line table as a graph."""
+    return TravelTimeGraph(*straight_line_table(locations))
 
 
 def busy_fleet_scenario(n_robots: int, duration: float = 120.0) -> Scenario:
@@ -397,7 +404,11 @@ def enumerate_best_makespan(robots, tasks, g, now):
 
 # The exact allocator without the cutoff, the location-entry bound or shared
 # searches: one plain interleaving search per (robot, task set). solve_exact
-# must return its allocations bit for bit.
+# must return its allocations bit for bit. Like solve_exact, it adds one task
+# at a time and drops a partial assignment that misses a deadline or ends
+# after the best makespan. On a TravelTimeGraph, closed under shortest paths,
+# a robot finishes a subset of its tasks no later than the whole set, but for
+# a rounding step where the subset skips a stop.
 def _reference_best_schedule(
     start_loc: int,
     now: float,

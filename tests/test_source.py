@@ -224,6 +224,14 @@ def test_world_runs_numpy_only_to_build_the_stores():
     assert array_names_outside(source, {"OccupancyGrid.clearance", "inflate"}) == []
 
 
+def test_tasking_runs_numpy_only_in_the_travel_table():
+    """The allocator reads the travel table's float rows; numpy runs only
+    inside ``TravelTimeGraph``, which checks the table, closes it in plain
+    floats and keeps the read-only array the benchmark indexes."""
+    source = (ROOT / "src" / "fleetsim" / "tasking.py").read_text()
+    assert array_names_outside(source, {"TravelTimeGraph"}) == []
+
+
 def test_flags_array_names_outside_the_allowed_functions():
     source = (
         "import numpy as np\n"

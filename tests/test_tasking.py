@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,9 +24,12 @@ from fleetsim.tasking import (
 
 from _support import (
     SCENARIOS,
+    busy_fleet_scenario,
     enumerate_best_makespan,
+    random_safety_scenario,
     reference_solve_exact,
     straight_line_graph,
+    straight_line_table,
 )
 
 LINE = straight_line_graph({k: (float(k), 0.0) for k in range(5)})
@@ -85,15 +89,73 @@ class TestTravelTimeGraph:
         with pytest.raises(ValueError, match=fragment):
             TravelTimeGraph((0, 1), weights)
 
-    def test_metric_table(self):
-        # the straight line meets the triangle inequality with equality
-        assert LINE.metric
-        assert TravelTimeGraph((0, 1, 2), np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])).metric
-
-    def test_non_metric_table(self):
+    def test_closes_under_shortest_paths(self):
         # 0 -> 2 direct takes 4 s, by way of 1 it takes 2 s
         g = TravelTimeGraph((0, 1, 2), np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
-        assert not g.metric
+        assert g.rows == [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
+        assert g.weights.tolist() == g.rows and not g.weights.flags.writeable
+        assert g.time(2, 0) == 2.0 and g.entry == [1.0, 1.0, 1.0]
+        assert g.to_text() == "0 1 2\n0 1 2\n1 0 1\n2 1 0\n"
+
+    def test_closure_keeps_metric_tables(self):
+        """The bundled tables and the straight-line ones the tests build meet
+        the triangle inequality, so closing them moves no bit."""
+        tables = []
+        for path in sorted((SCENARIOS / "tables").glob("*_travel.txt")):
+            header, *body = [ln for ln in path.read_text().splitlines() if ln.strip()]
+            tables.append((tuple(int(v) for v in header.split()),
+                           [[float(v) for v in ln.split()] for ln in body]))
+        assert len(tables) == 4
+        rng = random.Random(34)
+        layouts = [{k: (float(k), 0.0) for k in range(5)}]
+        layouts += [busy_fleet_scenario(n).roadways.locations for n in (2, 4, 6)]
+        layouts += [random_safety_scenario(seed).roadways.locations for seed in range(10)]
+        layouts += [
+            {k: (rng.uniform(0, 20), rng.uniform(0, 20)) for k in range(rng.randint(2, 7))}
+            for _ in range(500)
+        ]
+        tables += [straight_line_table(locations) for locations in layouts]
+        for ids, raw in tables:
+            g = TravelTimeGraph(ids, np.array(raw))
+            assert _hex(g.rows) == _hex(raw) and g.weights.tolist() == g.rows
+
+    def test_closure_property(self):
+        """Random float tables, a share of which one k-i-j pass leaves a
+        rounding step off the triangle inequality. Each accepted table is
+        closed, as float comparisons see it; each entry is its shortest path
+        to rounding; closing it again moves no bit; and its text reloads to
+        the same table, bit for bit where 9 digits write every entry exactly."""
+        rng = random.Random(34)
+        multi_pass = exact_text = 0
+        for _ in range(2000):
+            n = rng.randint(2, 7)
+            draw = rng.choice([
+                lambda: rng.uniform(0.1, 100.0),
+                lambda: math.exp(rng.uniform(-3.0, 8.0)),
+                lambda: rng.randint(1, 400) / 10,
+            ])
+            raw = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    raw[i][j] = raw[j][i] = draw()
+            g = TravelTimeGraph(tuple(range(n)), np.array(raw))
+            rows = g.rows
+            pairs = [(a, b) for a in range(n) for b in range(n)]
+            assert g.weights.tolist() == rows
+            assert all(rows[a][b] == rows[b][a] for a, b in pairs)
+            assert all(rows[a][b] > 0.0 if a != b else rows[a][b] == 0.0 for a, b in pairs)
+            assert _meets_triangle(rows)
+            exact = _shortest_paths(raw)
+            assert all(abs(rows[a][b] - exact[a][b]) <= 1e-13 * exact[a][b] for a, b in pairs)
+            assert _hex(TravelTimeGraph(g.locations, g.weights).rows) == _hex(rows)
+            reloaded = TravelTimeGraph.from_text(g.to_text()).rows
+            if all(float(f"{v:.9g}") == v for row in rows for v in row):
+                exact_text += 1
+                assert _hex(reloaded) == _hex(rows)
+            else:
+                assert all(abs(reloaded[a][b] - rows[a][b]) <= 1e-8 * rows[a][b] for a, b in pairs)
+            multi_pass += not _meets_triangle(_one_pass(raw))
+        assert multi_pass >= 20 and exact_text >= 100, (multi_pass, exact_text)
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -146,6 +208,38 @@ class TestAllocationValidate:
         alloc = Allocation(legs={0: [Leg(0, PICKUP, 1, 4.5)], 1: []})
         assert alloc.makespan(0.0) == 4.5
         assert alloc.makespan(9.0) == 9.0
+
+
+def _hex(rows) -> list[list[str]]:
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def _meets_triangle(rows) -> bool:
+    n = len(rows)
+    return all(
+        rows[a][c] <= rows[a][b] + rows[b][c]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+
+
+def _one_pass(rows) -> list[list[float]]:
+    """One k-i-j pass of the shortest-path closure, in floats, on a copy."""
+    rows = [row[:] for row in rows]
+    for k in range(len(rows)):
+        for row in rows:
+            for j, onward in enumerate(rows[k]):
+                row[j] = min(row[j], row[k] + onward)
+    return rows
+
+
+def _shortest_paths(rows) -> list[list[float]]:
+    """Shortest-path lengths in exact rational arithmetic, then rounded."""
+    exact = [[Fraction(v) for v in row] for row in rows]
+    for k in range(len(rows)):
+        for row in exact:
+            for j, onward in enumerate(exact[k]):
+                row[j] = min(row[j], row[k] + onward)
+    return [[float(v) for v in row] for row in exact]
 
 
 def _legs(alloc: Allocation | None):
@@ -388,13 +482,13 @@ class TestSolveExact:
         assert min(outcomes.values()) >= 40, outcomes
 
     def test_greedy_seed_matches_reference_search(self):
-        """Instances the greedy makespan seeds: metric tables, no commitments,
+        """Instances the greedy makespan seeds: any table, no commitments,
         4-6 tasks over 3-6 robots, against the unbounded reference."""
         rng = random.Random(27)
         seeded = 0
         for _ in range(60):
-            g = _random_table(rng, rng.choice(["plane", "rounded", "collinear"]), rng.randint(3, 6))
-            assert g.metric
+            kind = rng.choice(["plane", "rounded", "collinear", "non-metric"])
+            g = _random_table(rng, kind, rng.randint(3, 6))
             n_tasks = rng.randint(4, 6)
             robots = {r: rng.choice(g.locations) for r in rng.sample(range(8), rng.randint(3, 6))}
             scale = float(g.weights.max())
@@ -407,20 +501,31 @@ class TestSolveExact:
             seeded += not solve_greedy(robots, tasks, g, 0.0).unassigned
         assert seeded >= 40, seeded
 
-    def test_no_greedy_seed_on_a_non_metric_table(self):
-        # 1 -> 0 takes 6 s direct and 5 s by way of 2, so task 0 alone ends
-        # at 12 s, after greedy's 11 s for both tasks: seeded with 11 s, the
-        # search would cut the only allocation
+    def test_greedy_seed_on_a_closed_table(self):
+        # 1 -> 0 takes 6 s direct and 5 s by way of 2, so the table holds 5 s,
+        # and task 0 alone ends at 10 s, no later than greedy's 10 s for both
+        # tasks: the seed cuts no allocation that could win
         g = TravelTimeGraph((0, 1, 2), np.array([[0, 6, 2], [6, 0, 3], [2, 3, 0]]))
+        assert g.time(1, 0) == 5.0
         tasks = [Task(0, 1, 15.0), Task(1, 2, 5.0)]
-        assert solve_greedy({0: 1}, tasks, g, 0.0).makespan(0.0) == 11.0
+        assert solve_greedy({0: 1}, tasks, g, 0.0).makespan(0.0) == 10.0
         alloc = solve_exact({0: 1}, tasks, g, 0.0)
-        assert visits(alloc, 0) == [1, 2, 0, 1] and alloc.makespan(0.0) == 11.0
+        assert visits(alloc, 0) == [1, 2, 0, 1] and alloc.makespan(0.0) == 10.0
+        assert enumerate_best_makespan({0: 1}, tasks, g, 0.0) == 10.0
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the assignment search assumes a task subset is no harder than the set; "
-        "on a non-metric table a second task's stop can be the shortcut that meets "
-        "the first one's deadline"))
+    def test_greedy_seed_gives_way_to_rounding(self):
+        # 0 -> 2 closes to 0.4 + 0.4 s by way of 1. From t = 1 s, task 0 alone
+        # ends at (1 + 0.8) + 0.8 = 2.6 s, a rounding step after greedy's
+        # ((1 + 0.4) + 0.4) + 0.8 for both tasks: seeded with greedy's
+        # makespan and no margin, the search would cut the only allocation
+        g = TravelTimeGraph((0, 1, 2), np.array([[0, 0.4, 9], [0.4, 0, 0.4], [9, 0.4, 0]]))
+        tasks = [Task(2, 0, 100.0), Task(1, 2, 2.0)]
+        assert solve_greedy({0: 0}, tasks, g, 1.0).makespan(1.0) == 2.5999999999999996
+        assert solve_exact({0: 0}, [tasks[0]], g, 1.0).makespan(1.0) == 2.6
+        alloc = solve_exact({0: 0}, tasks, g, 1.0)
+        assert alloc is not None and visits(alloc, 0) == [1, 2, 2, 0]
+        assert alloc.makespan(1.0) == enumerate_best_makespan({0: 0}, tasks, g, 1.0)
+
     def test_finds_allocation_on_non_metric_table(self):
         g = TravelTimeGraph((0, 1, 2), np.array([[0, 1, 4], [1, 0, 1], [4, 1, 0]]))
         robots = {0: 1, 1: 0}
