@@ -75,6 +75,7 @@ class _Robot:
         self.state = RobotState(spec.start[0], spec.start[1], spec.heading, 0.0)
         self.plan: list[Waypoint] = []
         self.path: Path | None = None
+        self.progress = 0  # the path vertex pure pursuit has reached
         self.path_target: tuple[float, float] | None = None
         self.last_plan_time = -math.inf
         self.ref_location: int | None = None
@@ -152,7 +153,6 @@ class _Engine:
         rt.fault = message
         rt.plan = []
         rt.path = None
-        rt.control = Control(0.0, 0.0)
         self.emit({"type": tr.FAULT, "t": self.now, "robot": rt.rid, "error": message})
         q = self._queue_of(rt.rid)
         if q is not None:
@@ -305,6 +305,7 @@ class _Engine:
                     self.s.costmap, rt.position(), [wp.point for wp in rt.plan[:2]],
                     self.s.world.cost_weight,
                 )
+                rt.progress = 0
                 rt.path_target = target
                 rt.last_plan_time = self.now
                 self.emit({
@@ -340,7 +341,8 @@ class _Engine:
 
     def _leader_nominal(self, rt: _Robot) -> Control:
         if rt.path is not None:
-            waypoint = lookahead_point(rt.path, rt.position(), rt.params.delta)
+            waypoint, rt.progress = lookahead_point(
+                rt.path, rt.position(), rt.params.delta, rt.progress)
             return nominal_leader(rt.state, waypoint, rt.params)
         return nominal_stop(rt.state, rt.params)
 
@@ -353,7 +355,7 @@ class _Engine:
                 if not rt.fault:
                     self._fault(rt, f"sensing pose ({rt.state.x}, {rt.state.y}) "
                                     "is outside the map bounds")
-                rt.control = stop_control(rt.state, rt.params)  # after _fault's zeroing
+                rt.control = stop_control(rt.state, rt.params)
         for cluster in sorted(partition.clusters, key=lambda c: c.leader):
             members = [m for m in cluster.members if m not in off_map]
             if not members:
@@ -387,7 +389,7 @@ class _Engine:
                 for rt in robots:
                     if not rt.fault:
                         self._fault(rt, f"safety: {exc}")
-                    rt.control = stop_control(rt.state, rt.params)  # after _fault's zeroing
+                    rt.control = stop_control(rt.state, rt.params)
                 continue
             for rt, control in zip(robots, decision.controls):
                 rt.control = control

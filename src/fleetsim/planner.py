@@ -10,12 +10,10 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .world import Costmap, LETHAL_COST
 
 SQRT2 = math.sqrt(2.0)
-CHUNK = 8  # path vertices per bounding circle of lookahead_point's scan
 
 # (dx, dy, base length in cells)
 _MOVES = (
@@ -41,18 +39,6 @@ class Path:
 
     def __len__(self) -> int:
         return len(self.points)
-
-    @cached_property
-    def chunks(self) -> tuple[tuple[int, float, float, float], ...]:
-        """Per run of CHUNK vertices: its first index and a circle (cx, cy, r)
-        that holds every vertex of the run, r rounded up."""
-        out = []
-        for first in range(0, len(self.points), CHUNK):
-            xs, ys = zip(*self.points[first:first + CHUNK])
-            cx, cy = 0.5 * (min(xs) + max(xs)), 0.5 * (min(ys) + max(ys))
-            r = max(math.hypot(x - cx, y - cy) for x, y in zip(xs, ys))
-            out.append((first, cx, cy, r * (1.0 + 1e-9)))
-        return tuple(out)
 
 
 def _edge_weight(cost_a: int, cost_b: int, length: float, cost_weight: float) -> float:
@@ -198,36 +184,36 @@ def _reconstruct(costmap: Costmap, came_from: dict[int, int], idx: int, total: f
 
 
 def lookahead_point(
-    path: Path, position: tuple[float, float], delta: float
-) -> tuple[float, float]:
-    """Pick the tracking target on a path.
+    path: Path, position: tuple[float, float], delta: float, start: int
+) -> tuple[tuple[float, float], int]:
+    """Pick the tracking target on a path, forward of a progress index.
 
-    Finds the path vertex nearest to ``position`` (lowest index on ties), then
-    scans forward from it for the first vertex at least ``delta`` away from
-    ``position``. Falls back to the final vertex when none qualifies. The
-    search skips a run of vertices (``Path.chunks``) whose bounding circle,
-    less a rounding margin, lies strictly farther than the nearest so far.
+    Walks forward from vertex ``start`` while the next vertex is strictly
+    nearer to ``position`` (a tie or nan stops the walk), then scans forward
+    from the vertex it stopped at for the first vertex at least ``delta``
+    away from ``position``, falling back to the final vertex. Returns the
+    target and the stop vertex, which the caller passes as the next
+    ``start``: vertices behind the robot are never searched again, so a
+    path that ends where the robot stands does not hold it there.
     """
     points = path.points
-    if not points:
-        raise ValueError("empty path")
+    n = len(points)
+    if not 0 <= start < n:
+        raise ValueError(f"start {start} is not a vertex of a {n}-vertex path")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     px, py = position
     hypot = math.hypot
-    n = len(points)
-    x, y = points[0]
-    best, nearest = hypot(x - px, y - py), 0
-    for first, cx, cy, r in path.chunks:
-        if hypot(cx - px, cy - py) * (1.0 - 1e-9) - r > best:
-            continue
-        for i in range(first, min(first + CHUNK, n)):
-            x, y = points[i]
-            d = hypot(x - px, y - py)
-            if d < best:
-                best, nearest = d, i
+    x, y = points[start]
+    best, nearest = hypot(x - px, y - py), start
+    for i in range(start + 1, n):
+        x, y = points[i]
+        d = hypot(x - px, y - py)
+        if not d < best:
+            break
+        best, nearest = d, i
     for i in range(nearest, n):
         x, y = points[i]
         if hypot(x - px, y - py) >= delta:
-            return points[i]
-    return points[-1]
+            return points[i], nearest
+    return points[-1], nearest

@@ -566,7 +566,7 @@ class Dispatcher:
     def check_deadlines(self, now: float) -> list[dict]:
         events = []
         for rec in self.records.values():
-            if not rec.terminal and rec.dropped_at is None and now > rec.task.deadline:
+            if not rec.terminal and now > rec.task.deadline:
                 rec.missed = True
                 events.append({"event": "missed", "task": rec.task_id, "robot": rec.robot})
         return events

@@ -138,9 +138,10 @@ def straight_line_graph(locations: dict[int, tuple[float, float]]) -> TravelTime
 def busy_fleet_scenario(n_robots: int, duration: float = 120.0) -> Scenario:
     """n robots each shuttling a private north-south delivery lane.
 
-    Every robot stays in motion for the whole run, so total compute grows
-    with the robot count instead of saturating once the task list is spread
-    thin across an overstaffed fleet.
+    Every robot stays in motion for the whole run (at n = 6 each picks up at
+    least 2 of its 3 tasks), so total compute grows with the robot count
+    instead of saturating once the task list is spread thin across an
+    overstaffed fleet.
     """
     map_text, grid, costmap = depot_world()
     robots = [

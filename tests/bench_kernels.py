@@ -97,7 +97,9 @@ def test_step_robot_per_control_period(benchmark):
 
 
 def test_lookahead_point_on_a_50_vertex_path(benchmark, depot_grid):
-    """200 positions near a 50-vertex path."""
+    """196 positions near a 50-vertex path, in path order, each call
+    starting from the index the one before returned: the steady state of
+    one robot tracking the path."""
     costmap = inflate(depot_grid, 0.6, 3.0)
     poses = _free_poses(depot_grid, 400, seed=3)
     path = next(
@@ -107,13 +109,16 @@ def test_lookahead_point_on_a_50_vertex_path(benchmark, depot_grid):
     path = Path(path.points[:50], path.total_cost)
     rng = random.Random(4)
     positions = [
-        (x + rng.uniform(-0.5, 0.5), y + rng.uniform(-0.5, 0.5))
-        for x, y in (rng.choice(path.points) for _ in range(200))
+        (x0 + k / 4 * (x1 - x0) + rng.uniform(-0.1, 0.1),
+         y0 + k / 4 * (y1 - y0) + rng.uniform(-0.1, 0.1))
+        for (x0, y0), (x1, y1) in zip(path.points, path.points[1:])
+        for k in range(4)
     ]
 
     def look_all():
+        start = 0
         for position in positions:
-            lookahead_point(path, position, 0.5)
+            _, start = lookahead_point(path, position, 0.5, start)
 
     benchmark(look_all)
 

@@ -210,6 +210,32 @@ class TestTaskFlow:
         deadline = scenario.task_stream[0].tasks[0].deadline
         assert completed[0]["t"] < deadline
 
+    def test_round_trip_task_leaves_its_drop_off(self, tmp_path):
+        # the second plan runs out to location 1 and back to the robot's
+        # start, so its final vertex is the nearest one: pure pursuit, which
+        # searches only forward of its progress index, drives off anyway
+        path = write_open_scenario(tmp_path, {
+            "agents": {"a": {"start": [1.0, 2.0]}},
+            "locations": [[1.0, 2.0], [7.0, 2.0]],
+            "duration": 30,
+        }, tasks=[{"arrival": 0, "tasks": [{"start": 1, "end": 0, "deadline": 100}]}])
+        trace = run(load_scenario(path)).trace
+        completed = [(e["task"], e["t"]) for e in trace.of_type("task")
+                     if e["event"] == "completed"]
+        assert completed == [("t0", pytest.approx(18.0, abs=1e-9))]
+
+    def test_every_busy_fleet_robot_keeps_delivering(self, busy6_result):
+        _, result = busy6_result
+        pickups = [0] * 6
+        for e in result.trace.of_type("task"):
+            if e["event"] == "pickup":
+                pickups[e["robot"]] += 1
+        assert min(pickups) >= 2
+        states = list(result.trace.of_type("state"))
+        for rid in range(6):
+            still = sum(abs(s["robots"][rid][4]) < 0.01 for s in states)
+            assert still <= len(states) / 5
+
 
 class TestFaults:
     def test_unreachable_pickup_faults_robot(self, sealed_scenario):
@@ -296,7 +322,7 @@ class TestFaults:
     def test_qp_fault_while_moving_brakes(self, tmp_path, monkeypatch):
         # the robot drives for 20 ticks, then senses a point whose row
         # overflows: its control at the fault tick is the braking law at its
-        # speed, not the zero control that _fault writes
+        # speed
         path = write_open_scenario(tmp_path, {
             "agents": {"a": {"start": [1.25, 2.25]}},
             "locations": [[1.25, 2.25], [7.0, 2.0]],
@@ -530,7 +556,7 @@ class TestRoomCoordination:
         assert len(completed) == 6
         text = "".join(dumps_record(r) + "\n" for r in [trace.header, *trace.events])
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "20965c8d35298f1b5172f45d1844934f4aef9c0a3387bbf7028eb6d5b83ade0c"
+            "a665d3e6ba50c1b980fe33bd8b1289e23f3003b688b4aa7222e81f7c0dad7766"
         )
 
     def test_faulted_holder_leaves_its_queue(self):
@@ -619,7 +645,7 @@ GOLDEN_DIGESTS = {
     "corridors_result": "c147c00bf22d981dcf8434d7eb214633853105221c34ec4348bb884dd35376a0",
     "rooms_result": "12a4f783333b7cfb291baa260bb58660beb5de48972bb2974d9e7962d4ab2d85",
     "depot_result": "99d2ad284f654c587ffd716ca5d69a9249fb2144714043e63ec900554a2e9a07",
-    "busy6_result": "66da33c8c3240da2dc1372199c1a98c38ddfd62a9605bd5f530f390fc3ac1d58",
+    "busy6_result": "0f1716de501e80b9100e059ed9f61c5e40c3b6f575fd9ee8a943f943859a8d1e",
     "crowd_result": "68b3766c83fdf7963915f4ade25b0283b3f9ecbd4c2c29e8932d4ca6c85d5ea6",
 }
 
@@ -656,11 +682,11 @@ GOLDEN_TYPE_PREFIXES = {
         "task": "ff3d3daeab1af2ba",
     },
     "busy6_result": {
-        "arrival": "1bf166b0d8235984", "clusters": "397cca9ff640e13c",
-        "control": "0964658e06c59905", "end": "7033ee576deaf238",
-        "header": "c5ecb943df246708", "plan": "e9c7aab858c20233",
-        "qp": "d1b82c9af037e17f", "state": "aa834fab6a0017e8",
-        "task": "f31f3cfd169506a9",
+        "arrival": "da4bb712809474f5", "clusters": "2ed236921fc13eaa",
+        "control": "3068fe972f45e18b", "end": "7033ee576deaf238",
+        "header": "c5ecb943df246708", "plan": "a9c251fcbda86322",
+        "qp": "fcfdce6c86fe849c", "state": "932953de37429d8c",
+        "task": "60f0a69adf639a8d",
     },
     "crowd_result": {
         "arrival": "956014d1600db397", "clusters": "11bd56d21e43d2be",

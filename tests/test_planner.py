@@ -5,7 +5,6 @@ import pytest
 
 from fleetsim import planner
 from fleetsim.planner import (
-    CHUNK,
     Path,
     PlanningError,
     SQRT2,
@@ -16,6 +15,7 @@ from fleetsim.planner import (
 from fleetsim.world import LETHAL_COST, inflate
 
 from _support import (
+    depot_world,
     dijkstra_cost,
     grid_from_rows,
     grid_view,
@@ -245,19 +245,29 @@ class TestLookaheadPoint:
     PATH = Path(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)), 2.0)
 
     def test_scans_forward_from_nearest(self):
-        assert lookahead_point(self.PATH, (0.1, 0.0), 0.5) == (1.0, 0.0)
+        assert lookahead_point(self.PATH, (0.1, 0.0), 0.5, 0) == ((1.0, 0.0), 0)
 
     def test_falls_back_to_last_vertex(self):
-        assert lookahead_point(self.PATH, (0.1, 0.0), 5.0) == (2.0, 0.0)
+        assert lookahead_point(self.PATH, (0.1, 0.0), 5.0, 0) == ((2.0, 0.0), 0)
 
     def test_zero_delta_returns_nearest(self):
-        assert lookahead_point(self.PATH, (0.9, 0.0), 0.0) == (1.0, 0.0)
+        assert lookahead_point(self.PATH, (0.9, 0.0), 0.0, 0) == ((1.0, 0.0), 1)
 
     def test_nearest_tie_prefers_lowest_index(self):
         path = Path(((0.0, 0.0), (2.0, 0.0)), 2.0)
-        assert lookahead_point(path, (1.0, 0.0), 0.5) == (0.0, 0.0)
+        assert lookahead_point(path, (1.0, 0.0), 0.5, 0) == ((0.0, 0.0), 0)
 
-    def test_ties_match_the_keyed_scan(self):
+    def test_never_searches_behind_start(self):
+        # the nearest vertex, index 0, lies behind the progress index
+        assert lookahead_point(self.PATH, (0.0, 0.0), 0.0, 1) == ((1.0, 0.0), 1)
+
+    def test_round_trip_path_leaves_its_end(self):
+        # the path ends where the robot stands: the whole-path nearest is
+        # the final vertex, the forward walk stops at the first one
+        path = Path(((0.25, 0.25), (1.0, 0.0), (2.0, 0.0), (1.0, 0.0), (0.0, 0.0)), 4.0)
+        assert lookahead_point(path, (0.0, 0.0), 0.5, 0) == ((1.0, 0.0), 0)
+
+    def test_walk_stops_at_the_first_tie_or_rise(self):
         # points on a coarse lattice, often repeated, put many vertices at
         # one distance from the position
         rng = random.Random(5)
@@ -266,50 +276,55 @@ class TestLookaheadPoint:
             points = tuple(rng.choice(lattice) for _ in range(rng.randint(1, 120)))
             position = (rng.choice((0.0, 0.5, 1.0)), rng.choice((0.0, 0.5, 1.0)))
             delta = rng.choice((0.0, 0.5, 1.0, 1.5, 3.0))
+            start = rng.randrange(len(points))
             dists = [math.hypot(x - position[0], y - position[1]) for x, y in points]
-            nearest = min(range(len(dists)), key=lambda i: (dists[i], i))
-            scan = [points[i] for i in range(nearest, len(points)) if dists[i] >= delta]
+            stop = next((i for i in range(start, len(points) - 1)
+                         if dists[i + 1] >= dists[i]), len(points) - 1)
+            scan = [points[i] for i in range(stop, len(points)) if dists[i] >= delta]
             expected = scan[0] if scan else points[-1]
-            assert lookahead_point(Path(points, 0.0), position, delta) == expected
+            assert lookahead_point(Path(points, 0.0), position, delta, start) == (
+                expected, stop)
 
-    def test_pruned_scan_matches_the_full_scan(self):
-        # lattice walks that fold back on themselves: vertices in far chunks
-        # tie with, or beat, the nearest of an earlier chunk
-        rng = random.Random(6)
-        pruned = 0
-        for _ in range(3000):
-            x, y = rng.randrange(10), rng.randrange(10)
-            points = []
-            for _ in range(rng.randint(1, 120)):
-                x = min(max(x + rng.choice((-1, 0, 1)), 0), 9)
-                y = min(max(y + rng.choice((-1, 0, 1)), 0), 9)
-                points.append((0.5 * x, 0.5 * y))
-            path = Path(tuple(points), 0.0)
-            position = (0.25 * rng.randrange(-2, 22), 0.25 * rng.randrange(-2, 22))
-            delta = rng.choice((0.0, 0.5, 1.0, 2.0))
-            assert lookahead_point(path, position, delta) == reference_lookahead_point(
-                points, position, delta)
-            best = min(math.hypot(px - position[0], py - position[1]) for px, py in points)
-            pruned += any(math.hypot(cx - position[0], cy - position[1]) - r > best
-                          for _, cx, cy, r in path.chunks)
-        assert pruned > 1000
+    def test_nan_position_stays_at_start(self):
+        assert lookahead_point(self.PATH, (math.nan, 0.0), 0.5, 1) == ((2.0, 0.0), 1)
 
-    def test_chunk_circles_hold_their_vertices(self):
-        rng = random.Random(7)
-        points = tuple((rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(100))
-        chunks = Path(points, 0.0).chunks
-        assert [first for first, *_ in chunks] == list(range(0, 100, CHUNK))
-        for first, cx, cy, r in chunks:
-            for px, py in points[first:first + CHUNK]:
-                assert math.hypot(px - cx, py - cy) <= r
+    def test_carried_index_matches_the_full_scan(self):
+        """Along depot plans, which never come back near themselves, the
+        index carried from call to call finds the whole-path scan's target
+        on every call: 20 000 positions up to 0.2 m off the path."""
+        _, grid, costmap = depot_world()
+        rng = random.Random(8)
+        calls = 0
+        while calls < 20_000:
+            try:
+                path = plan(costmap, *[
+                    (grid.origin_x + rng.uniform(0.0, grid.width * grid.resolution),
+                     grid.origin_y + rng.uniform(0.0, grid.height * grid.resolution))
+                    for _ in range(2)])
+            except PlanningError:
+                continue
+            delta, start, offset = rng.choice((0.3, 0.5, 0.8)), 0, 0.0
+            for (x0, y0), (x1, y1) in zip(path.points, path.points[1:]):
+                length = math.hypot(x1 - x0, y1 - y0)
+                for k in range(math.ceil(length / 0.05)):
+                    offset = min(max(offset + rng.uniform(-0.03, 0.03), -0.2), 0.2)
+                    t = k * 0.05 / length
+                    position = (x0 + t * (x1 - x0) - offset * (y1 - y0) / length,
+                                y0 + t * (y1 - y0) + offset * (x1 - x0) / length)
+                    point, start = lookahead_point(path, position, delta, start)
+                    assert point == reference_lookahead_point(path.points, position, delta)
+                    calls += 1
 
     def test_progress_past_visited_vertices(self):
         # standing just past the middle vertex: nearest is index 1, so the
         # scan may not return the start vertex even though it is delta away
-        assert lookahead_point(self.PATH, (1.1, 0.0), 0.5) == (2.0, 0.0)
+        assert lookahead_point(self.PATH, (1.1, 0.0), 0.5, 0) == ((2.0, 0.0), 1)
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError, match="empty"):
-            lookahead_point(Path((), 0.0), (0, 0), 0.5)
+        with pytest.raises(ValueError, match="0-vertex"):
+            lookahead_point(Path((), 0.0), (0, 0), 0.5, 0)
+        for start in (-1, 3):
+            with pytest.raises(ValueError, match=f"start {start} is not a vertex"):
+                lookahead_point(self.PATH, (0, 0), 0.5, start)
         with pytest.raises(ValueError, match="delta"):
-            lookahead_point(self.PATH, (0, 0), -0.1)
+            lookahead_point(self.PATH, (0, 0), -0.1, 0)
